@@ -26,7 +26,6 @@ from .verifier import (
     T1,
     Campaign,
     exceptional_families,
-    pairability_check,
     report_conforms,
     run_campaign,
 )
@@ -135,7 +134,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_lemma(args: argparse.Namespace) -> int:
+def cmd_campaign(args: argparse.Namespace) -> int:
     campaign = Campaign(
         lemma_id=args.lemma_id,
         strategy=args.strategy,
@@ -144,17 +143,6 @@ def cmd_lemma(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     report = run_campaign(campaign)
-    _emit_report(report, args.report)
-    return 0 if report_conforms(report) else 1
-
-
-def cmd_pairability(args: argparse.Namespace) -> int:
-    if args.exhaustive_reduced:
-        report = pairability_check(workers=args.workers, exhaustive_reduced=True)
-    else:
-        report = pairability_check(
-            samples=args.samples, seed=args.seed, workers=args.workers
-        )
     _emit_report(report, args.report)
     return 0 if report_conforms(report) else 1
 
@@ -184,29 +172,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lemma.add_argument("--seed", type=int, default=None)
     p_lemma.add_argument("--workers", type=int, default=1)
     p_lemma.add_argument("--report", metavar="PATH", help="also write the report here")
-    p_lemma.set_defaults(func=cmd_lemma)
+    p_lemma.set_defaults(func=cmd_campaign)
 
     p_pair = sub.add_parser("pairability", help="run the 4-pair campaign on the 6x6 grid")
     p_pair.add_argument("--samples", type=int, default=100000)
     p_pair.add_argument("--seed", type=int, default=None)
     p_pair.add_argument(
         "--exhaustive-reduced",
-        action="store_true",
+        action="store_const",
+        const="reduced",
+        dest="strategy",
         help="sweep all symmetry-reduced placements (very long-running)",
     )
     p_pair.add_argument("--workers", type=int, default=1)
     p_pair.add_argument("--report", metavar="PATH", help="also write the report here")
-    p_pair.set_defaults(func=cmd_pairability)
+    p_pair.set_defaults(func=cmd_campaign, lemma_id="pairability", strategy="random")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "lemma" and args.strategy == "random" and args.seed is None:
-        parser.error("--strategy random requires --seed")
-    if args.command == "pairability" and not args.exhaustive_reduced and args.seed is None:
-        parser.error("pairability sampling requires --seed")
+    if getattr(args, "strategy", None) == "random" and args.seed is None:
+        parser.error("random sampling requires --seed")
     try:
         return args.func(args)
     except ParseError as exc:

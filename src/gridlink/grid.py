@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 
 class Vertex(NamedTuple):
@@ -68,17 +68,8 @@ class GridGraph:
         # exploration order, and therefore certificate determinism, relies on it.
         return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
 
-    def neighbors(self, v: Iterable[int]) -> tuple[Vertex, ...]:
-        return self.adjacency[vertex(v)]
-
-    def degree(self, v: Iterable[int]) -> int:
-        return len(self.adjacency[vertex(v)])
-
     def has_edge(self, u: Iterable[int], v: Iterable[int]) -> bool:
         return edge(u, v) in self.present_edges
-
-    def representative(self, v: Iterable[int]) -> Vertex:
-        return self.contraction_map.get(vertex(v), vertex(v))
 
     def without_edges(self, gone: Iterable[Edge]) -> "GridGraph":
         dead = {edge(*e) for e in gone}
@@ -254,9 +245,9 @@ def _cycle_edges_from(ring: tuple[Vertex, ...], start: Vertex) -> tuple[Edge, ..
 _BOUNDARY_LOCAL = [(1, 1), (1, 2), (1, 3), (2, 3), (3, 3), (3, 2), (3, 1), (2, 1)]
 
 
-def landmarks(q: Quadrant) -> QuadrantLandmarks:
+def _corner_landmarks(corner: Corner) -> QuadrantLandmarks:
     def g(i: int, j: int) -> Vertex:
-        return to_global(q.corner, (i, j))
+        return to_global(corner, (i, j))
 
     x0 = g(3, 3)
     x1 = g(2, 2)
@@ -276,6 +267,14 @@ def landmarks(q: Quadrant) -> QuadrantLandmarks:
         S=frozenset({g(1, 1), g(1, 2), g(2, 1), g(2, 2)}),
         boundary_cycle=tuple(g(i, j) for i, j in _BOUNDARY_LOCAL),
     )
+
+
+_LANDMARKS = {corner: _corner_landmarks(corner) for corner in Corner}
+
+
+def landmarks(q: Quadrant) -> QuadrantLandmarks:
+    """The quadrant's landmarks; they depend on its corner alone."""
+    return _LANDMARKS[q.corner]
 
 
 class AdjustedKind(Enum):
@@ -322,30 +321,17 @@ def adjusted_quadrant(kind: AdjustedKind | str) -> AdjustedQuadrant:
     return AdjustedQuadrant(k, g, a_line, n)
 
 
-@dataclass(frozen=True)
-class SymmetryTransform:
-    """A quadrant automorphism: identity, or the transpose fixing x0."""
-
-    kind: str
-    vertex_map: Mapping[Vertex, Vertex]
-
-    def apply(self, v: Iterable[int]) -> Vertex:
-        return self.vertex_map[vertex(v)]
-
-
-def quadrant_symmetries(q: Quadrant) -> list[SymmetryTransform]:
-    ident = {v: v for v in q.vertices}
-    swap = {}
-    for i in range(1, 4):
-        for j in range(1, 4):
-            swap[to_global(q.corner, (i, j))] = to_global(q.corner, (j, i))
-    return [
-        SymmetryTransform("identity", ident),
-        SymmetryTransform("transpose", swap),
-    ]
-
-
-def terminal_count(sub: Iterable[Iterable[int]], T: Iterable[Iterable[int]]) -> int:
-    """Number of terminals of T inside sub, counted with multiplicity."""
-    inside = {vertex(v) for v in sub}
-    return sum(1 for t in T if vertex(t) in inside)
+# The eight symmetries of the 6x6 grid, identity first.  Entry 4, the
+# transpose, maps the UL and LR quadrants onto themselves, fixing x0 and
+# swapping the lines A and B; entry 6, the anti-transpose, does the same for
+# UR and LL.
+SYMMETRIES: tuple[Callable[[Vertex], Vertex], ...] = (
+    lambda v: v,
+    lambda v: Vertex(v.col, 7 - v.row),
+    lambda v: Vertex(7 - v.row, 7 - v.col),
+    lambda v: Vertex(7 - v.col, v.row),
+    lambda v: Vertex(v.col, v.row),
+    lambda v: Vertex(7 - v.row, v.col),
+    lambda v: Vertex(7 - v.col, 7 - v.row),
+    lambda v: Vertex(v.row, 7 - v.col),
+)

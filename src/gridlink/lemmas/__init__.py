@@ -8,7 +8,6 @@ from .frames import (
     frame_c0_mate_c1,
     frame_c1_mate_corner,
     frame_two_mate_third,
-    mate_pair_to_cycles,
 )
 from .escapes import (
     ExceptionalRefusal,
@@ -17,7 +16,13 @@ from .escapes import (
     link_and_escape,
     project_with_b_link,
 )
-from .clamps import Clamp, NoMatch, clamp_matching, link_pair_escort_singletons
+from .clamps import (
+    Clamp,
+    NoMatch,
+    catalog_configurations,
+    clamp_matching,
+    link_pair_escort_singletons,
+)
 from .crowded import CrowdedResult, crowded_escape
 
 __all__ = [
@@ -30,6 +35,7 @@ __all__ = [
     "LemmaReport",
     "NoMatch",
     "build_frame",
+    "catalog_configurations",
     "clamp_matching",
     "crowded_escape",
     "escape_three_distinct",
@@ -39,6 +45,5 @@ __all__ = [
     "frame_two_mate_third",
     "link_and_escape",
     "link_pair_escort_singletons",
-    "mate_pair_to_cycles",
     "project_with_b_link",
 ]

@@ -3,33 +3,29 @@
 The main operation routes a path between s1 and t1 inside a quadrant and
 escorts two further terminals s2, s3 to distinct vertices of their
 prescribed lines (A = bottom row, B = right column, in local coordinates).
-The workhorse is a catalog of *clamps*: connected edge-disjoint subgraphs,
-each with an anchor on A and/or B, that are edge-disjoint from a reserved
-linking path.  A singleton lying on a clamp walks inside it to the anchor
-on its line; assigning the two singletons to the two clamps is the small
-matching problem solved by :func:`clamp_matching`.
+The exact solver decides every placement.
 
-Every catalog candidate is certified with the routing verifier; instances
-the catalog does not cover (and the rare misses) go to the exact solver.
+The paper's proof instead uses a catalog of *clamps*: connected
+edge-disjoint subgraphs, each with an anchor on A and/or B, that are
+edge-disjoint from a reserved linking path.  A singleton lying on a clamp
+walks inside it to the anchor on its line; assigning the two singletons to
+the two clamps is the small matching problem solved by
+:func:`clamp_matching`.  The catalog is kept for the P1-matching campaign,
+which checks that matching on every entry :func:`catalog_configurations`
+finds for an L10 placement.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from ..grid import Edge, Path, Quadrant, Vertex, edge, landmarks, make_grid, path_edges
-from ..routing import Demand, Instance, PathSystem, solve, verify
+from ..grid import Edge, Path, Quadrant, Vertex, edge, landmarks, path_edges
+from ..routing import Demand, Instance, PathSystem, solve
 from .report import LemmaDefect
 
 _X0 = Vertex(3, 3)
-_LINES = {
-    "A": frozenset({Vertex(3, 1), Vertex(3, 2), Vertex(3, 3)}),
-    "B": frozenset({Vertex(1, 3), Vertex(2, 3), Vertex(3, 3)}),
-}
-_SWAP = {"A": "B", "B": "A"}
-_LOCAL_GRID = make_grid(3, 3)
 
 
 @dataclass(frozen=True)
@@ -324,84 +320,21 @@ _CATALOG: tuple[_Entry, ...] = (
 )
 
 
-def _escort(clamp: Clamp, s: Vertex, line: str) -> Optional[Path]:
-    """Walk a singleton inside its clamp to the anchor on its line."""
-    for a in sorted(clamp.anchors):
-        if a not in _LINES[line]:
-            continue
-        if not clamp.edges:
-            return (s,) if s == a else None
-        p = _bfs_in(clamp.edges, s, a)
-        if p is not None:
-            return p
-    return None
+def catalog_configurations(
+    s1: Vertex, t1: Vertex, s2: Vertex, s3: Vertex
+) -> Iterator[tuple[str, Path, Clamp, Clamp, tuple[Vertex, Vertex]]]:
+    """Catalog entries that apply to a placement, in local coordinates.
 
-
-def _transpose(v: Vertex) -> Vertex:
-    return Vertex(v.col, v.row)
-
-
-def _catalog_candidates(ls1, lt1, ls2, ls3, line2, line3, collect):
-    """Yield local path triples from catalog entries matching the instance."""
-    pi1 = frozenset({ls1, lt1})
-    pi0 = frozenset({ls2, ls3})
-    for entry in _CATALOG:
-        if not entry.match(pi1, pi0):
-            continue
-        p1 = _bfs_in(entry.region, ls1, lt1)
-        if p1 is None:
-            continue
-        try:
-            assigned = clamp_matching(p1, entry.y2, entry.y3, (ls2, ls3))
-        except ValueError:
-            continue
-        if assigned is NoMatch:
-            continue
-        e2 = _escort(assigned[0], ls2, line2)
-        e3 = _escort(assigned[1], ls3, line3)
-        if e2 is None or e3 is None:
-            continue
-        if collect is not None:
-            collect.append((entry.name, p1, entry.y2, entry.y3, (ls2, ls3)))
-        yield p1, e2, e3
-
-
-def _shortcut_candidates(ls1, lt1, ls2, ls3, line2, line3):
-    """Route one singleton through x0 and solve the rest in Q - x0.
-
-    Applies when a singleton sits on x0 or one of its in-quadrant line
-    neighbours; the quadrant minus x0 is still weakly 2-linked, so the
-    remaining pair-plus-escape instance is small and almost always easy.
+    Yields ``(name, p1, y2, y3, (s2, s3))`` for every entry whose pattern
+    matches the placement and whose region holds a linking path ``p1``.
     """
-    specials = (_X0, Vertex(3, 2), Vertex(2, 3))
-    pi1 = {ls1, lt1}
-    sub = _LOCAL_GRID.without_vertices([_X0])
-    slots = ((ls2, line2, 0), (ls3, line3, 1))
-    for (sj, _lj, j), (sk, lk, _k) in (slots, slots[::-1]):
-        if sj not in specials or sk == _X0:
-            continue
-        escort_j = (sj,) if sj == _X0 else (sj, _X0)
-        exits_k = tuple(sorted(_LINES[lk] - {_X0}))
-        if _X0 not in pi1:
-            sol = solve(Instance(sub, (Demand.pair(ls1, lt1), Demand.escape(sk, exits_k))))
-            if not sol:
-                continue
-            p1, pk = sol[0], sol[1]
-        elif ls1 == lt1 == _X0:
-            sol = solve(Instance(sub, (Demand.escape(sk, exits_k),)))
-            if not sol:
-                continue
-            p1, pk = (_X0,), sol[0]
-        else:
-            y0p = next(v for v in (Vertex(3, 2), Vertex(2, 3)) if v != sj)
-            other = lt1 if ls1 == _X0 else ls1
-            sol = solve(Instance(sub, (Demand.pair(other, y0p), Demand.escape(sk, exits_k))))
-            if not sol:
-                continue
-            stem = sol[0]
-            p1 = (_X0,) + stem[::-1] if ls1 == _X0 else stem + (_X0,)
-            pk = sol[1]
-        yield (p1, escort_j, pk) if j == 0 else (p1, pk, escort_j)
+    pi1 = frozenset({s1, t1})
+    pi0 = frozenset({s2, s3})
+    for entry in _CATALOG:
+        if entry.match(pi1, pi0):
+            p1 = _bfs_in(entry.region, s1, t1)
+            if p1 is not None:
+                yield entry.name, p1, entry.y2, entry.y3, (s2, s3)
 
 
 def _normalize_psi(psi, s2: Vertex, s3: Vertex) -> tuple[str, str]:
@@ -421,57 +354,29 @@ def _normalize_psi(psi, s2: Vertex, s3: Vertex) -> tuple[str, str]:
 
 
 def link_pair_escort_singletons(
-    q: Quadrant,
-    s1: Vertex,
-    t1: Vertex,
-    s2: Vertex,
-    s3: Vertex,
-    psi,
-    collect: Optional[list] = None,
+    q: Quadrant, s1: Vertex, t1: Vertex, s2: Vertex, s3: Vertex, psi
 ) -> PathSystem:
     """Link s1-t1 and escort s2, s3 to distinct vertices of their lines.
 
     ``psi`` prescribes a line ("A" or "B") for each singleton, either as a
-    pair ordered like (s2, s3) or as a dict keyed by the singletons.  When
-    the certificate comes from the clamp catalog, the configuration used
-    is appended to ``collect`` (local coordinates) for later cross-checks.
+    pair ordered like (s2, s3) or as a dict keyed by the singletons.
     """
     for v in (s1, t1, s2, s3):
         if v not in q.vertices:
             raise ValueError(f"terminal {v} is not in quadrant {q.corner.name}")
     line2, line3 = _normalize_psi(psi, s2, s3)
     lm = landmarks(q)
-    lines_global = {"A": lm.A, "B": lm.B}
-    inst = Instance(
-        q.graph,
-        (
-            Demand.pair(s1, t1),
-            Demand.escape(s2, lines_global[line2], distinct_group=0),
-            Demand.escape(s3, lines_global[line3], distinct_group=0),
-        ),
+    lines = {"A": lm.A, "B": lm.B}
+    sol = solve(
+        Instance(
+            q.graph,
+            (
+                Demand.pair(s1, t1),
+                Demand.escape(s2, lines[line2], distinct_group=0),
+                Demand.escape(s3, lines[line3], distinct_group=0),
+            ),
+        )
     )
-
-    ls1, lt1, ls2, ls3 = (q.to_local(v) for v in (s1, t1, s2, s3))
-
-    def globalize(local_paths):
-        return PathSystem(tuple(tuple(q.to_global(v) for v in p) for p in local_paths))
-
-    for cand in _shortcut_candidates(ls1, lt1, ls2, ls3, line2, line3):
-        sys = globalize(cand)
-        if verify(inst, sys):
-            return sys
-    for cand in _catalog_candidates(ls1, lt1, ls2, ls3, line2, line3, collect):
-        sys = globalize(cand)
-        if verify(inst, sys):
-            return sys
-        if collect is not None:
-            collect.pop()
-    tr = [_transpose(v) for v in (ls1, lt1, ls2, ls3)]
-    for cand in _catalog_candidates(tr[0], tr[1], tr[2], tr[3], _SWAP[line2], _SWAP[line3], None):
-        sys = globalize(tuple(tuple(_transpose(v) for v in p) for p in cand))
-        if verify(inst, sys):
-            return sys
-    sol = solve(inst)
     if sol:
         return sol
     raise LemmaDefect(f"no linkage with escorts for {(s1, t1, s2, s3)} and psi {(line2, line3)}")

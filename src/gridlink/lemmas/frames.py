@@ -32,8 +32,6 @@ from .report import LemmaDefect
 _HAM_NO_X2 = ((1, 2), (1, 3), (2, 3), (3, 3), (3, 2), (3, 1), (2, 1), (2, 2))
 _HAM_X1_TO_X2 = ((2, 2), (2, 1), (3, 1), (3, 2), (3, 3), (2, 3), (1, 3), (1, 2), (1, 1))
 
-_CYCLE_KEYS = {0: 0, 1: 1, "C0": 0, "C1": 1}
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -154,48 +152,6 @@ def build_frame(q: Quadrant, s1: Vertex, s2: Vertex, alpha: int) -> Frame:
         if sol:
             return Frame(alpha, cycle, w, (sol[0], sol[1]))
     raise LemmaDefect(f"no frame for {s1}, {s2} on C{alpha} in {q.corner.name}")
-
-
-def mate_pair_to_cycles(q: Quadrant, s1: Vertex, s2: Vertex, gamma) -> PathSystem:
-    """Mate each terminal onto the central cycle chosen by ``gamma``.
-
-    ``gamma`` maps each terminal to 0/1 (equivalently ``"C0"``/``"C1"``);
-    the two mating paths are edge-disjoint and avoid the quadrant's C1
-    edges, with path j ending on a vertex of the assigned cycle.
-    """
-    _check_terminal(q, s1)
-    _check_terminal(q, s2)
-    try:
-        assigned = {v: _CYCLE_KEYS[gamma[v]] for v in {s1, s2}}
-    except KeyError as exc:
-        raise ValueError("gamma must assign C0 or C1 to every terminal") from exc
-    lm = landmarks(q)
-    forbidden = _c1_edges_in(q)
-
-    arcs = _arcs_to_x0(q, lm, s1, s2)
-    on_c1 = set(_cycle_targets(q, 1))
-    stubs = (q.to_global(Vertex(3, 2)), q.to_global(Vertex(2, 3)))
-    paths = []
-    for j, (s, arc) in enumerate(zip((s1, s2), arcs)):
-        if assigned[s] == 0:
-            paths.append(arc)
-            continue
-        hit = next((i for i, v in enumerate(arc) if v in on_c1), None)
-        # An arc with no C1 vertex is the trivial arc at x0: step off it.
-        paths.append((lm.x0, stubs[j]) if hit is None else arc[: hit + 1])
-
-    inst = Instance(
-        q.graph,
-        tuple(Demand.escape(s, _cycle_targets(q, assigned[s])) for s in (s1, s2)),
-        forbidden,
-    )
-    cand = PathSystem(tuple(paths))
-    if verify(inst, cand):
-        return cand
-    sol = solve(inst)
-    if sol:
-        return sol
-    raise LemmaDefect(f"no mating of {s1}, {s2} for {gamma!r} in {q.corner.name}")
 
 
 def _framed_search(

@@ -14,8 +14,10 @@ three corners.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import defaultdict
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, product
 from multiprocessing import Pool
@@ -24,6 +26,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .flow import escape_flow
 from .grid import (
+    SYMMETRIES,
     Corner,
     Vertex,
     adjusted_quadrant,
@@ -37,6 +40,7 @@ from .lemmas import (
     LemmaReport,
     NoMatch,
     build_frame,
+    catalog_configurations,
     clamp_matching,
     crowded_escape,
     escape_three_distinct,
@@ -108,8 +112,14 @@ class Campaign:
                 raise ValueError("the random strategy requires an explicit seed")
             if self.samples is None or self.samples < 1:
                 raise ValueError("the random strategy requires samples >= 1")
-        if self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
+        _check_workers(self.workers)
+
+
+def _check_workers(workers: int) -> None:
+    """Reject a worker count outside 1..cpu_count before any process starts."""
+    limit = os.cpu_count() or 1
+    if not 1 <= workers <= limit:
+        raise ValueError(f"workers must be between 1 and {limit}, got {workers}")
 
 
 @dataclass(frozen=True)
@@ -260,16 +270,10 @@ def _iter_l10() -> Iterator:
 
 
 def _iter_p1_matching() -> Iterator:
-    """Clamp configurations actually assembled during a full L10 sweep."""
+    """Every clamp catalog configuration that applies to an L10 placement."""
     for inst in _iter_l10():
-        s1, t1, s2, s3, psi = inst
-        collect: list = []
-        try:
-            link_pair_escort_singletons(_UL, s1, t1, s2, s3, psi, collect)
-        except LemmaDefect:
-            continue
-        if collect:
-            yield (inst, collect[-1])
+        for config in catalog_configurations(*inst[:4]):
+            yield (inst, config)
 
 
 _ITERATORS: dict[str, Callable[[], Iterator]] = {
@@ -289,9 +293,7 @@ _ITERATORS: dict[str, Callable[[], Iterator]] = {
 
 # ------------------------------------------------------- symmetry reduction
 
-def _t(v: Vertex) -> Vertex:
-    return Vertex(v.col, v.row)
-
+_t = SYMMETRIES[4]  # the transpose: maps the UL quadrant onto itself, swapping A and B
 
 _SWAP_LINE = {"A": "B", "B": "A"}
 
@@ -592,12 +594,39 @@ _RUNNERS: dict[str, Callable] = {
 
 # ----------------------------------------------------------------- campaign
 
-def _map_instances(runner, instances, workers: int):
-    if workers == 1:
-        return [runner(inst) for inst in instances]
-    chunk = max(1, len(instances) // (workers * 8))
-    with Pool(workers) as pool:
-        return list(pool.imap(runner, instances, chunksize=chunk))
+def drive(
+    lemma_id: str,
+    runner: Callable,
+    instances: Iterable,
+    workers: int,
+    strategy: str = "exhaustive",
+    seed: Optional[int] = None,
+) -> LemmaReport:
+    """Run every instance and aggregate the results, in enumeration order.
+
+    Results stream from ``map`` with one worker and from ``Pool.imap``
+    otherwise.  Only the runs are timed: a finite campaign builds its
+    instance list before calling this.
+    """
+    _check_workers(workers)
+    chunk = max(1, len(instances) // (workers * 8)) if isinstance(instances, list) else 64
+    checked, exceptional = 0, []
+    start = time.perf_counter()
+    with (Pool(workers) if workers > 1 else nullcontext()) as pool:
+        results = map(runner, instances) if pool is None else pool.imap(runner, instances, chunk)
+        for rec in results:
+            checked += 1
+            if rec is not None:
+                exceptional.append(rec)
+    return LemmaReport(
+        lemma_id=lemma_id,
+        instances_checked=checked,
+        feasible=checked - len(exceptional),
+        exceptional=tuple(exceptional),
+        elapsed=time.perf_counter() - start,
+        strategy=strategy,
+        seed=seed,
+    )
 
 
 def run_campaign(campaign: Campaign) -> LemmaReport:
@@ -616,18 +645,13 @@ def run_campaign(campaign: Campaign) -> LemmaReport:
             campaign.lemma_id, campaign.strategy, campaign.samples, campaign.seed
         )
     )
-    start = time.perf_counter()
-    results = _map_instances(_RUNNERS[campaign.lemma_id], instances, campaign.workers)
-    elapsed = time.perf_counter() - start
-    exceptional = tuple(r for r in results if r is not None)
-    return LemmaReport(
-        lemma_id=campaign.lemma_id,
-        instances_checked=len(instances),
-        feasible=len(instances) - len(exceptional),
-        exceptional=exceptional,
-        elapsed=elapsed,
-        strategy=campaign.strategy,
-        seed=campaign.seed,
+    return drive(
+        campaign.lemma_id,
+        _RUNNERS[campaign.lemma_id],
+        instances,
+        campaign.workers,
+        campaign.strategy,
+        campaign.seed,
     )
 
 
@@ -696,31 +720,13 @@ def sample_pairability(rng: Random) -> PairabilityInstance:
     return PairabilityInstance(tuple((eight[k], eight[k + 1]) for k in range(0, 8, 2)))
 
 
-def _d4_maps():
-    n = 7  # 1-based 6x6: r + r' = 7 under a flip
-    funcs = [
-        lambda v: (v[0], v[1]),
-        lambda v: (v[1], n - v[0]),
-        lambda v: (n - v[0], n - v[1]),
-        lambda v: (n - v[1], v[0]),
-        lambda v: (v[1], v[0]),
-        lambda v: (n - v[0], v[1]),
-        lambda v: (n - v[1], n - v[0]),
-        lambda v: (v[0], n - v[1]),
-    ]
-    return funcs
-
-
-_D4 = _d4_maps()
-
-
 def iter_pairability_reduced() -> Iterator[PairabilityInstance]:
     """All four-pair placements whose vertex set is minimal in its orbit
     under the grid's eight symmetries.  This stream has on the order of
     4 x 10^8 members; it exists for the opt-in exhaustive run only."""
     for combo in combinations(_FULL, 8):
         key = tuple(combo)
-        if any(tuple(sorted(Vertex(*t(v)) for v in combo)) < key for t in _D4[1:]):
+        if any(tuple(sorted(t(v) for v in combo)) < key for t in SYMMETRIES[1:]):
             continue
         for m in _matchings(list(combo)):
             yield PairabilityInstance(m)
@@ -750,32 +756,8 @@ def pairability_check(
     days of CPU time.
     """
     if exhaustive_reduced:
-        instances: Iterable[PairabilityInstance] = iter_pairability_reduced()
-        strategy = "reduced"
-        start = time.perf_counter()
-        exceptional = []
-        checked = 0
-        if workers == 1:
-            for instance in instances:
-                checked += 1
-                rec = _run_pairability(instance)
-                if rec is not None:
-                    exceptional.append(rec)
-        else:
-            with Pool(workers) as pool:
-                for rec in pool.imap(_run_pairability, instances, chunksize=64):
-                    checked += 1
-                    if rec is not None:
-                        exceptional.append(rec)
-        elapsed = time.perf_counter() - start
-        return LemmaReport(
-            lemma_id="pairability",
-            instances_checked=checked,
-            feasible=checked - len(exceptional),
-            exceptional=tuple(exceptional),
-            elapsed=elapsed,
-            strategy=strategy,
-            seed=None,
+        return drive(
+            "pairability", _run_pairability, iter_pairability_reduced(), workers, "reduced"
         )
     if seed is None:
         raise ValueError("pairability sampling requires an explicit seed")
@@ -783,19 +765,7 @@ def pairability_check(
         raise ValueError(f"samples must be positive, got {samples}")
     rng = Random(seed)
     drawn = [sample_pairability(rng) for _ in range(samples)]
-    start = time.perf_counter()
-    results = _map_instances(_run_pairability, drawn, workers)
-    elapsed = time.perf_counter() - start
-    exceptional = tuple(r for r in results if r is not None)
-    return LemmaReport(
-        lemma_id="pairability",
-        instances_checked=len(drawn),
-        feasible=len(drawn) - len(exceptional),
-        exceptional=exceptional,
-        elapsed=elapsed,
-        strategy="random",
-        seed=seed,
-    )
+    return drive("pairability", _run_pairability, drawn, workers, "random", seed)
 
 
 # ------------------------------------------------- solver/flow cross-check
@@ -838,15 +808,6 @@ def _run_escape_agreement(item):
 def escape_agreement_check(workers: int = 1) -> LemmaReport:
     """Cross-check the backtracking solver against the flow oracle on the
     all-escape family; any disagreement is a defect."""
-    instances = list(_iter_escape_family())
-    start = time.perf_counter()
-    results = _map_instances(_run_escape_agreement, instances, workers)
-    elapsed = time.perf_counter() - start
-    exceptional = tuple(r for r in results if r is not None)
-    return LemmaReport(
-        lemma_id="escape-agreement",
-        instances_checked=len(instances),
-        feasible=len(instances) - len(exceptional),
-        exceptional=exceptional,
-        elapsed=elapsed,
+    return drive(
+        "escape-agreement", _run_escape_agreement, list(_iter_escape_family()), workers
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from gridlink.cli import format_report, main, report_body
@@ -232,6 +234,15 @@ def test_bad_usage_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["pairability"])  # sampling without a seed
     assert exc.value.code == 2
+
+
+def test_out_of_range_worker_counts_exit_2(capsys):
+    too_many = str((os.cpu_count() or 1) + 1)
+    for workers in ("-1", "0", too_many):
+        assert main(["pairability", "--samples", "2", "--seed", "1", "--workers", workers]) == 2
+        assert "workers must be between 1 and" in capsys.readouterr().err
+        assert main(["lemma", "L5", "--workers", workers]) == 2
+        assert "workers must be between 1 and" in capsys.readouterr().err
 
 
 def test_lemma_reports_are_stable_and_conforming(tmp_path, capsys):

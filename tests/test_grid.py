@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridlink.grid import (
+    SYMMETRIES,
     AdjustedKind,
     Corner,
     Vertex,
@@ -16,8 +17,6 @@ from gridlink.grid import (
     make_grid,
     path_edges,
     quadrant,
-    quadrant_symmetries,
-    terminal_count,
     to_global,
 )
 
@@ -58,9 +57,9 @@ def test_grid_edge_count_formula(rows, cols):
 
 def test_neighbors_sorted_row_col():
     g = make_grid(6, 6)
-    assert g.neighbors((2, 2)) == ((1, 2), (2, 1), (2, 3), (3, 2))
-    assert g.degree((1, 1)) == 2
-    assert g.degree((3, 1)) == 3
+    assert g.adjacency[Vertex(2, 2)] == ((1, 2), (2, 1), (2, 3), (3, 2))
+    assert len(g.adjacency[Vertex(1, 1)]) == 2
+    assert len(g.adjacency[Vertex(3, 1)]) == 3
 
 
 # ---------------------------------------------------------------- quadrants
@@ -120,8 +119,8 @@ def test_landmark_line_membership(corner):
     assert lm.x0 == lm.A[2] == lm.B[2]
     assert lm.b == lm.B[1]
     assert lm.c not in set(lm.A) | set(lm.B)
-    assert q.parent.degree(lm.x2) == 2
-    assert q.parent.degree(lm.y0) == 3
+    assert len(q.parent.adjacency[lm.x2]) == 2
+    assert len(q.parent.adjacency[lm.y0]) == 3
     assert set(lm.A) | set(lm.B) | lm.S == q.vertices
 
 
@@ -148,7 +147,7 @@ def test_central_cycles(corner):
     assert lm.C1[0][0] == lm.x1 or lm.C1[0][1] == lm.x1
     g = make_grid(6, 6)
     for v in c0_vertices:
-        assert set(g.neighbors(v)) <= c0_vertices | c1_vertices
+        assert set(g.adjacency[v]) <= c0_vertices | c1_vertices
 
 
 @pytest.mark.parametrize("corner", list(Corner))
@@ -202,60 +201,67 @@ def test_adjusted_quadrant_shapes(kind):
 def test_adjusted_contractions():
     q2 = adjusted_quadrant("Q2")
     assert q2.graph.has_edge((1, 1), (2, 2))
-    assert q2.graph.representative((1, 2)) == (2, 2)
+    assert q2.graph.contraction_map[Vertex(1, 2)] == (2, 2)
     q3 = adjusted_quadrant(AdjustedKind.Q3)
     assert q3.graph.has_edge((1, 1), (3, 1))
-    assert q3.graph.representative((2, 1)) == (1, 1)
+    assert q3.graph.contraction_map[Vertex(2, 1)] == (1, 1)
     q4 = adjusted_quadrant(AdjustedKind.Q4)
     assert q4.graph.has_edge((1, 2), (3, 2))
-    assert q4.graph.representative((2, 2)) == (1, 2)
+    assert q4.graph.contraction_map[Vertex(2, 2)] == (1, 2)
     # idempotence of the contraction maps
     for adj in (q2, q3, q4):
-        g = adj.graph
-        for v in list(g.contraction_map) + list(g.present_vertices):
-            assert g.representative(g.representative(v)) == g.representative(v)
+        cmap = adj.graph.contraction_map
+        for v in list(cmap) + list(adj.graph.present_vertices):
+            rep = cmap.get(v, v)
+            assert cmap.get(rep, rep) == rep
 
 
 def test_q0_degrees_on_a():
     adj = adjusted_quadrant(AdjustedKind.Q0)
-    assert [adj.graph.degree(a) for a in adj.A] == [1, 1, 1]
+    assert [len(adj.graph.adjacency[a]) for a in adj.A] == [1, 1, 1]
 
 
 # ----------------------------------------------------------------- symmetry
 
 def test_transpose_examples_ul():
-    q = quadrant(make_grid(6, 6), Corner.UL)
-    ident, transpose = quadrant_symmetries(q)
-    assert ident.kind == "identity" and transpose.kind == "transpose"
-    assert transpose.apply((1, 3)) == (3, 1)
-    assert transpose.apply((3, 3)) == (3, 3)
-    assert transpose.apply((2, 3)) == (3, 2)
+    ident, transpose = SYMMETRIES[0], SYMMETRIES[4]
+    assert all(ident(v) == v for v in make_grid(6, 6).present_vertices)
+    assert transpose(Vertex(1, 3)) == (3, 1)
+    assert transpose(Vertex(3, 3)) == (3, 3)
+    assert transpose(Vertex(2, 3)) == (3, 2)
+
+
+def test_symmetries_are_distinct_grid_automorphisms():
+    g = make_grid(6, 6)
+    images = set()
+    for sym in SYMMETRIES:
+        assert {sym(v) for v in g.present_vertices} == g.present_vertices
+        for u, v in g.present_edges:
+            assert g.has_edge(sym(u), sym(v))
+        images.add(tuple(sym(v) for v in sorted(g.present_vertices)))
+    assert len(images) == 8
+
+
+# The table entry that transposes each quadrant: the main diagonal for UL
+# and LR, the anti-diagonal for UR and LL.
+_QUADRANT_TRANSPOSE = {Corner.UL: 4, Corner.LR: 4, Corner.UR: 6, Corner.LL: 6}
 
 
 @pytest.mark.parametrize("corner", list(Corner))
 def test_transpose_is_involution_and_swaps_lines(corner):
     q = quadrant(make_grid(6, 6), corner)
     lm = landmarks(q)
-    _, tr = quadrant_symmetries(q)
+    tr = SYMMETRIES[_QUADRANT_TRANSPOSE[corner]]
     for v in q.vertices:
-        assert tr.apply(tr.apply(v)) == v
-    assert {tr.apply(a) for a in lm.A} == set(lm.B)
-    assert {tr.apply(b) for b in lm.B} == set(lm.A)
-    assert tr.apply(lm.x0) == lm.x0
-    assert tr.apply(lm.x1) == lm.x1
+        assert tr(tr(v)) == v
+    assert {tr(a) for a in lm.A} == set(lm.B)
+    assert {tr(b) for b in lm.B} == set(lm.A)
+    assert tr(lm.x0) == lm.x0
+    assert tr(lm.x1) == lm.x1
     # graph automorphism of the quadrant
     g = q.graph
     for u, v in g.present_edges:
-        assert g.has_edge(tr.apply(u), tr.apply(v))
-
-
-# ------------------------------------------------------------ terminal_count
-
-def test_terminal_count():
-    lm = landmarks(quadrant(make_grid(6, 6), Corner.UL))
-    assert terminal_count([], [(1, 1)]) == 0
-    assert terminal_count(lm.A, [(3, 1), (1, 1)]) == 1
-    assert terminal_count(lm.S, [(1, 1), (1, 1), (3, 3)]) == 2
+        assert g.has_edge(tr(u), tr(v))
 
 
 def test_to_global_round_trip():

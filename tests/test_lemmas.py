@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from gridlink.lemmas import (
     LemmaDefect,
     NoMatch,
     build_frame,
+    catalog_configurations,
     clamp_matching,
     crowded_escape,
     escape_three_distinct,
@@ -30,7 +33,6 @@ from gridlink.lemmas import (
     frame_two_mate_third,
     link_and_escape,
     link_pair_escort_singletons,
-    mate_pair_to_cycles,
     project_with_b_link,
 )
 from gridlink.verifier import degenerate_reason
@@ -116,25 +118,6 @@ def test_frames_exist_everywhere(q, i, j, alpha):
     assert not (
         (set(path_edges(p1)) | set(path_edges(p2))) & _c1_edges_inside(q)
     )
-
-
-def test_mate_pair_to_split_cycles():
-    s1, s2 = Vertex(1, 1), Vertex(1, 3)
-    got = mate_pair_to_cycles(_UL, s1, s2, {s1: "C0", s2: "C1"})
-    p1, p2 = got.paths
-    assert p1[0] == s1 and p1[-1] == _LM.x0
-    c1_verts = {v for e in _LM.C1 for v in e if v in _UL.vertices}
-    assert p2[0] == s2 and p2[-1] in c1_verts
-    assert _edge_sets_disjoint(p1, p2)
-    assert not ((set(path_edges(p1)) | set(path_edges(p2))) & _c1_edges_inside(_UL))
-
-
-def test_mate_pair_rejects_bad_gamma():
-    s1, s2 = Vertex(1, 1), Vertex(1, 3)
-    with pytest.raises(ValueError):
-        mate_pair_to_cycles(_UL, s1, s2, {s1: "C0"})
-    with pytest.raises(ValueError):
-        mate_pair_to_cycles(_UL, s1, s2, {s1: "C2", s2: 0})
 
 
 def test_frame_two_mate_third_splits_cycles():
@@ -362,7 +345,7 @@ def test_escorts_follow_their_prescribed_lines():
 
 
 def test_escort_shortcut_vertex_is_terminal():
-    # a singleton already adjacent to (or on) x0 rides the proof shortcut
+    # a singleton already on x0 lies on its line: its escort has length 0
     got = link_pair_escort_singletons(
         _UL, Vertex(1, 1), Vertex(1, 3), _LM.x0, Vertex(2, 1), ("A", "A")
     )
@@ -379,16 +362,22 @@ def test_escort_pair_off_catalog_uses_search():
     assert e2[-1] in set(_LM.B) and e3[-1] in set(_LM.A)
 
 
-def test_escort_collect_reports_catalog_configuration():
-    collect: list = []
-    link_pair_escort_singletons(
-        _UL, Vertex(1, 2), Vertex(2, 2), Vertex(3, 2), Vertex(1, 3), ("A", "B"), collect
-    )
-    if collect:  # the shortcut may have priority for some placements
-        name, p1, y2, y3, singles = collect[-1]
-        assert name.startswith("E")
-        assert isinstance(y2, Clamp) and isinstance(y3, Clamp)
-        assert len(singles) == 2
+def test_catalog_configurations_link_the_pair_beside_the_clamps():
+    vs = sorted(_UL.vertices)
+    used = set()
+    for s1, t1, s2, s3 in product(vs, repeat=4):
+        for name, p1, y2, y3, singles in catalog_configurations(s1, t1, s2, s3):
+            used.add(name)
+            assert p1[0] == s1 and p1[-1] == t1
+            assert singles == (s2, s3)
+            assert isinstance(y2, Clamp) and isinstance(y3, Clamp)
+            assert not (y2.edges | y3.edges) & set(path_edges(p1))
+    assert used == {f"E{k}" for k in range(16)}
+    # a pair in the top-middle column has exactly one entry; a pair off
+    # the catalog has none
+    got = list(catalog_configurations(Vertex(1, 2), Vertex(2, 2), Vertex(3, 2), Vertex(1, 3)))
+    assert [(name, p1) for name, p1, *_ in got] == [("E2", ((1, 2), (2, 2)))]
+    assert not list(catalog_configurations(Vertex(2, 2), Vertex(2, 3), Vertex(1, 1), Vertex(3, 1)))
 
 
 def test_escorts_at_an_overloaded_corner_refuse():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
+from itertools import islice
 from random import Random
 
 import pytest
@@ -18,10 +20,13 @@ from gridlink.verifier import (
     T2_ADMISSIBLE,
     Campaign,
     PairabilityInstance,
+    _run_pairability,
     degenerate_reason,
+    drive,
     enumerate_instances,
     escape_agreement_check,
     exceptional_families,
+    iter_pairability_reduced,
     pairability_check,
     report_conforms,
     sample_pairability,
@@ -40,6 +45,7 @@ _EXPECTED_COUNTS = {
     "L8": 1085,
     "L9": 837,
     "L10": 26244,
+    "P1-matching": 23004,
 }
 
 
@@ -115,6 +121,17 @@ def test_campaign_validation():
     with pytest.raises(ValueError):
         Campaign("L5", workers=0)
     Campaign("pairability", strategy="random", samples=10, seed=4)
+
+
+def test_worker_counts_outside_the_cpu_range_are_rejected():
+    # only the rejection path: no process pool is ever started here
+    for workers in (0, -1, (os.cpu_count() or 1) + 1):
+        with pytest.raises(ValueError, match="workers"):
+            Campaign("L5", workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            drive("L5", None, [], workers)
+        with pytest.raises(ValueError, match="workers"):
+            pairability_check(samples=2, seed=1, workers=workers)
 
 
 # -------------------------------------------------------------- degeneracy
@@ -208,6 +225,16 @@ def test_reports_do_not_depend_on_worker_count():
     one = verify_lemma("L9", workers=1)
     two = verify_lemma("L9", workers=2)
     assert replace(one, elapsed=0.0) == replace(two, elapsed=0.0)
+
+
+def test_driver_streams_a_generator_alike_for_one_and_two_workers():
+    reports = [
+        drive("pairability", _run_pairability, islice(iter_pairability_reduced(), 50), w, "reduced")
+        for w in (1, 2)
+    ]
+    assert reports[0].instances_checked == 50
+    assert reports[0].strategy == "reduced" and reports[0].seed is None
+    assert replace(reports[0], elapsed=0.0) == replace(reports[1], elapsed=0.0)
 
 
 # ------------------------------------------------------------- pairability
