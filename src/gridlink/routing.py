@@ -71,8 +71,14 @@ class PathSystem:
     paths: tuple[Path, ...]
 
     def __post_init__(self):
+        # Solver output already holds Vertex values; only other input is rebuilt.
         object.__setattr__(
-            self, "paths", tuple(tuple(vertex(v) for v in p) for p in self.paths)
+            self,
+            "paths",
+            tuple(
+                tuple(v if type(v) is Vertex else vertex(v) for v in p)
+                for p in self.paths
+            ),
         )
 
     def __iter__(self):
@@ -136,7 +142,16 @@ class _CDemand:
 
 
 class _Compiled:
-    """Graph compiled to indices/bitmasks, shared across solves of one graph."""
+    """Graph compiled to indices/bitmasks, shared across solves of one graph.
+
+    Vertex i is bit i of a vertex mask.  Edges are grouped into *lanes*, one
+    per distinct index offset k = v - u of an edge {u, v} (u < v): the 6x6
+    grid has two (k = 1 and k = 6), the contracted quadrants a few more.  The
+    edge {u, u + k} is bit ``lane(k) * nv + u`` of an edge mask, so shifting
+    an edge mask right by ``lane(k) * nv`` lines lane k's edges up with their
+    low ends, and a whole frontier crosses every edge of a lane with two
+    shifts (see ``_flood``).
+    """
 
     def __init__(self, graph: GridGraph, forbidden: frozenset[Edge]):
         self.graph = graph
@@ -146,15 +161,28 @@ class _Compiled:
         missing = forbidden - graph.present_edges
         if missing:
             raise ValueError(f"forbidden edges not in graph: {sorted(missing)}")
-        self.edges = sorted(graph.present_edges - forbidden)
+        pairs = [
+            (self.vindex[u], self.vindex[v]) for u, v in graph.present_edges - forbidden
+        ]
+        offsets = sorted({vi - ui for ui, vi in pairs})
+        lane_of = {k: i for i, k in enumerate(offsets)}
+        low = [0] * len(offsets)
         # adj[v] = ((w, edge_bit, w_bit), ...) sorted by w, i.e. (row, col) order
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.nv)]
-        for ei, (u, v) in enumerate(self.edges):
-            ui, vi = self.vindex[u], self.vindex[v]
-            adj[ui].append((vi, 1 << ei, 1 << vi))
-            adj[vi].append((ui, 1 << ei, 1 << ui))
+        for ui, vi in pairs:
+            lane = lane_of[vi - ui]
+            low[lane] |= 1 << ui
+            ebit = 1 << (lane * self.nv + ui)
+            adj[ui].append((vi, ebit, 1 << vi))
+            adj[vi].append((ui, ebit, 1 << ui))
+        # lanes[i] = (k, shift, low): lane i's offset, the shift that lines its
+        # edge bits up with their low ends, and the mask of those low ends
+        self.lanes = tuple(
+            (k, lane * self.nv, low[lane]) for lane, k in enumerate(offsets)
+        )
         self.adj = [tuple(sorted(a)) for a in adj]
         self.coloring = self._two_color()
+        self._dist_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def _two_color(self) -> Optional[list[int]]:
         color = [-1] * self.nv
@@ -173,10 +201,21 @@ class _Compiled:
                         return None
         return color
 
-    def distances_from(self, goal_bits: list[int]) -> list[int]:
+    def free_lanes(self, used: int) -> list[tuple[int, int]]:
+        """(k, mask of low ends of lane k's edges not in ``used``) per lane."""
+        return [(k, low & ~(used >> shift)) for k, shift, low in self.lanes]
+
+    def distances(self, goals: tuple[int, ...]) -> tuple[int, ...]:
+        """BFS distance of every vertex to the nearest goal, cached per goal tuple."""
+        dist = self._dist_cache.get(goals)
+        if dist is None:
+            dist = self._dist_cache[goals] = self.distances_from(goals)
+        return dist
+
+    def distances_from(self, goals: Iterable[int]) -> tuple[int, ...]:
         dist = [_INF] * self.nv
         frontier = []
-        for g in goal_bits:
+        for g in goals:
             dist[g] = 0
             frontier.append(g)
         d = 0
@@ -189,7 +228,23 @@ class _Compiled:
                         dist[w] = d
                         nxt.append(w)
             frontier = nxt
-        return dist
+        return tuple(dist)
+
+
+def _flood(seen: int, free: list[tuple[int, int]]) -> int:
+    """Grow the vertex mask ``seen`` across free edges until it is closed.
+
+    ``free`` is ``_Compiled.free_lanes(used)``.  Per lane, ``(seen & low) << k``
+    steps from low ends to high ends and ``(seen >> k) & low`` back, so each
+    pass moves the whole frontier one edge along every lane at once.
+    """
+    while True:
+        grown = seen
+        for k, low in free:
+            grown |= (grown & low) << k | (grown >> k) & low
+        if grown == seen:
+            return seen
+        seen = grown
 
 
 _compile_cache: dict[tuple[int, frozenset], _Compiled] = {}
@@ -224,14 +279,14 @@ class _Search:
                 if d.target is None or d.target not in comp.vindex:
                     raise ValueError(f"pair target {d.target} not in graph")
                 cd = _CDemand(PAIR, src, comp.vindex[d.target], 0, -1)
-                goals = [cd.tgt]
+                goals = (cd.tgt,)
             elif d.kind == ESCAPE:
                 if not d.exits:
                     raise ValueError("escape demand with empty exit set")
                 bad = [x for x in d.exits if x not in comp.vindex]
                 if bad:
                     raise ValueError(f"escape exits not in graph: {sorted(bad)}")
-                goals = sorted(comp.vindex[x] for x in d.exits)
+                goals = tuple(sorted(comp.vindex[x] for x in d.exits))
                 mask = 0
                 for g in goals:
                     mask |= 1 << g
@@ -239,7 +294,7 @@ class _Search:
                 cd = _CDemand(ESCAPE, src, -1, mask, gi)
             else:
                 raise ValueError(f"unknown demand kind: {d.kind!r}")
-            cd.dist = comp.distances_from(goals)
+            cd.dist = comp.distances(goals)
             if comp.coloring is not None and len({comp.coloring[g] for g in goals}) == 1:
                 cd.step = 2
             if cd.kind == PAIR and cd.src == cd.tgt:
@@ -304,25 +359,24 @@ class _Search:
 
     # ------------------------------- feasibility prunes after each commit --
 
-    def _reach(self, src: int, used: int) -> int:
-        seen = 1 << src
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w, ebit, wbit in self.comp.adj[u]:
-                    if used & ebit or seen & wbit:
-                        continue
-                    seen |= wbit
-                    nxt.append(w)
-            frontier = nxt
-        return seen
-
     def _prune_ok(self, j0: int, used: int, gused: tuple[int, ...]) -> bool:
+        """Can every demand from j0 on still reach a goal over unused edges?
+
+        Each component of the free graph is flooded once; a later demand
+        whose source lies in an already flooded component reuses it.
+        """
+        free = self.comp.free_lanes(used)
+        flooded: list[int] = []
         group_need: dict[int, list[int]] = {}
         for j in range(j0, self.nd):
             d = self.demands[j]
-            reach = self._reach(d.src, used)
+            sbit = 1 << d.src
+            for reach in flooded:
+                if reach & sbit:
+                    break
+            else:
+                reach = _flood(sbit, free)
+                flooded.append(reach)
             if d.kind == PAIR:
                 if not (reach >> d.tgt) & 1:
                     return False
@@ -452,7 +506,8 @@ def verify(inst: Instance, cert: PathSystem) -> VerifyResult:
             if v not in present:
                 return _bad(f"path {i}: absent vertex {v}")
         for k in range(len(p) - 1):
-            e = edge(p[k], p[k + 1])
+            a, b = p[k], p[k + 1]  # Vertex values: PathSystem normalised them
+            e = (a, b) if a <= b else (b, a)
             if e not in gedges:
                 return _bad(f"path {i}: non-adjacent step {p[k]} -> {p[k + 1]}")
             if e in inst.forbidden_edges:
@@ -494,7 +549,7 @@ def is_weakly_2_linked(graph: GridGraph) -> bool:
     if not verts:
         return True
     comp = _compiled(graph, frozenset())
-    if any(d >= _INF for d in comp.distances_from([0])):
+    if any(d >= _INF for d in comp.distances((0,))):
         return False  # disconnected: some single pair already fails
     pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
     for a in range(len(pairs)):

@@ -270,9 +270,12 @@ def _iter_l10() -> Iterator:
 
 
 def _iter_p1_matching() -> Iterator:
-    """Every clamp catalog configuration that applies to an L10 placement."""
-    for inst in _iter_l10():
-        for config in catalog_configurations(*inst[:4]):
+    """Every clamp catalog configuration that applies to an L10 placement.
+
+    The catalog does not depend on the line map, so placements are taken
+    without one: (s1, t1, s2, s3)."""
+    for inst in product(_LOCAL, repeat=4):
+        for config in catalog_configurations(*inst):
             yield (inst, config)
 
 

@@ -2,13 +2,28 @@
 
 from __future__ import annotations
 
+import hashlib
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridlink.fileio import serialize_certificate
 from gridlink.flow import escape_flow
-from gridlink.grid import Vertex, adjusted_quadrant, edge, make_grid
+from gridlink.grid import (
+    Corner,
+    Vertex,
+    adjusted_quadrant,
+    edge,
+    make_grid,
+    path_edges,
+    quadrant,
+)
 from gridlink.routing import (
+    PAIR,
+    _compiled,
+    _flood,
     Demand,
     Infeasible,
     Instance,
@@ -17,6 +32,7 @@ from gridlink.routing import (
     solve,
     verify,
 )
+from gridlink.verifier import _iter_escape_family, sample_pairability
 
 
 def test_zero_length_pair():
@@ -284,3 +300,192 @@ def test_weak_linkage_small_cases():
     # the bare 4-cycle fails on the crossed diagonals
     assert not is_weakly_2_linked(make_grid(2, 2))
     assert not is_weakly_2_linked(make_grid(1, 3))
+
+
+# ------------------------------------------- brute-force Infeasible oracle
+#
+# Enumerates every simple path of every demand and searches for an
+# edge-disjoint choice.  A trail that repeats a vertex contains a simple path
+# on a subset of its edges, so simple paths decide existence.  Exponential,
+# so it is only run on graphs of 3x3 or smaller.
+
+
+def _simple_paths(adj, source, accepts):
+    out = []
+    path = [source]
+
+    def walk(v):
+        if accepts(v):
+            out.append(tuple(path))
+        for w in adj[v]:
+            if w not in path:
+                path.append(w)
+                walk(w)
+                path.pop()
+
+    walk(source)
+    return out
+
+
+def _oracle_routable(inst: Instance) -> bool:
+    adj = {v: [] for v in inst.graph.present_vertices}
+    for a, b in inst.graph.present_edges - inst.forbidden_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    options = []
+    for d in inst.demands:
+        if d.kind == PAIR:
+            paths = _simple_paths(adj, d.source, lambda v, t=d.target: v == t)
+        else:
+            paths = _simple_paths(adj, d.source, lambda v, xs=d.exits: v in xs)
+        options.append([(p, frozenset(path_edges(p))) for p in paths])
+
+    def choose(i, used, group_ends):
+        if i == len(options):
+            return True
+        group = inst.demands[i].distinct_group
+        for p, es in options[i]:
+            end = (group, p[-1])
+            if es & used or (group is not None and end in group_ends):
+                continue
+            if choose(i + 1, used | es, group_ends | {end}):
+                return True
+        return False
+
+    return choose(0, frozenset(), frozenset())
+
+
+@st.composite
+def small_instances(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    g = make_grid(rows, cols)
+    removals = set()
+    if g.present_edges:
+        removals = draw(st.sets(st.sampled_from(sorted(g.present_edges)), max_size=3))
+    graph = g.without_edges(removals)
+    forbidden = set()
+    if graph.present_edges:
+        forbidden = draw(st.sets(st.sampled_from(sorted(graph.present_edges)), max_size=3))
+    verts = sorted(graph.present_vertices)
+    demands = []
+    for _ in range(draw(st.integers(1, 3))):
+        source = draw(st.sampled_from(verts))
+        if draw(st.booleans()):
+            demands.append(Demand.pair(source, draw(st.sampled_from(verts))))
+        else:
+            exits = draw(st.sets(st.sampled_from(verts), min_size=1, max_size=4))
+            group = draw(st.sampled_from([None, 0, 1]))
+            demands.append(Demand.escape(source, sorted(exits), distinct_group=group))
+    return Instance(graph, tuple(demands), frozenset(forbidden))
+
+
+@given(small_instances())
+@settings(deadline=None, max_examples=300)
+def test_infeasible_exactly_when_brute_force_finds_nothing(inst):
+    got = solve(inst)
+    assert (got is Infeasible) == (not _oracle_routable(inst))
+    if got is not Infeasible:
+        assert verify(inst, got)
+
+
+def test_oracle_sees_the_crossed_diagonals():
+    crossed = Instance(
+        make_grid(2, 2),
+        (Demand.pair((1, 1), (2, 2)), Demand.pair((1, 2), (2, 1))),
+    )
+    assert not _oracle_routable(crossed)
+    same = Instance(
+        make_grid(2, 2),
+        (Demand.pair((1, 1), (2, 2)), Demand.pair((1, 1), (2, 2))),
+    )
+    assert _oracle_routable(same)
+
+
+# ----------------------------------------------------- certificate digest
+#
+# Pins the exact certificates the solver returns, so that a change meant
+# only to make it faster cannot silently change its answers.
+
+_CERTIFICATE_DIGEST = "9d1ea1eb455ee833851932e113c92d5b62a9a363ea62de1c6ce06f3b89c55d8a"
+
+
+def _pinned_instances():
+    rng = Random(1)
+    grid = make_grid(6, 6)
+    for _ in range(300):
+        placement = sample_pairability(rng)
+        yield Instance(grid, tuple(Demand.pair(s, t) for s, t in placement.pairs))
+    # Each escape family member both as drawn and with its distinct-exit
+    # flag flipped, so that some answers are infeasible.
+    adjusted = {}
+    for kind, terms, distinct in _iter_escape_family():
+        adj = adjusted.setdefault(kind, adjusted_quadrant(kind))
+        for group in ((0, None) if distinct else (None, 0)):
+            yield Instance(
+                adj.graph,
+                tuple(Demand.escape(t, adj.A, distinct_group=group) for t in terms),
+            )
+
+
+def test_certificates_are_pinned():
+    h = hashlib.sha256()
+    for inst in _pinned_instances():
+        h.update(serialize_certificate(solve(inst)).encode())
+    assert h.hexdigest() == _CERTIFICATE_DIGEST
+
+
+# ------------------------------------------ word-parallel flood vs plain BFS
+
+
+def _bfs_reach(comp, src, used):
+    """Reference for ``_flood``: vertex-by-vertex BFS over unused edges."""
+    seen = 1 << src
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w, ebit, wbit in comp.adj[u]:
+                if used & ebit or seen & wbit:
+                    continue
+                seen |= wbit
+                nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def _flood_graphs():
+    grid = make_grid(6, 6)
+    yield "6x6", grid
+    yield "UL", quadrant(grid, Corner.UL).graph
+    for kind in ("Q0", "Q1", "Q2", "Q3", "Q4"):
+        yield kind, adjusted_quadrant(kind).graph
+
+
+@pytest.mark.parametrize("name,graph", list(_flood_graphs()))
+def test_flood_equals_adjacency_bfs(name, graph):
+    comp = _compiled(graph, frozenset())
+    ebits = sorted({ebit for a in comp.adj for _, ebit, _ in a})
+    assert len(ebits) == len(graph.present_edges)
+    rng = Random(name)
+    for _ in range(200):
+        used = 0
+        for ebit in rng.sample(ebits, rng.randrange(len(ebits) + 1)):
+            used |= ebit
+        free = comp.free_lanes(used)
+        for src in range(comp.nv):
+            assert _flood(1 << src, free) == _bfs_reach(comp, src, used)
+
+
+def test_contracted_quadrants_have_non_unit_offsets():
+    offsets = {k for k, _, _ in _compiled(adjusted_quadrant("Q2").graph, frozenset()).lanes}
+    assert len(offsets) > 2
+    assert {k for k, _, _ in _compiled(make_grid(6, 6), frozenset()).lanes} == {1, 6}
+
+
+def test_cached_distance_table_equals_a_fresh_one():
+    comp = _compiled(adjusted_quadrant("Q3").graph, frozenset())
+    for goals in [(0,), (1, 4), tuple(range(comp.nv))]:
+        cached = comp.distances(goals)
+        assert isinstance(cached, tuple)
+        assert comp.distances(goals) is cached
+        assert cached == comp.distances_from(goals)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlink.grid import Vertex
-from gridlink.lemmas import LemmaReport
+from gridlink.lemmas import LemmaReport, catalog_configurations
 from gridlink.verifier import (
     T1,
     T1_ADMISSIBLE,
@@ -45,7 +45,7 @@ _EXPECTED_COUNTS = {
     "L8": 1085,
     "L9": 837,
     "L10": 26244,
-    "P1-matching": 23004,
+    "P1-matching": 5751,
 }
 
 
@@ -55,6 +55,17 @@ _EXPECTED_COUNTS = {
 def test_exhaustive_instance_counts(lemma_id):
     n = sum(1 for _ in enumerate_instances(lemma_id))
     assert n == _EXPECTED_COUNTS[lemma_id]
+
+
+def test_p1_matching_checks_each_l10_configuration_once():
+    items = [repr(item) for item in enumerate_instances("P1-matching")]
+    assert len(set(items)) == len(items)
+    per_line_map = {
+        repr((inst[:4], config))
+        for inst in enumerate_instances("L10")
+        for config in catalog_configurations(*inst[:4])
+    }
+    assert set(items) == per_line_map
 
 
 def test_unknown_lemma_rejected():
@@ -78,11 +89,12 @@ def test_reduction_picks_one_representative_per_orbit(lemma_id, reduced_count):
         covered.add(transpose_instance(lemma_id, inst))
     assert covered >= set(full)
     # no orbit is represented twice
+    reduced_set = set(reduced)
     doubled = [
         inst
         for inst in reduced
         if transpose_instance(lemma_id, inst) != inst
-        and transpose_instance(lemma_id, inst) in set(reduced)
+        and transpose_instance(lemma_id, inst) in reduced_set
     ]
     assert not doubled
 
