@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Four subcommands: ``solve`` routes an instance file and prints a
-certificate; ``verify`` checks a certificate against its instance;
-``lemma`` runs one lemma's verification campaign; ``pairability`` runs the
-4-pair campaign on the full grid.  Exit codes: 0 feasible/conforming,
-1 infeasible or defective, 2 usage or parse errors.
+certificate; ``verify`` checks a certificate against its instance (an
+``infeasible`` claim by max flow where the instance is one flow problem,
+else by re-solving); ``lemma`` runs one lemma's verification campaign;
+``pairability`` runs the 4-pair campaign on the full grid.  Exit codes:
+0 feasible/conforming, 1 infeasible or defective, 2 usage or parse errors.
 
 Reports are stable ``key: value`` text.  For fixed inputs and flags every
 byte is reproducible except the final ``elapsed_seconds`` line, which is
@@ -19,8 +20,9 @@ from collections import Counter
 from typing import Optional, Sequence
 
 from .fileio import ParseError, parse_certificate, parse_instance, serialize_certificate
+from .flow import escape_flow
 from .lemmas import LemmaReport
-from .routing import Infeasible, solve, verify
+from .routing import ESCAPE, Infeasible, Instance, solve, verify
 from .verifier import (
     LEMMA_IDS,
     T1,
@@ -116,15 +118,42 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0 if result else 1
 
 
+def _decide_infeasible(inst: Instance) -> tuple[bool, str]:
+    """Is the instance infeasible?  Also names the route that decided it.
+
+    Escapes that share one exit set and one distinct group (or all have
+    none) are a max-flow problem, decided by ``escape_flow`` independently
+    of the solver.  Any other instance is re-solved.
+    """
+    ds = inst.demands
+    if (
+        ds
+        and all(d.kind == ESCAPE and d.exits == ds[0].exits for d in ds)
+        and len({d.distinct_group for d in ds}) == 1
+    ):
+        got = escape_flow(
+            inst.graph,
+            [d.source for d in ds],
+            ds[0].exits,
+            distinct=ds[0].distinct_group is not None,
+            forbidden=inst.forbidden_edges,
+        )
+        return got is Infeasible, "max-flow"
+    return solve(inst) is Infeasible, "re-solved"
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.instance), args.instance)
     cert = parse_certificate(_read(args.certificate), args.certificate)
     if cert is Infeasible:
-        # an infeasibility claim is checked the only way it can be: by solving
-        if solve(inst) is Infeasible:
-            print("ok: instance is infeasible")
+        infeasible, route = _decide_infeasible(inst)
+        if infeasible:
+            print(f"ok: instance is infeasible ({route})")
             return 0
-        print("invalid: certificate claims infeasible, but the instance is solvable")
+        print(
+            "invalid: certificate claims infeasible, but the instance is solvable"
+            f" ({route})"
+        )
         return 1
     got = verify(inst, cert)
     if got:

@@ -12,6 +12,12 @@ exists.  It is also deterministic -- demands are routed in input order,
 candidate paths are enumerated shortest-first, and neighbours are explored
 in (row, col) lexicographic order -- so a given instance always yields the
 same certificate.
+
+The search widens a bound on the total extra path length (the *slack*)
+one level at a time, IDA* style.  A level that fails without the bound
+having cut any branch has searched every simple path system, so it proves
+the instance infeasible and the search stops there; it never has to climb
+the remaining levels.
 """
 
 from __future__ import annotations
@@ -304,8 +310,14 @@ class _Search:
             self.demands.append(cd)
         self.nd = len(self.demands)
         self.ngroups = len(groups)
-        # failed[(di, used, gused)] = largest slack that still found nothing
+        # failed[(di, used, gused)] = largest slack that still found nothing,
+        # or _INF once a search of that subtree found nothing with no cut
         self.failed: dict = {}
+        # set when the slack bound truncated a demand's enumeration in the
+        # subtree being searched (see _route)
+        self.cut = False
+        # the slack level the last run stopped at (None: settled before any level)
+        self.slack: Optional[int] = None
 
     # ---- candidate paths for one demand, shortest first, lexicographic ----
 
@@ -320,6 +332,8 @@ class _Search:
         lb = d.dist[d.src]
         if lb >= _INF:
             return
+        if lb + slack < d.max_len:
+            self.cut = True
         shared_exit_stop = d.kind == ESCAPE and d.gi < 0
         for limit in range(lb, min(d.max_len, lb + slack) + 1, d.step):
             for found in self._dfs(
@@ -400,12 +414,20 @@ class _Search:
         ``slack`` bounds the total length beyond the per-demand shortest-path
         lower bounds; the driver widens it gradually (IDA* style), so the
         certificate found is minimal-total-length first, lexicographic second.
+
+        On failure ``self.cut`` tells whether the slack bound cut any branch
+        of this subtree (a memo hit on a finite slack counts as a cut).  A
+        subtree that fails with no cut has no solution at any slack: it is
+        memoised as ``_INF``, and at the root it proves infeasibility.
         """
         if di == self.nd:
             return []
         key = (di, used, gused)
-        if self.failed.get(key, -1) >= slack:
+        failed_at = self.failed.get(key, -1)
+        if failed_at >= slack:
+            self.cut |= failed_at < _INF
             return None
+        outer, self.cut = self.cut, False
         d = self.demands[di]
         for pverts, pmask, end, extra in self._paths_for(d, used, gused, slack):
             nused = used | pmask
@@ -419,9 +441,8 @@ class _Search:
             tail = self._route(di + 1, nused, ngused, slack - extra)
             if tail is not None:
                 return [pverts] + tail
-        prior = self.failed.get(key, -1)
-        if slack > prior:
-            self.failed[key] = slack
+        self.failed[key] = slack if self.cut else _INF
+        self.cut |= outer
         return None
 
     def run(self) -> SolveResult:
@@ -436,8 +457,9 @@ class _Search:
             budget += d.max_len - lb
         routed = None
         for slack in range(budget + 1):
+            self.slack, self.cut = slack, False
             routed = self._route(0, 0, gused0, slack)
-            if routed is not None:
+            if routed is not None or not self.cut:
                 break
         if routed is None:
             return Infeasible

@@ -218,10 +218,39 @@ def test_verify_checks_infeasibility_claims(tmp_path, capsys):
     blocked = _write(tmp_path, "t1.inst", _T1_BLOCKED)
     cert = _write(tmp_path, "claim.cert", "infeasible\n")
     assert main(["verify", blocked, cert]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out == "ok: instance is infeasible (re-solved)\n"
     solvable = _write(tmp_path, "three.inst", _THREE_ESCAPES)
     assert main(["verify", solvable, cert]) == 1
-    assert "solvable" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "invalid: certificate claims infeasible, but the instance is solvable (max-flow)\n"
+    )
+
+
+# Two distinct escapes onto two exits, one of them cut off by forbidden edges
+_ESCAPES_SHORT_OF_EXITS = """\
+grid 3 3
+forbid_edge (2,3) (3,3)
+forbid_edge (3,2) (3,3)
+demand escape (1,1) -> {(3,1), (3,3)} group 1
+demand escape (1,2) -> {(3,1), (3,3)} group 1
+"""
+
+
+def test_verify_confirms_infeasible_escapes_by_max_flow(tmp_path, capsys):
+    inst = _write(tmp_path, "short.inst", _ESCAPES_SHORT_OF_EXITS)
+    cert = _write(tmp_path, "claim.cert", "infeasible\n")
+    assert main(["verify", inst, cert]) == 0
+    assert capsys.readouterr().out == "ok: instance is infeasible (max-flow)\n"
+    # without the forbidden edges the two escapes fit
+    unforbidden = _ESCAPES_SHORT_OF_EXITS.replace("forbid_edge", "# forbid_edge")
+    open_inst = _write(tmp_path, "open.inst", unforbidden)
+    assert main(["verify", open_inst, cert]) == 1
+    assert "solvable (max-flow)" in capsys.readouterr().out
+    # escapes in two different groups are not one flow problem
+    two_groups = _ESCAPES_SHORT_OF_EXITS.replace("group 1\ndemand", "group 2\ndemand")
+    mixed = _write(tmp_path, "mixed.inst", two_groups)
+    assert main(["verify", mixed, cert]) == 1
+    assert "solvable (re-solved)" in capsys.readouterr().out
 
 
 def test_bad_usage_exits_2(tmp_path):

@@ -20,10 +20,12 @@ from gridlink.grid import (
     path_edges,
     quadrant,
 )
+import gridlink.lemmas.crowded as crowded
 from gridlink.routing import (
     PAIR,
     _compiled,
     _flood,
+    _Search,
     Demand,
     Infeasible,
     Instance,
@@ -32,7 +34,7 @@ from gridlink.routing import (
     solve,
     verify,
 )
-from gridlink.verifier import _iter_escape_family, sample_pairability
+from gridlink.verifier import _iter_escape_family, sample_pairability, verify_lemma
 
 
 def test_zero_length_pair():
@@ -399,6 +401,51 @@ def test_oracle_sees_the_crossed_diagonals():
         (Demand.pair((1, 1), (2, 2)), Demand.pair((1, 1), (2, 2))),
     )
     assert _oracle_routable(same)
+
+
+# ------------------------------- Infeasible answers of the crowded lemmas
+#
+# L1 and L2 try the largest linked set first, so the solver proves some link
+# choices infeasible before one succeeds.  Those answers are checked here by
+# the brute-force oracle (the crowded quadrant is 3x3).
+
+_CROWDED_INFEASIBLE = {"L1": 1211, "L2": 270}
+
+
+@pytest.fixture(scope="module")
+def crowded_infeasible():
+    """Every instance crowded_escape solves to Infeasible during L1 and L2."""
+    found = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for lemma_id in _CROWDED_INFEASIBLE:
+            seen = []
+
+            def recording_solve(inst, seen=seen):
+                got = solve(inst)
+                if got is Infeasible:
+                    seen.append(inst)
+                return got
+
+            mp.setattr(crowded, "solve", recording_solve)
+            verify_lemma(lemma_id)
+            found[lemma_id] = seen
+    return found
+
+
+def test_crowded_infeasible_answers_agree_with_brute_force(crowded_infeasible):
+    assert {k: len(v) for k, v in crowded_infeasible.items()} == _CROWDED_INFEASIBLE
+    for insts in crowded_infeasible.values():
+        for inst in insts:
+            assert not _oracle_routable(inst)
+
+
+def test_crowded_infeasible_searches_stop_below_their_budget(crowded_infeasible):
+    for insts in crowded_infeasible.values():
+        for inst in insts:
+            search = _Search(inst)
+            assert search.run() is Infeasible
+            budget = sum(d.max_len - d.dist[d.src] for d in search.demands)
+            assert search.slack is not None and search.slack < budget
 
 
 # ----------------------------------------------------- certificate digest
