@@ -27,6 +27,8 @@ Path = tuple[Vertex, ...]
 
 
 def vertex(v: Iterable[int]) -> Vertex:
+    if type(v) is Vertex:
+        return v
     r, c = v
     return Vertex(r, c)
 
@@ -67,6 +69,14 @@ class GridGraph:
         # Neighbour order is (row, col) lexicographic: the routing engine's
         # exploration order, and therefore certificate determinism, relies on it.
         return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+
+    @cached_property
+    def compiled_forms(self) -> dict:
+        """The routing solver's compiled forms of this graph, keyed by forbidden edge set.
+
+        Kept on the graph so that they live exactly as long as it does.
+        """
+        return {}
 
     def has_edge(self, u: Iterable[int], v: Iterable[int]) -> bool:
         return edge(u, v) in self.present_edges

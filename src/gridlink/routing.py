@@ -18,6 +18,12 @@ one level at a time, IDA* style.  A level that fails without the bound
 having cut any branch has searched every simple path system, so it proves
 the instance infeasible and the search stops there; it never has to climb
 the remaining levels.
+
+Each graph is compiled once per forbidden edge set to vertex indices and
+edge bitmasks, and each demand once per compiled graph, to its goal mask
+and distance table.  Both are stored on the graph (``GridGraph.compiled_forms``),
+so repeated solves on one graph pay only for the search, and the compiled
+forms are freed with the graph.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ class Demand:
         exits: Iterable[Iterable[int]],
         distinct_group: Optional[int] = None,
     ) -> "Demand":
-        xs = frozenset(vertex(x) for x in exits)
+        xs = frozenset(map(vertex, exits))
         return Demand(ESCAPE, vertex(source), exits=xs, distinct_group=distinct_group)
 
 
@@ -134,17 +140,24 @@ SolveResult = Union[PathSystem, InfeasibleType]
 
 
 class _CDemand:
-    __slots__ = ("kind", "src", "tgt", "exits_mask", "gi", "dist", "step", "max_len")
+    """A demand compiled against one graph: the same for every solve on it.
 
-    def __init__(self, kind, src, tgt, exits_mask, gi):
-        self.kind = kind
+    ``goal`` is the mask of the vertices the demand may end at, ``dist`` the
+    distance of every vertex to the nearest of them, ``lb`` the source's
+    distance, ``step`` the parity step of the path lengths (2 when the graph
+    is bipartite and every goal has one colour) and ``max_len`` the longest
+    simple path length worth trying.
+    """
+
+    __slots__ = ("src", "goal", "dist", "lb", "step", "max_len")
+
+    def __init__(self, src, goal, dist, step, max_len):
         self.src = src
-        self.tgt = tgt
-        self.exits_mask = exits_mask
-        self.gi = gi
-        self.dist = None
-        self.step = 1
-        self.max_len = 0
+        self.goal = goal
+        self.dist = dist
+        self.lb = dist[src]
+        self.step = step
+        self.max_len = max_len
 
 
 class _Compiled:
@@ -157,10 +170,12 @@ class _Compiled:
     an edge mask right by ``lane(k) * nv`` lines lane k's edges up with their
     low ends, and a whole frontier crosses every edge of a lane with two
     shifts (see ``_flood``).
+
+    Distance tables and compiled demands are cached here too, so each is
+    built once per graph and forbidden set.
     """
 
     def __init__(self, graph: GridGraph, forbidden: frozenset[Edge]):
-        self.graph = graph
         self.verts = sorted(graph.present_vertices)
         self.vindex = {v: i for i, v in enumerate(self.verts)}
         self.nv = len(self.verts)
@@ -189,6 +204,7 @@ class _Compiled:
         self.adj = [tuple(sorted(a)) for a in adj]
         self.coloring = self._two_color()
         self._dist_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._demands: dict[tuple, _CDemand] = {}
 
     def _two_color(self) -> Optional[list[int]]:
         color = [-1] * self.nv
@@ -236,6 +252,99 @@ class _Compiled:
             frontier = nxt
         return tuple(dist)
 
+    def demand(self, d: Demand) -> _CDemand:
+        """``d`` compiled against this graph, cached; a malformed one raises every time."""
+        key = (d.kind, d.source, d.target, d.exits)
+        cd = self._demands.get(key)
+        if cd is None:
+            cd = self._demands[key] = self.compile_demand(d)
+        return cd
+
+    def compile_demand(self, d: Demand) -> _CDemand:
+        vindex = self.vindex
+        if d.source not in vindex:
+            raise ValueError(f"demand source {d.source} not in graph")
+        src = vindex[d.source]
+        if d.kind == PAIR:
+            if d.target is None or d.target not in vindex:
+                raise ValueError(f"pair target {d.target} not in graph")
+            goals = (vindex[d.target],)
+        elif d.kind == ESCAPE:
+            if not d.exits:
+                raise ValueError("escape demand with empty exit set")
+            bad = [x for x in d.exits if x not in vindex]
+            if bad:
+                raise ValueError(f"escape exits not in graph: {sorted(bad)}")
+            goals = tuple(sorted(vindex[x] for x in d.exits))
+        else:
+            raise ValueError(f"unknown demand kind: {d.kind!r}")
+        goal = 0
+        for g in goals:
+            goal |= 1 << g
+        step = 1
+        if self.coloring is not None and len({self.coloring[g] for g in goals}) == 1:
+            step = 2
+        # the only simple s,s-path is the trivial one
+        max_len = 0 if d.kind == PAIR and goals == (src,) else self.nv - 1
+        return _CDemand(src, goal, self.distances(goals), step, max_len)
+
+
+def _walker(adj, cd: _CDemand, gi: int):
+    """The candidate paths of one demand in one search, as ``walk(used, gused, limit)``.
+
+    ``walk`` yields ``(path, edge_mask)`` for every simple path of exactly
+    ``limit`` edges from the source to a goal over edges not in ``used``,
+    depth first with neighbours in (row, col) order.  A grouped escape (group
+    slot ``gi``) may not end at an exit in ``gused[gi]``.  A pair path meets
+    its target only at its end, and an ungrouped escape may be cut at its
+    first exit, so neither is continued past one.  A vertex farther from the
+    goals than the length left is not entered, so a vertex at the last step
+    is a goal.  An edge to an unvisited vertex cannot be one of the path's
+    own.  In a bipartite graph with goals of one colour the length left and
+    that distance always have one parity, so ``_CDemand.step`` is the only
+    parity test.
+    """
+    src, goal, dist = cd.src, cd.goal, cd.dist
+    sbit = 1 << src
+    stop = goal if gi < 0 else 0
+
+    def walk(used: int, gused: tuple[int, ...], limit: int):
+        taken = gused[gi] if gi >= 0 else 0
+        if not limit:
+            if sbit & goal & ~taken:
+                yield (src,), 0
+            return
+        if stop & sbit:
+            return
+        path = [src]
+        above = []  # (neighbour iterator, vmask, pmask) of each level above
+        vmask, pmask, rem = sbit, 0, limit - 1
+        nbrs = iter(adj[src])
+        while True:
+            for w, ebit, wbit in nbrs:
+                if vmask & wbit or used & ebit or dist[w] > rem:
+                    continue
+                if not rem:
+                    # distance 0: w is a goal
+                    if not taken & wbit:
+                        yield (*path, w), pmask | ebit
+                elif not stop & wbit:
+                    above.append((nbrs, vmask, pmask))
+                    path.append(w)
+                    vmask |= wbit
+                    pmask |= ebit
+                    rem -= 1
+                    nbrs = iter(adj[w])
+                    break
+            else:
+                if not above:
+                    return
+                nbrs, vmask, pmask = above.pop()
+                path.pop()
+                rem += 1
+
+    return walk
+
 
 def _flood(seen: int, free: list[tuple[int, int]]) -> int:
     """Grow the vertex mask ``seen`` across free edges until it is closed.
@@ -253,61 +362,33 @@ def _flood(seen: int, free: list[tuple[int, int]]) -> int:
         seen = grown
 
 
-_compile_cache: dict[tuple[int, frozenset], _Compiled] = {}
-
-
 def _compiled(graph: GridGraph, forbidden: frozenset[Edge]) -> _Compiled:
-    key = (id(graph), forbidden)
-    hit = _compile_cache.get(key)
-    if hit is not None and hit.graph is graph:
-        return hit
-    comp = _Compiled(graph, forbidden)
-    if len(_compile_cache) >= 64:
-        _compile_cache.clear()
-    _compile_cache[key] = comp
+    """The compiled form of ``graph`` minus ``forbidden``, stored on the graph."""
+    forms = graph.compiled_forms
+    comp = forms.get(forbidden)
+    if comp is None:
+        comp = forms[forbidden] = _Compiled(graph, forbidden)
     return comp
 
 
 class _Search:
     def __init__(self, inst: Instance):
-        self.comp = _compiled(inst.graph, inst.forbidden_edges)
-        comp = self.comp
+        self.comp = comp = _compiled(inst.graph, inst.forbidden_edges)
         groups = sorted(
             {d.distinct_group for d in inst.demands if d.distinct_group is not None}
         )
-        self.gslot = {g: i for i, g in enumerate(groups)}
-        self.demands: list[_CDemand] = []
-        for d in inst.demands:
-            if d.source not in comp.vindex:
-                raise ValueError(f"demand source {d.source} not in graph")
-            src = comp.vindex[d.source]
-            if d.kind == PAIR:
-                if d.target is None or d.target not in comp.vindex:
-                    raise ValueError(f"pair target {d.target} not in graph")
-                cd = _CDemand(PAIR, src, comp.vindex[d.target], 0, -1)
-                goals = (cd.tgt,)
-            elif d.kind == ESCAPE:
-                if not d.exits:
-                    raise ValueError("escape demand with empty exit set")
-                bad = [x for x in d.exits if x not in comp.vindex]
-                if bad:
-                    raise ValueError(f"escape exits not in graph: {sorted(bad)}")
-                goals = tuple(sorted(comp.vindex[x] for x in d.exits))
-                mask = 0
-                for g in goals:
-                    mask |= 1 << g
-                gi = self.gslot[d.distinct_group] if d.distinct_group is not None else -1
-                cd = _CDemand(ESCAPE, src, -1, mask, gi)
-            else:
-                raise ValueError(f"unknown demand kind: {d.kind!r}")
-            cd.dist = comp.distances(goals)
-            if comp.coloring is not None and len({comp.coloring[g] for g in goals}) == 1:
-                cd.step = 2
-            if cd.kind == PAIR and cd.src == cd.tgt:
-                cd.max_len = 0  # the only simple s,s-path is the trivial one
-            else:
-                cd.max_len = comp.nv - 1
-            self.demands.append(cd)
+        gslot = {g: i for i, g in enumerate(groups)}
+        self.demands = [comp.demand(d) for d in inst.demands]
+        # group slot per demand, -1 for pairs and ungrouped escapes
+        self.gi = [
+            gslot[d.distinct_group]
+            if d.kind == ESCAPE and d.distinct_group is not None
+            else -1
+            for d in inst.demands
+        ]
+        self.walks = [_walker(comp.adj, cd, gi) for cd, gi in zip(self.demands, self.gi)]
+        # (source bit, goal mask, group slot) per demand, for _prune_ok
+        self.rows = [(1 << cd.src, cd.goal, gi) for cd, gi in zip(self.demands, self.gi)]
         self.nd = len(self.demands)
         self.ngroups = len(groups)
         # failed[(di, used, gused)] = largest slack that still found nothing,
@@ -319,91 +400,40 @@ class _Search:
         # the slack level the last run stopped at (None: settled before any level)
         self.slack: Optional[int] = None
 
-    # ---- candidate paths for one demand, shortest first, lexicographic ----
-
-    def _accepts(self, d: _CDemand, v: int, gused: tuple[int, ...]) -> bool:
-        if d.kind == PAIR:
-            return v == d.tgt
-        if not (d.exits_mask >> v) & 1:
-            return False
-        return d.gi < 0 or not (gused[d.gi] >> v) & 1
-
-    def _paths_for(self, d: _CDemand, used: int, gused: tuple[int, ...], slack: int):
-        lb = d.dist[d.src]
-        if lb >= _INF:
-            return
-        if lb + slack < d.max_len:
-            self.cut = True
-        shared_exit_stop = d.kind == ESCAPE and d.gi < 0
-        for limit in range(lb, min(d.max_len, lb + slack) + 1, d.step):
-            for found in self._dfs(
-                d, d.src, 0, limit, used, gused, [d.src],
-                1 << d.src, 0, shared_exit_stop,
-            ):
-                yield found + (limit - lb,)
-
-    def _dfs(self, d, v, pos, limit, used, gused, pverts, vmask, pmask, stop_at_exit):
-        if pos == limit:
-            if self._accepts(d, v, gused):
-                yield (tuple(pverts), pmask, v)
-            return
-        # A simple path meets the pair target only at its end, and a shared
-        # escape may be truncated at its first exit, so both cut the branch.
-        if d.kind == PAIR:
-            if v == d.tgt:
-                return
-        elif stop_at_exit and (d.exits_mask >> v) & 1:
-            return
-        dist = d.dist
-        rem = limit - pos - 1
-        parity = d.step == 2
-        blocked = used | pmask
-        for w, ebit, wbit in self.comp.adj[v]:
-            if vmask & wbit or blocked & ebit:
-                continue
-            dw = dist[w]
-            if dw > rem or (parity and (rem - dw) & 1):
-                continue
-            pverts.append(w)
-            yield from self._dfs(
-                d, w, pos + 1, limit, used, gused, pverts,
-                vmask | wbit, pmask | ebit, stop_at_exit,
-            )
-            pverts.pop()
-
     # ------------------------------- feasibility prunes after each commit --
 
     def _prune_ok(self, j0: int, used: int, gused: tuple[int, ...]) -> bool:
         """Can every demand from j0 on still reach a goal over unused edges?
 
         Each component of the free graph is flooded once; a later demand
-        whose source lies in an already flooded component reuses it.
+        whose source lies in an already flooded component reuses it.  The
+        exits still open to one group must then be matchable to its demands.
         """
         free = self.comp.free_lanes(used)
         flooded: list[int] = []
-        group_need: dict[int, list[int]] = {}
-        for j in range(j0, self.nd):
-            d = self.demands[j]
-            sbit = 1 << d.src
+        needs = [[] for _ in gused] if gused else None
+        for sbit, goal, gi in self.rows[j0:]:
             for reach in flooded:
                 if reach & sbit:
                     break
             else:
                 reach = _flood(sbit, free)
                 flooded.append(reach)
-            if d.kind == PAIR:
-                if not (reach >> d.tgt) & 1:
-                    return False
-            else:
-                avail = d.exits_mask & reach
-                if d.gi >= 0:
-                    avail &= ~gused[d.gi]
-                    group_need.setdefault(d.gi, []).append(avail)
-                if not avail:
-                    return False
-        for needs in group_need.values():
-            if len(needs) > 1 and not _has_matching(needs):
+            avail = goal & reach
+            if gi >= 0:
+                avail &= ~gused[gi]
+                needs[gi].append(avail)
+            if not avail:
                 return False
+        if needs:
+            for rows in needs:
+                if len(rows) == 2:
+                    # Hall's condition for two non-empty rows
+                    a, b = rows
+                    if a == b and not a & (a - 1):
+                        return False
+                elif len(rows) > 2 and not _has_matching(rows):
+                    return False
         return True
 
     # ------------------------------------------------------------- search --
@@ -414,14 +444,13 @@ class _Search:
         ``slack`` bounds the total length beyond the per-demand shortest-path
         lower bounds; the driver widens it gradually (IDA* style), so the
         certificate found is minimal-total-length first, lexicographic second.
+        Candidate paths of demand di are tried shortest first.
 
         On failure ``self.cut`` tells whether the slack bound cut any branch
         of this subtree (a memo hit on a finite slack counts as a cut).  A
         subtree that fails with no cut has no solution at any slack: it is
         memoised as ``_INF``, and at the root it proves infeasibility.
         """
-        if di == self.nd:
-            return []
         key = (di, used, gused)
         failed_at = self.failed.get(key, -1)
         if failed_at >= slack:
@@ -429,32 +458,44 @@ class _Search:
             return None
         outer, self.cut = self.cut, False
         d = self.demands[di]
-        for pverts, pmask, end, extra in self._paths_for(d, used, gused, slack):
-            nused = used | pmask
-            ngused = gused
-            if d.kind == ESCAPE and d.gi >= 0:
-                ngused = tuple(
-                    m | (1 << end) if k == d.gi else m for k, m in enumerate(gused)
-                )
-            if not self._prune_ok(di + 1, nused, ngused):
-                continue
-            tail = self._route(di + 1, nused, ngused, slack - extra)
-            if tail is not None:
-                return [pverts] + tail
+        gi = self.gi[di]
+        walk = self.walks[di]
+        lb = d.lb
+        top = lb + slack
+        if top < d.max_len:
+            self.cut = True
+        else:
+            top = d.max_len
+        last = di + 1 == self.nd
+        for limit in range(lb, top + 1, d.step):
+            for pverts, pmask in walk(used, gused, limit):
+                if last:
+                    # nothing is left to prune or route
+                    return [pverts]
+                nused = used | pmask
+                ngused = gused
+                if gi >= 0:
+                    ngused = gused[:gi] + (gused[gi] | 1 << pverts[-1],) + gused[gi + 1 :]
+                if not self._prune_ok(di + 1, nused, ngused):
+                    continue
+                tail = self._route(di + 1, nused, ngused, slack - (limit - lb))
+                if tail is not None:
+                    return [pverts] + tail
         self.failed[key] = slack if self.cut else _INF
         self.cut |= outer
         return None
 
     def run(self) -> SolveResult:
-        gused0 = tuple(0 for _ in range(self.ngroups))
+        if not self.nd:
+            return PathSystem(())
+        gused0 = (0,) * self.ngroups
         if not self._prune_ok(0, 0, gused0):
             return Infeasible
         budget = 0
         for d in self.demands:
-            lb = d.dist[d.src]
-            if lb >= _INF:
+            if d.lb >= _INF:
                 return Infeasible
-            budget += d.max_len - lb
+            budget += d.max_len - d.lb
         routed = None
         for slack in range(budget + 1):
             self.slack, self.cut = slack, False

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import weakref
 from random import Random
 
 import pytest
@@ -19,6 +21,7 @@ from gridlink.grid import (
     make_grid,
     path_edges,
     quadrant,
+    vertex,
 )
 import gridlink.lemmas.crowded as crowded
 from gridlink.routing import (
@@ -26,6 +29,7 @@ from gridlink.routing import (
     _compiled,
     _flood,
     _Search,
+    _walker,
     Demand,
     Infeasible,
     Instance,
@@ -34,7 +38,7 @@ from gridlink.routing import (
     solve,
     verify,
 )
-from gridlink.verifier import _iter_escape_family, sample_pairability, verify_lemma
+from gridlink.verifier import _FULL, _iter_escape_family, sample_pairability, verify_lemma
 
 
 def test_zero_length_pair():
@@ -114,19 +118,42 @@ def test_solver_is_deterministic():
 
 
 def test_malformed_instances_raise():
+    # A failed compile is not cached: a second solve on the same graph
+    # rejects the demand again.
     g = make_grid(2, 2)
-    with pytest.raises(ValueError):
-        solve(Instance(g, (Demand.pair((1, 1), (5, 5)),)))
-    with pytest.raises(ValueError):
-        solve(Instance(g, (Demand.escape((1, 1), []),)))
-    with pytest.raises(ValueError):
-        solve(
-            Instance(
-                g,
-                (Demand.pair((1, 1), (2, 2)),),
-                forbidden_edges=frozenset({edge((1, 1), (3, 1))}),
-            )
-        )
+    bad = [
+        Instance(g, (Demand.pair((1, 1), (5, 5)),)),
+        Instance(g, (Demand.escape((1, 1), []),)),
+        Instance(g, (Demand.escape((1, 1), [(1, 2), (4, 4)]),)),
+        Instance(g, (Demand("detour", Vertex(1, 1)),)),
+        Instance(
+            g,
+            (Demand.pair((1, 1), (2, 2)),),
+            forbidden_edges=frozenset({edge((1, 1), (3, 1))}),
+        ),
+    ]
+    for inst in bad + bad:
+        with pytest.raises(ValueError):
+            solve(inst)
+    assert solve(Instance(g, (Demand.pair((1, 1), (2, 2)),)))
+
+
+def test_vertex_keeps_a_vertex_and_builds_one_from_a_pair():
+    v = Vertex(1, 2)
+    assert vertex(v) is v
+    got = vertex((1, 2))
+    assert type(got) is Vertex and got == v
+    assert type(vertex([3, 4])) is Vertex
+
+
+def test_sampled_placements_reuse_the_grid_vertices():
+    canonical = {id(v) for v in _FULL}
+    rng = Random(3)
+    for _ in range(200):
+        placement = sample_pairability(rng)
+        for s, t in placement.pairs:
+            demand = Demand.pair(s, t)
+            assert id(demand.source) in canonical and id(demand.target) in canonical
 
 
 # ------------------------------------------------------------------- verify
@@ -536,3 +563,205 @@ def test_cached_distance_table_equals_a_fresh_one():
         assert isinstance(cached, tuple)
         assert comp.distances(goals) is cached
         assert cached == comp.distances_from(goals)
+
+
+# ------------------------------------------------ compiled forms per graph
+
+
+def _slots(cd):
+    return {name: getattr(cd, name) for name in type(cd).__slots__}
+
+
+def test_compiled_demand_equals_a_fresh_compile():
+    adj = adjusted_quadrant("Q1")
+    comp = _compiled(adj.graph, frozenset())
+    verts = sorted(adj.graph.present_vertices)
+    demands = [Demand.pair(u, v) for u in verts[:3] for v in verts]
+    demands += [Demand.escape(u, adj.A, distinct_group=g) for u in verts for g in (None, 0)]
+    for d in demands:
+        cached = comp.demand(d)
+        assert comp.demand(d) is cached
+        assert _slots(cached) == _slots(comp.compile_demand(d))
+    # the group is not part of the compiled demand
+    assert comp.demand(Demand.escape(verts[0], adj.A, 0)) is comp.demand(
+        Demand.escape(verts[0], adj.A, 5)
+    )
+
+
+def test_compiled_form_survives_other_graphs():
+    g = make_grid(3, 4)
+    forbidden = frozenset({edge((1, 1), (1, 2))})
+    comp = _compiled(g, forbidden)
+    for k in range(100):
+        other = make_grid(2 + k % 3, 2 + k % 4)
+        solve(Instance(other, (Demand.pair((1, 1), (2, 2)),)))
+    assert _compiled(g, forbidden) is comp
+    assert _compiled(g, frozenset()) is not comp
+
+
+def test_compiled_form_dies_with_its_graph():
+    g = make_grid(3, 3)
+    solve(Instance(g, (Demand.pair((1, 1), (3, 3)),)))
+    ref = weakref.ref(_compiled(g, frozenset()))
+    assert ref() is not None
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+# --------------------------------------- candidate walk vs brute force
+#
+# The reference lists every simple path of exactly ``limit`` edges over
+# unused edges and keeps those that end at a goal, do not end at an exit
+# their group already holds, and (for a pair, or an escape with no group)
+# have no goal before their last vertex; sorted by vertex index, that is the
+# order of a depth-first walk with neighbours in (row, col) order.  The
+# vertices the walk expands are checked too: every prefix it may continue,
+# which no pruning rule excludes, in the same order.
+
+
+class _CountingAdj(list):
+    """An adjacency list that records every vertex whose neighbours are read."""
+
+    def __init__(self, adj):
+        super().__init__(adj)
+        self.read = []
+
+    def __getitem__(self, v):
+        self.read.append(v)
+        return list.__getitem__(self, v)
+
+
+def _walk_reference(comp, cd, gi, used, gused, limit):
+    taken = gused[gi] if gi >= 0 else 0
+    stop = cd.goal if gi < 0 else 0
+    paths, expanded = [], []
+
+    def grow(path, vmask):
+        if len(path) == limit + 1:
+            paths.append(tuple(path))
+            return
+        # a path the walk continues: within reach of a goal in the length
+        # left at every step, and no stop vertex on it
+        if all(cd.dist[v] <= limit - i for i, v in enumerate(path) if i) and not any(
+            (stop >> v) & 1 for v in path
+        ):
+            expanded.append(tuple(path))
+        for w, ebit, wbit in comp.adj[path[-1]]:
+            if not vmask & wbit and not used & ebit:
+                path.append(w)
+                grow(path, vmask | wbit)
+                path.pop()
+
+    grow([cd.src], 1 << cd.src)
+    yielded = [
+        p
+        for p in paths
+        if (cd.goal >> p[-1]) & 1
+        and not (taken >> p[-1]) & 1
+        and not any((stop >> v) & 1 for v in p[:-1])
+    ]
+    order = [pre[-1] for pre in sorted(expanded)]
+    return sorted(yielded), order
+
+
+def _walk_graphs():
+    yield "UL", quadrant(make_grid(6, 6), Corner.UL).graph, None
+    for kind in ("Q0", "Q1", "Q2", "Q3", "Q4"):
+        adj = adjusted_quadrant(kind)
+        yield kind, adj.graph, adj.A
+    yield "4x4", make_grid(4, 4), None
+
+
+def _walk_demands(verts, exits, rng):
+    for _ in range(12):
+        s, t = rng.choice(verts), rng.choice(verts)
+        yield Demand.pair(s, t), -1
+    yield Demand.pair(verts[0], verts[0]), -1
+    for _ in range(12):
+        xs = exits if exits and rng.random() < 0.5 else rng.sample(verts, rng.randrange(1, 4))
+        yield Demand.escape(rng.choice(verts), xs), -1
+        yield Demand.escape(rng.choice(verts), xs, distinct_group=0), rng.randrange(2)
+
+
+@pytest.mark.parametrize("name,graph,exits", list(_walk_graphs()))
+def test_walk_yields_the_brute_force_paths_in_order(name, graph, exits):
+    comp = _compiled(graph, frozenset())
+    verts = sorted(graph.present_vertices)
+    ebits = sorted({ebit for a in comp.adj for _, ebit, _ in a})
+    rng = Random(name)
+    yielded = 0
+    for d, gi in _walk_demands(verts, exits, rng):
+        cd = comp.demand(d)
+        for _ in range(3):
+            used = 0
+            for ebit in rng.sample(ebits, rng.randrange(len(ebits) // 3 + 1)):
+                used |= ebit
+            gused = tuple(rng.getrandbits(comp.nv) & cd.goal for _ in range(2))
+            for limit in range(min(comp.nv, 12)):
+                adj = _CountingAdj(comp.adj)
+                walk = _walker(adj, cd, gi)
+                got = list(walk(used, gused, limit))
+                want, order = _walk_reference(comp, cd, gi, used, gused, limit)
+                assert [p for p, _ in got] == want, (d, gi, limit)
+                assert adj.read == order, (d, gi, limit)
+                for p, pmask in got:
+                    es = [
+                        ebit
+                        for u, v in zip(p, p[1:])
+                        for w, ebit, _ in comp.adj[u]
+                        if w == v
+                    ]
+                    assert pmask == sum(es) and not pmask & used
+                yielded += len(got)
+    assert yielded > 100
+
+
+def test_ladder_asks_only_for_lengths_of_the_shortest_paths_parity():
+    # In a bipartite graph every path to goals of one colour has the parity
+    # of the shortest one, so the ladder skips every other length.
+    graph = make_grid(4, 4)
+    asked = []
+    for s, t in [((1, 1), (1, 4)), ((2, 2), (2, 3)), ((4, 1), (1, 4))]:
+        # the second pair's shortest path lies on the first one's
+        inst = Instance(
+            graph,
+            (
+                Demand.pair(s, t),
+                Demand.pair((1, 2), (1, 3)),
+                Demand.escape((2, 1), [(1, 1), (3, 3)], distinct_group=0),
+            ),
+        )
+        search = _Search(inst)
+
+        def recording(cd, walk):
+            def record(used, gused, limit):
+                asked.append((cd, limit))
+                return walk(used, gused, limit)
+
+            return record
+
+        search.walks = [recording(cd, w) for cd, w in zip(search.demands, search.walks)]
+        assert search.run() == solve(inst)
+    assert any(limit > cd.lb for cd, limit in asked)
+    for cd, limit in asked:
+        assert (limit - cd.lb) % 2 == 0
+    # Q2 has an odd cycle, so every length is tried there
+    q2 = adjusted_quadrant("Q2").graph
+    comp = _compiled(q2, frozenset())
+    verts = sorted(q2.present_vertices)
+    assert {comp.demand(Demand.pair(verts[0], v)).step for v in verts[1:]} == {1}
+
+
+def test_prune_needs_distinct_exits_within_a_group():
+    g = make_grid(3, 3)
+
+    def prune(sources, exits, group=0):
+        search = _Search(Instance(g, tuple(Demand.escape(s, exits, group) for s in sources)))
+        return search._prune_ok(0, 0, (0,) * search.ngroups)
+
+    assert not prune([(1, 1), (2, 2)], [(3, 3)])
+    assert prune([(1, 1), (2, 2)], [(3, 3)], group=None)
+    assert prune([(1, 1), (2, 2)], [(3, 3), (1, 3)])
+    assert not prune([(1, 1), (2, 2), (2, 1)], [(3, 3), (1, 3)])
+    assert prune([(1, 1), (2, 2), (2, 1)], [(3, 3), (1, 3), (3, 1)])
