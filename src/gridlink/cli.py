@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from typing import Optional, Sequence
 
 from .fileio import ParseError, parse_certificate, parse_instance, serialize_certificate
@@ -25,74 +24,13 @@ from .lemmas import LemmaReport
 from .routing import ESCAPE, Infeasible, Instance, solve, verify
 from .verifier import (
     LEMMA_IDS,
-    T1,
+    STRATEGIES,
     Campaign,
-    exceptional_families,
+    format_report,
+    report_body,  # unused here; callers import the report vocabulary from gridlink.cli
     report_conforms,
     run_campaign,
 )
-
-_EXCLUDED_MARK = "# the line below is wall-clock time, excluded from byte comparisons"
-
-
-def _fmt_vertices(vs) -> str:
-    return " ".join(f"({v[0]},{v[1]})" for v in vs)
-
-
-def _fmt_value(obj) -> str:
-    if isinstance(obj, tuple) and obj and all(
-        isinstance(x, tuple) and len(x) == 2 and all(isinstance(c, int) for c in x)
-        for x in obj
-    ):
-        return _fmt_vertices(obj)
-    if isinstance(obj, tuple):
-        return "[" + ", ".join(_fmt_value(x) for x in obj) + "]"
-    return str(obj)
-
-
-def format_report(report: LemmaReport) -> str:
-    """Render a campaign report; identical inputs give identical bytes."""
-    tags = Counter(tag for tag, _, _ in report.exceptional)
-    defects = sum(n for tag, n in tags.items() if tag not in ("refusal", "degenerate"))
-    lines = [
-        f"campaign: {report.lemma_id}",
-        f"strategy: {report.strategy}",
-        f"seed: {report.seed if report.seed is not None else 'none'}",
-        f"instances: {report.instances_checked}",
-        f"feasible: {report.feasible}",
-    ]
-    for tag in sorted(tags):
-        lines.append(f"exceptional[{tag}]: {tags[tag]}")
-    lines.append(f"defects: {defects}")
-    conforming = report_conforms(report)
-    lines.append(f"status: {'conforming' if conforming else 'defective'}")
-    if report.lemma_id == "L9" and conforming:
-        for terms, working in sorted(
-            exceptional_families(report), key=lambda fam: fam[0] != T1
-        ):
-            label = "T1" if terms == T1 else "T2"
-            lines.append(
-                f"family {label}: {_fmt_vertices(sorted(terms))}"
-                f" | working {_fmt_vertices(sorted(working))}"
-            )
-    if report.lemma_id == "L10":
-        reasons = Counter(
-            detail for tag, _, detail in report.exceptional if tag == "degenerate"
-        )
-        for reason in sorted(reasons):
-            lines.append(f"degenerate[{reason}]: {reasons[reason]}")
-    for tag, inst, detail in report.exceptional:
-        if tag in ("refusal", "degenerate"):
-            continue
-        lines.append(f"defect: {tag} instance={_fmt_value(inst)} detail={detail}")
-    lines.append(_EXCLUDED_MARK)
-    lines.append(f"elapsed_seconds: {report.elapsed:.3f}")
-    return "\n".join(lines) + "\n"
-
-
-def report_body(text: str) -> str:
-    """The comparable part of a report: everything above the timing mark."""
-    return text.split(_EXCLUDED_MARK, 1)[0]
 
 
 def _read(path: str) -> str:
@@ -194,9 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lemma = sub.add_parser("lemma", help="run one lemma's verification campaign")
     p_lemma.add_argument("lemma_id", choices=list(LEMMA_IDS), metavar="lemma_id")
-    p_lemma.add_argument(
-        "--strategy", choices=["exhaustive", "reduced", "random"], default="exhaustive"
-    )
+    p_lemma.add_argument("--strategy", choices=list(STRATEGIES), default="exhaustive")
     p_lemma.add_argument("--samples", type=int, default=None)
     p_lemma.add_argument("--seed", type=int, default=None)
     p_lemma.add_argument("--workers", type=int, default=1)

@@ -337,16 +337,10 @@ def catalog_configurations(
                 yield entry.name, p1, entry.y2, entry.y3, (s2, s3)
 
 
-def _normalize_psi(psi, s2: Vertex, s3: Vertex) -> tuple[str, str]:
-    if isinstance(psi, dict):
-        try:
-            pair = (psi[s2], psi[s3])
-        except KeyError as exc:
-            raise ValueError("psi must assign a line to both singletons") from exc
-    else:
-        pair = tuple(psi)
-        if len(pair) != 2:
-            raise ValueError(f"psi must give two line choices, got {psi!r}")
+def _normalize_psi(psi) -> tuple[str, str]:
+    pair = tuple(psi)
+    if len(pair) != 2:
+        raise ValueError(f"psi must give two line choices, got {psi!r}")
     for line in pair:
         if line not in ("A", "B"):
             raise ValueError(f"lines must be 'A' or 'B', got {line!r}")
@@ -358,13 +352,13 @@ def link_pair_escort_singletons(
 ) -> PathSystem:
     """Link s1-t1 and escort s2, s3 to distinct vertices of their lines.
 
-    ``psi`` prescribes a line ("A" or "B") for each singleton, either as a
-    pair ordered like (s2, s3) or as a dict keyed by the singletons.
+    ``psi`` prescribes a line ("A" or "B") for each singleton, as a pair
+    ordered like (s2, s3).
     """
     for v in (s1, t1, s2, s3):
         if v not in q.vertices:
             raise ValueError(f"terminal {v} is not in quadrant {q.corner.name}")
-    line2, line3 = _normalize_psi(psi, s2, s3)
+    line2, line3 = _normalize_psi(psi)
     lm = landmarks(q)
     lines = {"A": lm.A, "B": lm.B}
     sol = solve(

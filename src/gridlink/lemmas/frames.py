@@ -41,7 +41,6 @@ class Frame:
     cycle: tuple[Edge, ...]
     anchor: Vertex
     mating_paths: tuple[Path, Path]
-    forbidden_respected: bool = True
 
     def __post_init__(self) -> None:
         if self.alpha not in (0, 1):
@@ -74,6 +73,18 @@ def _cycle_targets(q: Quadrant, alpha: int) -> tuple[Vertex, ...]:
 def _check_terminal(q: Quadrant, s: Vertex) -> None:
     if s not in q.vertices:
         raise ValueError(f"terminal {s} is not in quadrant {q.corner.name}")
+
+
+def _distinct_terminals(
+    q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex
+) -> tuple[Vertex, Vertex, Vertex]:
+    """The three terminals as a tuple, once checked to be distinct vertices of q."""
+    terms = (sp, sq, sr)
+    for s in terms:
+        _check_terminal(q, s)
+    if len(set(terms)) != 3:
+        raise ValueError(f"terminals must be distinct, got {terms}")
+    return terms
 
 
 def _arcs_to_x0(
@@ -185,21 +196,13 @@ def _framed_search(
 
 def frame_two_mate_third(q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex) -> FramingResult:
     """Frame two of three distinct terminals on some C_alpha; mate the third to C_beta."""
-    terms = (sp, sq, sr)
-    for s in terms:
-        _check_terminal(q, s)
-    if len(set(terms)) != 3:
-        raise ValueError(f"terminals must be distinct, got {terms}")
+    terms = _distinct_terminals(q, sp, sq, sr)
     return _framed_search(q, terms, (0, 1), lambda alpha: _cycle_targets(q, 1 - alpha))
 
 
 def frame_c0_mate_c1(q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex) -> FramingResult:
     """Frame two of three distinct terminals on C0; mate the third to C1."""
-    terms = (sp, sq, sr)
-    for s in terms:
-        _check_terminal(q, s)
-    if len(set(terms)) != 3:
-        raise ValueError(f"terminals must be distinct, got {terms}")
+    terms = _distinct_terminals(q, sp, sq, sr)
     return _framed_search(q, terms, (0,), lambda alpha: _cycle_targets(q, 1))
 
 
@@ -207,11 +210,7 @@ def frame_c1_mate_corner(
     q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex, z: Vertex
 ) -> FramingResult:
     """Frame two of three distinct terminals on C1; route the third to z in {x0, y0}."""
-    terms = (sp, sq, sr)
-    for s in terms:
-        _check_terminal(q, s)
-    if len(set(terms)) != 3:
-        raise ValueError(f"terminals must be distinct, got {terms}")
+    terms = _distinct_terminals(q, sp, sq, sr)
     lm = landmarks(q)
     if z not in (lm.x0, lm.y0):
         raise ValueError(f"z must be x0 {lm.x0} or y0 {lm.y0}, got {z}")

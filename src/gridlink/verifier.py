@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import os
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
 from multiprocessing import Pool
 from random import Random
@@ -79,9 +80,6 @@ _C1_IN_Q = frozenset(
     e for e in _LM.C1 if e[0] in _UL.vertices and e[1] in _UL.vertices
 )
 
-LEMMA_IDS = (
-    "L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "L10", "P1-matching",
-)
 STRATEGIES = ("exhaustive", "reduced", "random")
 
 # Lemma 9's two exceptional terminal sets and their admissible linked
@@ -94,7 +92,9 @@ T2_ADMISSIBLE = frozenset({Vertex(1, 3), Vertex(2, 3)})
 
 @dataclass(frozen=True)
 class Campaign:
-    """A verification run: which lemma, which slice of its domain, how wide."""
+    """A verification run: which lemma, which slice of its domain, how wide.
+
+    Every rule on these fields is checked here and nowhere else."""
 
     lemma_id: str
     strategy: str = "exhaustive"
@@ -107,6 +107,8 @@ class Campaign:
             raise ValueError(f"unknown lemma id {self.lemma_id!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.lemma_id == "pairability" and self.strategy == "exhaustive":
+            raise ValueError("pairability has no exhaustive strategy: use random or reduced")
         if self.strategy == "random":
             if self.seed is None:
                 raise ValueError("the random strategy requires an explicit seed")
@@ -120,25 +122,6 @@ def _check_workers(workers: int) -> None:
     limit = os.cpu_count() or 1
     if not 1 <= workers <= limit:
         raise ValueError(f"workers must be between 1 and {limit}, got {workers}")
-
-
-@dataclass(frozen=True)
-class PairabilityInstance:
-    """Eight distinct vertices of the 6x6 grid split into four pairs."""
-
-    pairs: tuple[tuple[Vertex, Vertex], ...]
-
-    def __post_init__(self) -> None:
-        pairs = tuple((vertex(s), vertex(t)) for s, t in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        if len(pairs) != 4:
-            raise ValueError(f"exactly four pairs required, got {len(pairs)}")
-        flat = [v for p in pairs for v in p]
-        if len(set(flat)) != 8:
-            raise ValueError("the eight terminals must be pairwise distinct")
-        for v in flat:
-            if v not in _GRID.present_vertices:
-                raise ValueError(f"{v} is not a vertex of the 6x6 grid")
 
 
 # ----------------------------------------------------------- degenerate laws
@@ -279,21 +262,6 @@ def _iter_p1_matching() -> Iterator:
             yield (inst, config)
 
 
-_ITERATORS: dict[str, Callable[[], Iterator]] = {
-    "L1": _iter_l1,
-    "L2": _iter_l2,
-    "L3": _iter_l3,
-    "L4": _iter_l4,
-    "L5": _iter_l5,
-    "L6": _iter_l6,
-    "L7": _iter_l7,
-    "L8": _iter_l8,
-    "L9": _iter_l9,
-    "L10": _iter_l10,
-    "P1-matching": _iter_p1_matching,
-}
-
-
 # ------------------------------------------------------- symmetry reduction
 
 _t = SYMMETRIES[4]  # the transpose: maps the UL quadrant onto itself, swapping A and B
@@ -347,37 +315,38 @@ def enumerate_instances(
     strategy: str = "exhaustive",
     samples: Optional[int] = None,
     seed: Optional[int] = None,
-) -> Iterator:
-    """Stream the lemma's instances: all of them, transpose-orbit
-    representatives, or seeded uniform draws (with replacement)."""
-    if lemma_id not in _ITERATORS:
-        raise ValueError(f"unknown lemma id {lemma_id!r}")
-    base = _ITERATORS[lemma_id]
-    if strategy == "exhaustive":
-        yield from base()
-    elif strategy == "reduced":
-        for inst in base():
-            if _is_representative(lemma_id, inst):
-                yield inst
-    elif strategy == "random":
-        if seed is None:
-            raise ValueError("the random strategy requires an explicit seed")
-        if samples is None or samples < 1:
-            raise ValueError("the random strategy requires samples >= 1")
-        pool = list(base())
+) -> Iterable:
+    """The campaign's instances: all of them, transpose-orbit
+    representatives, or seeded uniform draws (with replacement).
+
+    A lemma's instances and pairability's seeded draws come as a list; the
+    reduced pairability sweep is the lazy ``iter_pairability_reduced()``.
+    """
+    Campaign(lemma_id, strategy, samples, seed)  # validates the arguments
+    if lemma_id == "pairability":
+        if strategy == "reduced":
+            return iter_pairability_reduced()
         rng = Random(seed)
-        for _ in range(samples):
-            yield pool[rng.randrange(len(pool))]
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        return [sample_pairability(rng) for _ in range(samples)]
+    base = _CAMPAIGNS[lemma_id][0]()
+    if strategy == "exhaustive":
+        return list(base)
+    if strategy == "reduced":
+        return [inst for inst in base if _is_representative(lemma_id, inst)]
+    pool = list(base)
+    rng = Random(seed)
+    return [pool[rng.randrange(len(pool))] for _ in range(samples)]
 
 
 # ------------------------------------------------------------------ runners
 #
 # Each runner takes one instance and returns None when the lemma's claim is
 # witnessed and independently re-verified, or a (tag, instance, detail)
-# record otherwise.  "defect" contradicts the lemma; "refusal" (L9) and
-# "degenerate" (L10) are the documented exceptional outcomes.
+# record otherwise.  "defect" contradicts the lemma; the documented
+# exceptional outcomes below, "refusal" (L9) and "degenerate" (L10), do not.
+
+_DOCUMENTED_TAGS = ("refusal", "degenerate")
+
 
 def _bad(tag, inst, detail):
     return (tag, inst, detail)
@@ -402,18 +371,6 @@ def _run_crowded(inst, variant):
         if len(off) > 1:
             return _bad("defect", inst, "more than one exit off A")
     return None
-
-
-def _run_l1(inst):
-    return _run_crowded(inst, 1)
-
-
-def _run_l2(inst):
-    return _run_crowded(inst, 2)
-
-
-def _run_l3(inst):
-    return _run_crowded(inst, 3)
 
 
 def _l4_graph(kind: str, k: int):
@@ -580,19 +537,20 @@ def _run_p1_matching(item):
     return None
 
 
-_RUNNERS: dict[str, Callable] = {
-    "L1": _run_l1,
-    "L2": _run_l2,
-    "L3": _run_l3,
-    "L4": _run_l4,
-    "L5": _run_l5,
-    "L6": _run_l6,
-    "L7": _run_l7,
-    "L8": _run_l8,
-    "L9": _run_l9,
-    "L10": _run_l10,
-    "P1-matching": _run_p1_matching,
+_CAMPAIGNS: dict[str, tuple[Callable[[], Iterator], Callable]] = {
+    "L1": (_iter_l1, partial(_run_crowded, variant=1)),
+    "L2": (_iter_l2, partial(_run_crowded, variant=2)),
+    "L3": (_iter_l3, partial(_run_crowded, variant=3)),
+    "L4": (_iter_l4, _run_l4),
+    "L5": (_iter_l5, _run_l5),
+    "L6": (_iter_l6, _run_l6),
+    "L7": (_iter_l7, _run_l7),
+    "L8": (_iter_l8, _run_l8),
+    "L9": (_iter_l9, _run_l9),
+    "L10": (_iter_l10, _run_l10),
+    "P1-matching": (_iter_p1_matching, _run_p1_matching),
 }
+LEMMA_IDS = tuple(_CAMPAIGNS)
 
 
 # ----------------------------------------------------------------- campaign
@@ -633,28 +591,14 @@ def drive(
 
 
 def run_campaign(campaign: Campaign) -> LemmaReport:
-    if campaign.lemma_id == "pairability":
-        if campaign.strategy == "reduced":
-            return pairability_check(
-                workers=campaign.workers, exhaustive_reduced=True
-            )
-        return pairability_check(
-            samples=campaign.samples if campaign.samples is not None else 100000,
-            seed=campaign.seed,
-            workers=campaign.workers,
-        )
-    instances = list(
-        enumerate_instances(
-            campaign.lemma_id, campaign.strategy, campaign.samples, campaign.seed
-        )
+    """Look up the campaign's runner, enumerate its instances, drive them."""
+    # pairability is the one campaign outside the lemma table
+    _, runner = _CAMPAIGNS.get(campaign.lemma_id, (None, _run_pairability))
+    instances = enumerate_instances(
+        campaign.lemma_id, campaign.strategy, campaign.samples, campaign.seed
     )
     return drive(
-        campaign.lemma_id,
-        _RUNNERS[campaign.lemma_id],
-        instances,
-        campaign.workers,
-        campaign.strategy,
-        campaign.seed,
+        campaign.lemma_id, runner, instances, campaign.workers, campaign.strategy, campaign.seed
     )
 
 
@@ -710,65 +654,109 @@ def report_conforms(report: LemmaReport) -> bool:
     return not report.exceptional
 
 
+# ------------------------------------------------------------------ reports
+
+_EXCLUDED_MARK = "# the line below is wall-clock time, excluded from byte comparisons"
+
+
+def _fmt_vertices(vs) -> str:
+    return " ".join(f"({v[0]},{v[1]})" for v in vs)
+
+
+def _fmt_value(obj) -> str:
+    if isinstance(obj, tuple) and obj and all(
+        isinstance(x, tuple) and len(x) == 2 and all(isinstance(c, int) for c in x)
+        for x in obj
+    ):
+        return _fmt_vertices(obj)
+    if isinstance(obj, tuple):
+        return "[" + ", ".join(_fmt_value(x) for x in obj) + "]"
+    return str(obj)
+
+
+def format_report(report: LemmaReport) -> str:
+    """Render a campaign report; identical inputs give identical bytes."""
+    tags = Counter(tag for tag, _, _ in report.exceptional)
+    defects = sum(n for tag, n in tags.items() if tag not in _DOCUMENTED_TAGS)
+    lines = [
+        f"campaign: {report.lemma_id}",
+        f"strategy: {report.strategy}",
+        f"seed: {report.seed if report.seed is not None else 'none'}",
+        f"instances: {report.instances_checked}",
+        f"feasible: {report.feasible}",
+    ]
+    for tag in sorted(tags):
+        lines.append(f"exceptional[{tag}]: {tags[tag]}")
+    lines.append(f"defects: {defects}")
+    conforming = report_conforms(report)
+    lines.append(f"status: {'conforming' if conforming else 'defective'}")
+    if report.lemma_id == "L9" and conforming:
+        for terms, working in sorted(
+            exceptional_families(report), key=lambda fam: fam[0] != T1
+        ):
+            label = "T1" if terms == T1 else "T2"
+            lines.append(
+                f"family {label}: {_fmt_vertices(sorted(terms))}"
+                f" | working {_fmt_vertices(sorted(working))}"
+            )
+    if report.lemma_id == "L10":
+        reasons = Counter(
+            detail for tag, _, detail in report.exceptional if tag == "degenerate"
+        )
+        for reason in sorted(reasons):
+            lines.append(f"degenerate[{reason}]: {reasons[reason]}")
+    for tag, inst, detail in report.exceptional:
+        if tag not in _DOCUMENTED_TAGS:
+            lines.append(f"defect: {tag} instance={_fmt_value(inst)} detail={detail}")
+    lines.append(_EXCLUDED_MARK)
+    lines.append(f"elapsed_seconds: {report.elapsed:.3f}")
+    return "\n".join(lines) + "\n"
+
+
+def report_body(text: str) -> str:
+    """The comparable part of a report: everything above the timing mark."""
+    return text.split(_EXCLUDED_MARK, 1)[0]
+
+
 # ------------------------------------------------------------- pairability
 
-def sample_pairability(rng: Random) -> PairabilityInstance:
+def sample_pairability(rng: Random) -> tuple[tuple[Vertex, Vertex], ...]:
     """Draw eight distinct vertices (partial Fisher-Yates over the grid)
     and pair them consecutively."""
     pool = list(_FULL)
     for i in range(8):
         j = rng.randrange(i, len(pool))
         pool[i], pool[j] = pool[j], pool[i]
-    eight = pool[:8]
-    return PairabilityInstance(tuple((eight[k], eight[k + 1]) for k in range(0, 8, 2)))
+    return tuple(zip(pool[0:8:2], pool[1:8:2]))
 
 
-def iter_pairability_reduced() -> Iterator[PairabilityInstance]:
+def iter_pairability_reduced() -> Iterator[tuple[tuple[Vertex, Vertex], ...]]:
     """All four-pair placements whose vertex set is minimal in its orbit
     under the grid's eight symmetries.  This stream has on the order of
     4 x 10^8 members; it exists for the opt-in exhaustive run only."""
     for combo in combinations(_FULL, 8):
-        key = tuple(combo)
-        if any(tuple(sorted(t(v) for v in combo)) < key for t in SYMMETRIES[1:]):
+        if any(tuple(sorted(t(v) for v in combo)) < combo for t in SYMMETRIES[1:]):
             continue
-        for m in _matchings(list(combo)):
-            yield PairabilityInstance(m)
+        yield from _matchings(list(combo))
 
 
-def _run_pairability(instance: PairabilityInstance):
-    demands = tuple(Demand.pair(s, t) for s, t in instance.pairs)
-    inst = Instance(_GRID, demands)
+def _run_pairability(pairs):
+    inst = Instance(_GRID, tuple(Demand.pair(s, t) for s, t in pairs))
     sol = solve(inst)
     if sol is Infeasible:
-        return _bad("counterexample", instance.pairs, "no 4-pair linkage")
+        return _bad("counterexample", pairs, "no 4-pair linkage")
     if not verify(inst, sol):
-        return _bad("defect", instance.pairs, "certificate failed the independent check")
+        return _bad("defect", pairs, "certificate failed the independent check")
     return None
 
 
 def pairability_check(
-    samples: int = 100000,
-    seed: Optional[int] = None,
-    workers: int = 1,
-    exhaustive_reduced: bool = False,
+    samples: int = 100000, seed: Optional[int] = None, workers: int = 1
 ) -> LemmaReport:
-    """Solve 4-pair instances on the full grid; report counterexamples.
-
-    The default strategy draws ``samples`` seeded placements; the reduced
-    exhaustive sweep is available behind ``exhaustive_reduced`` and takes
-    days of CPU time.
-    """
-    if exhaustive_reduced:
-        return drive(
-            "pairability", _run_pairability, iter_pairability_reduced(), workers, "reduced"
-        )
-    if seed is None:
-        raise ValueError("pairability sampling requires an explicit seed")
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
-    rng = Random(seed)
-    drawn = [sample_pairability(rng) for _ in range(samples)]
-    return drive("pairability", _run_pairability, drawn, workers, "random", seed)
+    """Solve ``samples`` seeded 4-pair placements on the full grid and
+    report counterexamples.  The reduced exhaustive sweep is the campaign
+    ``Campaign("pairability", "reduced")``."""
+    return run_campaign(Campaign("pairability", "random", samples, seed, workers))
 
 
 # ------------------------------------------------- solver/flow cross-check

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import os
+from itertools import islice
 
 import pytest
 
+from gridlink import verifier
 from gridlink.cli import format_report, main, report_body
 from gridlink.fileio import (
     ParseError,
@@ -14,7 +16,9 @@ from gridlink.fileio import (
     serialize_certificate,
 )
 from gridlink.grid import Vertex, edge
+from gridlink.lemmas import LemmaReport
 from gridlink.routing import Infeasible, PathSystem, solve
+from gridlink.verifier import iter_pairability_reduced
 
 _THREE_ESCAPES = """\
 grid 3 3
@@ -308,3 +312,17 @@ def test_lemma_random_strategy_embeds_the_seed(capsys):
     assert main(["lemma", "L10", "--strategy", "random", "--samples", "30", "--seed", "9"]) == 0
     out = capsys.readouterr().out
     assert "strategy: random" in out and "seed: 9" in out and "instances: 30" in out
+
+
+def test_exhaustive_reduced_flag_drives_the_lazy_reduced_stream(monkeypatch, capsys):
+    # stand in for the driver: the real sweep has ~4 x 10^8 placements
+    seen = {}
+
+    def fake_drive(lemma_id, runner, instances, workers, strategy, seed):
+        seen.update(strategy=strategy, first=list(islice(instances, 3)))
+        return LemmaReport(lemma_id, 0, 0, strategy=strategy, seed=seed)
+
+    monkeypatch.setattr(verifier, "drive", fake_drive)
+    assert main(["pairability", "--exhaustive-reduced"]) == 0
+    assert "strategy: reduced" in capsys.readouterr().out
+    assert seen == {"strategy": "reduced", "first": list(islice(iter_pairability_reduced(), 3))}

@@ -411,6 +411,15 @@ def test_escorts_blocked_by_a_line_cut_refuse():
     assert got.paths[2][-1] in set(_LM.B)
 
 
+def test_escort_lines_come_as_a_pair_not_a_dict():
+    # a dict keyed by the singletons cannot hold two lines for coincident
+    # singletons, so it is refused rather than read
+    s = Vertex(2, 2)
+    for psi in ({s: "A", Vertex(1, 2): "B"}, {s: "A", s: "B"}):
+        with pytest.raises(ValueError):
+            link_pair_escort_singletons(_UL, Vertex(1, 1), Vertex(3, 1), s, s, psi)
+
+
 @given(
     q=st.sampled_from(_CORNERS),
     idx=st.lists(st.integers(0, 8), min_size=4, max_size=4),

@@ -150,8 +150,7 @@ def test_sampled_placements_reuse_the_grid_vertices():
     canonical = {id(v) for v in _FULL}
     rng = Random(3)
     for _ in range(200):
-        placement = sample_pairability(rng)
-        for s, t in placement.pairs:
+        for s, t in sample_pairability(rng):
             demand = Demand.pair(s, t)
             assert id(demand.source) in canonical and id(demand.target) in canonical
 
@@ -488,7 +487,7 @@ def _pinned_instances():
     grid = make_grid(6, 6)
     for _ in range(300):
         placement = sample_pairability(rng)
-        yield Instance(grid, tuple(Demand.pair(s, t) for s, t in placement.pairs))
+        yield Instance(grid, tuple(Demand.pair(s, t) for s, t in placement))
     # Each escape family member both as drawn and with its distinct-exit
     # flag flipped, so that some answers are infeasible.
     adjusted = {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import replace
 from itertools import islice
 from random import Random
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridlink
+import gridlink.lemmas
 from gridlink.grid import Vertex
 from gridlink.lemmas import LemmaReport, catalog_configurations
 from gridlink.verifier import (
@@ -19,7 +22,6 @@ from gridlink.verifier import (
     T2,
     T2_ADMISSIBLE,
     Campaign,
-    PairabilityInstance,
     _run_pairability,
     degenerate_reason,
     drive,
@@ -50,6 +52,12 @@ _EXPECTED_COUNTS = {
 
 
 # ------------------------------------------------------------- enumeration
+
+def test_public_names_resolve():
+    for package in (gridlink, gridlink.lemmas):
+        for name in package.__all__:
+            assert getattr(package, name) is not None, (package.__name__, name)
+
 
 @pytest.mark.parametrize("lemma_id", sorted(_EXPECTED_COUNTS))
 def test_exhaustive_instance_counts(lemma_id):
@@ -133,6 +141,20 @@ def test_campaign_validation():
     with pytest.raises(ValueError):
         Campaign("L5", workers=0)
     Campaign("pairability", strategy="random", samples=10, seed=4)
+
+
+def test_pairability_has_no_exhaustive_campaign():
+    with pytest.raises(ValueError, match="exhaustive"):
+        Campaign("pairability")
+    with pytest.raises(ValueError, match="exhaustive"):
+        enumerate_instances("pairability")
+    Campaign("pairability", strategy="reduced")
+
+
+def test_reduced_pairability_stream_is_lazy():
+    stream = enumerate_instances("pairability", "reduced")
+    assert isinstance(stream, Iterator)  # a list would hold ~4 x 10^8 placements
+    assert list(islice(stream, 50)) == list(islice(iter_pairability_reduced(), 50))
 
 
 def test_worker_counts_outside_the_cpu_range_are_rejected():
@@ -234,9 +256,11 @@ def test_report_conforms_spots_bad_reports():
 
 
 def test_reports_do_not_depend_on_worker_count():
-    one = verify_lemma("L9", workers=1)
-    two = verify_lemma("L9", workers=2)
-    assert replace(one, elapsed=0.0) == replace(two, elapsed=0.0)
+    # L3's runner is a partial of the crowded runner: it must cross the pool too
+    for lemma_id in ("L9", "L3"):
+        one = verify_lemma(lemma_id, workers=1)
+        two = verify_lemma(lemma_id, workers=2)
+        assert replace(one, elapsed=0.0) == replace(two, elapsed=0.0)
 
 
 def test_driver_streams_a_generator_alike_for_one_and_two_workers():
@@ -251,21 +275,12 @@ def test_driver_streams_a_generator_alike_for_one_and_two_workers():
 
 # ------------------------------------------------------------- pairability
 
-def test_pairability_instance_validation():
-    with pytest.raises(ValueError):
-        PairabilityInstance((((1, 1), (1, 2)),))
-    eight = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 1), (2, 1)]
-    with pytest.raises(ValueError):
-        PairabilityInstance(tuple(zip(eight[::2], eight[1::2])))
-    with pytest.raises(ValueError):
-        PairabilityInstance((((0, 1), (1, 2)), ((2, 2), (2, 3)), ((3, 3), (3, 4)), ((4, 4), (4, 5))))
-
-
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_sampler_draws_four_disjoint_pairs(seed):
     inst = sample_pairability(Random(seed))
-    flat = [v for p in inst.pairs for v in p]
+    assert len(inst) == 4
+    flat = [v for p in inst for v in p]
     assert len(set(flat)) == 8
     assert all(1 <= v.row <= 6 and 1 <= v.col <= 6 for v in flat)
     again = sample_pairability(Random(seed))
