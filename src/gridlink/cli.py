@@ -158,8 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "strategy", None) == "random" and args.seed is None:
-        parser.error("random sampling requires --seed")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -14,16 +14,21 @@ in (row, col) lexicographic order -- so a given instance always yields the
 same certificate.
 
 The search widens a bound on the total extra path length (the *slack*)
-one level at a time, IDA* style.  A level that fails without the bound
-having cut any branch has searched every simple path system, so it proves
-the instance infeasible and the search stops there; it never has to climb
-the remaining levels.
+one level at a time, IDA* style.  After each committed path the demands
+left are flooded over the free edges: a demand that can reach no goal ends
+the branch, and so do free distances whose excess over the demands' static
+lower bounds sums to more than the slack left, since no path is shorter
+than its free distance.  A level that fails without the bound having cut
+any branch has searched every simple path system, so it proves the
+instance infeasible and the search stops there; it never has to climb the
+remaining levels.  Every rejection the slack alone causes therefore counts
+as a cut, and rejections that hold at every slack do not.
 
 Each graph is compiled once per forbidden edge set to vertex indices and
-edge bitmasks, and each demand once per compiled graph, to its goal mask
-and distance table.  Both are stored on the graph (``GridGraph.compiled_forms``),
-so repeated solves on one graph pay only for the search, and the compiled
-forms are freed with the graph.
+edge bitmasks, and each demand once per compiled graph, to its goal mask,
+distance table and shortest-path edges.  Both are stored on the graph
+(``GridGraph.compiled_forms``), so repeated solves on one graph pay only
+for the search, and the compiled forms are freed with the graph.
 """
 
 from __future__ import annotations
@@ -146,18 +151,22 @@ class _CDemand:
     distance of every vertex to the nearest of them, ``lb`` the source's
     distance, ``step`` the parity step of the path lengths (2 when the graph
     is bipartite and every goal has one colour) and ``max_len`` the longest
-    simple path length worth trying.
+    simple path length worth trying.  ``short`` is the edge mask of every
+    shortest path from the source to a goal, and ``near`` the mask of the
+    goals those paths end at.
     """
 
-    __slots__ = ("src", "goal", "dist", "lb", "step", "max_len")
+    __slots__ = ("src", "goal", "dist", "lb", "step", "max_len", "short", "near")
 
-    def __init__(self, src, goal, dist, step, max_len):
+    def __init__(self, src, goal, dist, step, max_len, short, near):
         self.src = src
         self.goal = goal
         self.dist = dist
         self.lb = dist[src]
         self.step = step
         self.max_len = max_len
+        self.short = short
+        self.near = near
 
 
 class _Compiled:
@@ -286,7 +295,21 @@ class _Compiled:
             step = 2
         # the only simple s,s-path is the trivial one
         max_len = 0 if d.kind == PAIR and goals == (src,) else self.nv - 1
-        return _CDemand(src, goal, self.distances(goals), step, max_len)
+        dist = self.distances(goals)
+        lb = dist[src]
+        # u lies on a shortest path when its distances to the source and to
+        # the goals add up to lb, and so does an edge u -> w taken forwards
+        start = self.distances((src,))
+        short = near = 0
+        if lb < _INF:
+            for u in range(self.nv):
+                if start[u] + dist[u] == lb:
+                    if not dist[u]:
+                        near |= 1 << u
+                    for w, ebit, _ in self.adj[u]:
+                        if start[u] + 1 + dist[w] == lb:
+                            short |= ebit
+        return _CDemand(src, goal, dist, step, max_len, short, near)
 
 
 def _walker(adj, cd: _CDemand, gi: int):
@@ -387,8 +410,11 @@ class _Search:
             for d in inst.demands
         ]
         self.walks = [_walker(comp.adj, cd, gi) for cd, gi in zip(self.demands, self.gi)]
-        # (source bit, goal mask, group slot) per demand, for _prune_ok
-        self.rows = [(1 << cd.src, cd.goal, gi) for cd, gi in zip(self.demands, self.gi)]
+        # (source bit, goal mask, group slot, lb, short, near) per demand, for _prune_ok
+        self.rows = [
+            (1 << cd.src, cd.goal, gi, cd.lb, cd.short, cd.near)
+            for cd, gi in zip(self.demands, self.gi)
+        ]
         self.nd = len(self.demands)
         self.ngroups = len(groups)
         # failed[(di, used, gused)] = largest slack that still found nothing,
@@ -402,17 +428,61 @@ class _Search:
 
     # ------------------------------- feasibility prunes after each commit --
 
-    def _prune_ok(self, j0: int, used: int, gused: tuple[int, ...]) -> bool:
-        """Can every demand from j0 on still reach a goal over unused edges?
+    def _prune_ok(
+        self, j0: int, used: int, gused: tuple[int, ...], slack: Optional[int] = None
+    ) -> bool:
+        """Can demands j0.. still be routed over unused edges within ``slack``?
 
-        Each component of the free graph is flooded once; a later demand
-        whose source lies in an already flooded component reuses it.  The
-        exits still open to one group must then be matchable to its demands.
+        A demand's free distance is the length of its shortest path over the
+        free edges to an open goal (for a grouped escape, an exit not in
+        ``gused``).  A path is never shorter than that, so when the free
+        distances exceed the ``lb`` of their demands by more than ``slack``
+        in sum, no solution inside the slack remains and the branch is
+        rejected.  The free distance is ``lb`` while one of the demand's
+        shortest paths to an open goal is untouched (``short``, ``near``);
+        otherwise the source is flooded over the free edges one layer at a
+        time until it meets an open goal.  Once one demand's goals lie
+        beyond the slack, and always when ``slack`` is None, the demands
+        left need only reach a goal.  Reach sets come from flooding each
+        component of the free graph once; a demand whose source lies in a
+        flooded component reuses it.  The exits still open to one group must
+        be matchable to its demands.
+
+        Only a rejection that the slack alone caused sets ``self.cut``: the
+        branch may hold a solution at a larger slack, so the subtree must not
+        be memoised as ``_INF`` and the ladder must climb on.  An unreachable
+        goal or a failed Hall check rejects at every slack, so it does not.
         """
         free = self.comp.free_lanes(used)
         flooded: list[int] = []
         needs = [[] for _ in gused] if gused else None
-        for sbit, goal, gi in self.rows[j0:]:
+        over = False
+        for sbit, goal, gi, lb, short, near in self.rows[j0:]:
+            if gi >= 0:
+                goal &= ~gused[gi]
+            if not used & short and goal & near:
+                # a shortest path to an open goal is still free: the free
+                # distance is lb, so the demand spends none of the slack
+                if gi < 0:
+                    continue
+            elif slack is not None:
+                # reach: the vertices within lb + slack - left edges of the source
+                reach, left = sbit, lb + slack
+                while left and not reach & goal:
+                    grown = reach
+                    for k, low in free:
+                        grown |= (reach & low) << k | (reach >> k) & low
+                    if grown == reach:
+                        return False
+                    reach, left = grown, left - 1
+                if reach & goal:
+                    # free distance lb + slack - left: left is the slack unspent
+                    slack = left
+                    if gi < 0:
+                        continue
+                else:
+                    # the goals lie beyond the slack, if they are reachable at all
+                    slack, over = None, True
             for reach in flooded:
                 if reach & sbit:
                     break
@@ -420,11 +490,10 @@ class _Search:
                 reach = _flood(sbit, free)
                 flooded.append(reach)
             avail = goal & reach
-            if gi >= 0:
-                avail &= ~gused[gi]
-                needs[gi].append(avail)
             if not avail:
                 return False
+            if gi >= 0:
+                needs[gi].append(avail)
         if needs:
             for rows in needs:
                 if len(rows) == 2:
@@ -434,6 +503,9 @@ class _Search:
                         return False
                 elif len(rows) > 2 and not _has_matching(rows):
                     return False
+        if over:
+            self.cut = True
+            return False
         return True
 
     # ------------------------------------------------------------- search --
@@ -447,9 +519,14 @@ class _Search:
         Candidate paths of demand di are tried shortest first.
 
         On failure ``self.cut`` tells whether the slack bound cut any branch
-        of this subtree (a memo hit on a finite slack counts as a cut).  A
-        subtree that fails with no cut has no solution at any slack: it is
-        memoised as ``_INF``, and at the root it proves infeasibility.
+        of this subtree: a demand's lengths stopping short of ``max_len``, a
+        memo hit on a finite slack, or a ``_prune_ok`` rejection the slack
+        alone caused.  A subtree that fails with no cut has no solution at
+        any slack: it is memoised as ``_INF``, and at the root it proves
+        infeasibility.  The prune is given the slack this path leaves, the
+        same value the recursion gets, so it skips only subtrees that hold
+        no solution within it, and the first certificate found is the one a
+        search without the bound would find.
         """
         key = (di, used, gused)
         failed_at = self.failed.get(key, -1)
@@ -476,9 +553,10 @@ class _Search:
                 ngused = gused
                 if gi >= 0:
                     ngused = gused[:gi] + (gused[gi] | 1 << pverts[-1],) + gused[gi + 1 :]
-                if not self._prune_ok(di + 1, nused, ngused):
+                left = slack - (limit - lb)
+                if not self._prune_ok(di + 1, nused, ngused, left):
                     continue
-                tail = self._route(di + 1, nused, ngused, slack - (limit - lb))
+                tail = self._route(di + 1, nused, ngused, left)
                 if tail is not None:
                     return [pverts] + tail
         self.failed[key] = slack if self.cut else _INF
@@ -489,6 +567,7 @@ class _Search:
         if not self.nd:
             return PathSystem(())
         gused0 = (0,) * self.ngroups
+        # no bound here: with no edge used every free distance is its lb
         if not self._prune_ok(0, 0, gused0):
             return Infeasible
         budget = 0

@@ -114,6 +114,10 @@ class Campaign:
                 raise ValueError("the random strategy requires an explicit seed")
             if self.samples is None or self.samples < 1:
                 raise ValueError("the random strategy requires samples >= 1")
+        elif self.seed is not None:
+            raise ValueError(
+                f"the {self.strategy} strategy draws nothing, so it takes no seed"
+            )
         _check_workers(self.workers)
 
 

@@ -257,16 +257,21 @@ def test_verify_confirms_infeasible_escapes_by_max_flow(tmp_path, capsys):
     assert "solvable (re-solved)" in capsys.readouterr().out
 
 
-def test_bad_usage_exits_2(tmp_path):
+def test_bad_usage_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lemma", "L99"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["lemma", "L5", "--strategy", "random"])  # no seed
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["pairability"])  # sampling without a seed
-    assert exc.value.code == 2
+    assert main(["lemma", "L5", "--strategy", "random"]) == 2  # no seed
+    assert "requires an explicit seed" in capsys.readouterr().err
+    assert main(["pairability"]) == 2  # sampling without a seed
+    assert "requires an explicit seed" in capsys.readouterr().err
+
+
+def test_a_seed_for_a_strategy_that_draws_nothing_exits_2(capsys):
+    assert main(["lemma", "L5", "--seed", "3"]) == 2
+    assert "exhaustive strategy draws nothing" in capsys.readouterr().err
+    assert main(["pairability", "--exhaustive-reduced", "--seed", "3"]) == 2
+    assert "reduced strategy draws nothing" in capsys.readouterr().err
 
 
 def test_out_of_range_worker_counts_exit_2(capsys):

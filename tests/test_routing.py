@@ -716,6 +716,22 @@ def test_walk_yields_the_brute_force_paths_in_order(name, graph, exits):
     assert yielded > 100
 
 
+@pytest.mark.parametrize("name,graph,exits", list(_walk_graphs()))
+def test_shortest_path_masks_are_the_union_of_the_shortest_paths(name, graph, exits):
+    # The prune takes a demand's free distance to be lb while no edge of
+    # ``short`` is used and a goal of ``near`` is open; the walk at length lb
+    # enumerates every shortest path, so the masks must be exactly theirs.
+    comp = _compiled(graph, frozenset())
+    verts = sorted(graph.present_vertices)
+    for d, _ in _walk_demands(verts, exits, Random(name)):
+        cd = comp.demand(d)
+        short = near = 0
+        for p, pmask in _walker(comp.adj, cd, -1)(0, (), cd.lb):
+            short |= pmask
+            near |= 1 << p[-1]
+        assert (cd.short, cd.near) == (short, near), d
+
+
 def test_ladder_asks_only_for_lengths_of_the_shortest_paths_parity():
     # In a bipartite graph every path to goals of one colour has the parity
     # of the shortest one, so the ladder skips every other length.
@@ -764,3 +780,67 @@ def test_prune_needs_distinct_exits_within_a_group():
     assert prune([(1, 1), (2, 2)], [(3, 3), (1, 3)])
     assert not prune([(1, 1), (2, 2), (2, 1)], [(3, 3), (1, 3)])
     assert prune([(1, 1), (2, 2), (2, 1)], [(3, 3), (1, 3), (3, 1)])
+
+
+def _committed(search, gused=()):
+    """The edge mask of demand 0's first shortest path, and its group use."""
+    verts, mask = next(search.walks[0](0, gused, search.demands[0].lb))
+    if search.gi[0] >= 0:
+        gused = (1 << verts[-1],)
+    return mask, gused
+
+
+def test_prune_rejects_a_detour_beyond_the_slack_as_a_cut():
+    # On the 2x3 grid the first pair takes the edge (1,1)-(1,2), so the
+    # second pair must go round the lower row: 3 edges where lb is 1.
+    pairs = (Demand.pair((1, 1), (1, 2)), Demand.pair((1, 1), (1, 2)))
+    search = _Search(Instance(make_grid(2, 3), pairs))
+    used, gused = _committed(search)
+    assert not search._prune_ok(1, used, gused, 0)
+    assert search.cut
+    search.cut = False
+    assert not search._prune_ok(1, used, gused, 1)
+    assert search.cut
+    search.cut = False
+    assert search._prune_ok(1, used, gused, 2)
+    assert not search.cut
+    # The detours share the slack: two of them spend 4, not 2.
+    search = _Search(Instance(make_grid(2, 3), pairs + pairs[:1]))
+    used, gused = _committed(search)
+    assert not search._prune_ok(1, used, gused, 2)
+    assert search.cut
+    search.cut = False
+    assert search._prune_ok(1, used, gused, 4)
+    assert not search.cut
+    # A taken exit of a group counts: the second escape's open exit is 2 away.
+    line = make_grid(1, 3)
+    escapes = tuple(Demand.escape((1, 1), [(1, 1), (1, 3)], distinct_group=0) for _ in "ab")
+    search = _Search(Instance(line, escapes))
+    used, gused = _committed(search, (0,))
+    assert not search._prune_ok(1, used, gused, 1)
+    assert search.cut
+    search.cut = False
+    assert search._prune_ok(1, used, gused, 2)
+    assert not search.cut
+
+
+def test_prune_rejects_an_unreachable_goal_without_a_cut():
+    # On the path (1,1)-(1,2)-(1,3) the first pair takes the only edge out
+    # of (1,1), so the second pair cannot be routed at any slack.
+    pairs = (Demand.pair((1, 1), (1, 2)), Demand.pair((1, 1), (1, 3)))
+    search = _Search(Instance(make_grid(1, 3), pairs))
+    used, gused = _committed(search)
+    for slack in (0, 5, None):
+        assert not search._prune_ok(1, used, gused, slack)
+        assert not search.cut
+    # One demand beyond the slack and a later one unreachable: no cut either.
+    pairs = (
+        Demand.pair((1, 1), (1, 2)),
+        Demand.pair((1, 1), (1, 2)),
+        Demand.pair((2, 3), (1, 1)),
+    )
+    cut_off = [((1, 3), (2, 3)), ((2, 2), (2, 3))]  # (2,3) loses both its edges
+    search = _Search(Instance(make_grid(2, 3), pairs, forbidden_edges=cut_off))
+    used, gused = _committed(search)
+    assert not search._prune_ok(1, used, gused, 0)
+    assert not search.cut

@@ -140,6 +140,10 @@ def test_campaign_validation():
         Campaign("L5", strategy="random", seed=4)
     with pytest.raises(ValueError):
         Campaign("L5", workers=0)
+    with pytest.raises(ValueError, match="takes no seed"):
+        Campaign("L5", seed=3)
+    with pytest.raises(ValueError, match="takes no seed"):
+        Campaign("pairability", strategy="reduced", seed=3)
     Campaign("pairability", strategy="random", samples=10, seed=4)
 
 
