@@ -33,6 +33,10 @@ from .verifier import (
 )
 
 
+# placements a pairability run draws when --samples is not given
+_PAIRABILITY_SAMPLES = 100000
+
+
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -102,10 +106,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
+    samples = args.samples
+    if samples is None and args.strategy == "random":
+        samples = args.random_samples
     campaign = Campaign(
         lemma_id=args.lemma_id,
         strategy=args.strategy,
-        samples=args.samples,
+        samples=samples,
         seed=args.seed,
         workers=args.workers,
     )
@@ -137,10 +144,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lemma.add_argument("--seed", type=int, default=None)
     p_lemma.add_argument("--workers", type=int, default=1)
     p_lemma.add_argument("--report", metavar="PATH", help="also write the report here")
-    p_lemma.set_defaults(func=cmd_campaign)
+    p_lemma.set_defaults(func=cmd_campaign, random_samples=None)
 
     p_pair = sub.add_parser("pairability", help="run the 4-pair campaign on the 6x6 grid")
-    p_pair.add_argument("--samples", type=int, default=100000)
+    p_pair.add_argument(
+        "--samples",
+        type=int,
+        default=None,
+        help=f"random draws (default {_PAIRABILITY_SAMPLES})",
+    )
     p_pair.add_argument("--seed", type=int, default=None)
     p_pair.add_argument(
         "--exhaustive-reduced",
@@ -151,7 +163,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_pair.add_argument("--workers", type=int, default=1)
     p_pair.add_argument("--report", metavar="PATH", help="also write the report here")
-    p_pair.set_defaults(func=cmd_campaign, lemma_id="pairability", strategy="random")
+    p_pair.set_defaults(
+        func=cmd_campaign,
+        lemma_id="pairability",
+        strategy="random",
+        random_samples=_PAIRABILITY_SAMPLES,
+    )
     return parser
 
 

@@ -13,16 +13,24 @@ candidate paths are enumerated shortest-first, and neighbours are explored
 in (row, col) lexicographic order -- so a given instance always yields the
 same certificate.
 
-The search widens a bound on the total extra path length (the *slack*)
-one level at a time, IDA* style.  After each committed path the demands
-left are flooded over the free edges: a demand that can reach no goal ends
-the branch, and so do free distances whose excess over the demands' static
+The search bounds the total extra path length (the *slack*) and widens
+the bound IDA* style.  After each committed path the demands left are
+flooded over the free edges: a demand that can reach no goal ends the
+branch, and so do free distances whose excess over the demands' static
 lower bounds sums to more than the slack left, since no path is shorter
-than its free distance.  A level that fails without the bound having cut
-any branch has searched every simple path system, so it proves the
-instance infeasible and the search stops there; it never has to climb the
-remaining levels.  Every rejection the slack alone causes therefore counts
-as a cut, and rejections that hold at every slack do not.
+than its free distance.  The paths are edge-disjoint, so a path system
+spends at most the free edges less the demands' lower bounds as slack,
+and the ladder never climbs above that.
+
+Every branch the slack alone cuts off reports its *gap*, the smallest rise
+in the slack at which it would try something new.  A level that fails
+next climbs by the least gap it met (Korf's rule), since every level below
+that searches the same branches and fails the same way.  A level that
+fails with no gap, or whose least gap leads above the edge budget, has
+searched every simple path system that fits, so it proves the instance
+infeasible and the search stops there.  Skipped levels hold no solution,
+so the first certificate found is the one a plain one-level-at-a-time
+search finds.
 
 Each graph is compiled once per forbidden edge set to vertex indices and
 edge bitmasks, and each demand once per compiled graph, to its goal mask,
@@ -194,6 +202,7 @@ class _Compiled:
         pairs = [
             (self.vindex[u], self.vindex[v]) for u, v in graph.present_edges - forbidden
         ]
+        self.nedges = len(pairs)
         offsets = sorted({vi - ui for ui, vi in pairs})
         lane_of = {k: i for i, k in enumerate(offsets)}
         low = [0] * len(offsets)
@@ -417,13 +426,15 @@ class _Search:
         ]
         self.nd = len(self.demands)
         self.ngroups = len(groups)
-        # failed[(di, used, gused)] = largest slack that still found nothing,
-        # or _INF once a search of that subtree found nothing with no cut
+        # failed[(di, used, gused)] = largest slack that still finds nothing,
+        # _INF once a search of that subtree found nothing with no gap
         self.failed: dict = {}
-        # set when the slack bound truncated a demand's enumeration in the
-        # subtree being searched (see _route)
-        self.cut = False
-        # the slack level the last run stopped at (None: settled before any level)
+        # the least rise in the slack at which a branch of the subtree being
+        # searched would try something new; _INF when nothing was cut off
+        # (see _route)
+        self.gap = _INF
+        # the last slack level the last run searched, having climbed by the
+        # gaps (None: settled before any level)
         self.slack: Optional[int] = None
 
     # ------------------------------- feasibility prunes after each commit --
@@ -448,15 +459,16 @@ class _Search:
         flooded component reuses it.  The exits still open to one group must
         be matchable to its demands.
 
-        Only a rejection that the slack alone caused sets ``self.cut``: the
-        branch may hold a solution at a larger slack, so the subtree must not
-        be memoised as ``_INF`` and the ladder must climb on.  An unreachable
-        goal or a failed Hall check rejects at every slack, so it does not.
+        A rejection that the slack alone caused lowers ``self.gap`` to the
+        layers the first demand beyond the slack needed past it: below that
+        rise the demands before it spend the same and it still lies beyond.
+        An unreachable goal or a failed Hall check rejects at every slack,
+        so it leaves ``self.gap`` alone.
         """
         free = self.comp.free_lanes(used)
         flooded: list[int] = []
         needs = [[] for _ in gused] if gused else None
-        over = False
+        gap = 0
         for sbit, goal, gi, lb, short, near in self.rows[j0:]:
             if gi >= 0:
                 goal &= ~gused[gi]
@@ -468,21 +480,21 @@ class _Search:
             elif slack is not None:
                 # reach: the vertices within lb + slack - left edges of the source
                 reach, left = sbit, lb + slack
-                while left and not reach & goal:
+                while not reach & goal:
                     grown = reach
                     for k, low in free:
                         grown |= (reach & low) << k | (reach >> k) & low
                     if grown == reach:
                         return False
                     reach, left = grown, left - 1
-                if reach & goal:
+                if left >= 0:
                     # free distance lb + slack - left: left is the slack unspent
                     slack = left
                     if gi < 0:
                         continue
                 else:
-                    # the goals lie beyond the slack, if they are reachable at all
-                    slack, over = None, True
+                    # the goals lie -left layers beyond the slack
+                    slack, gap = None, -left
             for reach in flooded:
                 if reach & sbit:
                     break
@@ -503,8 +515,9 @@ class _Search:
                         return False
                 elif len(rows) > 2 and not _has_matching(rows):
                     return False
-        if over:
-            self.cut = True
+        if gap:
+            if gap < self.gap:
+                self.gap = gap
             return False
         return True
 
@@ -514,37 +527,46 @@ class _Search:
         """Route demands di.. within a shared budget of extra path length.
 
         ``slack`` bounds the total length beyond the per-demand shortest-path
-        lower bounds; the driver widens it gradually (IDA* style), so the
-        certificate found is minimal-total-length first, lexicographic second.
-        Candidate paths of demand di are tried shortest first.
+        lower bounds; ``run`` widens it IDA* style, so the certificate
+        found is minimal-total-length first, lexicographic second.
+        Candidate paths of demand di are tried shortest first, up to
+        ``lb + slack`` and ``max_len``.  No path needs its own cap from the
+        free edges: at every node of one level, the unused edges less the
+        later demands' ``lb`` exceed ``lb + slack`` by the same amount (the
+        free edges less every ``lb`` less the level), so ``run``'s edge
+        budget caps every path at once.
 
-        On failure ``self.cut`` tells whether the slack bound cut any branch
-        of this subtree: a demand's lengths stopping short of ``max_len``, a
-        memo hit on a finite slack, or a ``_prune_ok`` rejection the slack
-        alone caused.  A subtree that fails with no cut has no solution at
-        any slack: it is memoised as ``_INF``, and at the root it proves
-        infeasibility.  The prune is given the slack this path leaves, the
-        same value the recursion gets, so it skips only subtrees that hold
-        no solution within it, and the first certificate found is the one a
-        search without the bound would find.
+        On failure ``self.gap`` is the least rise in the slack at which some
+        branch of this subtree would try something new, ``_INF`` if none
+        would.  Three things cut a branch off: demand di's next length of
+        its parity above ``lb + slack``, if it is within ``max_len`` (gap:
+        that length less ``lb + slack``); a ``_prune_ok`` rejection the slack
+        alone caused; and a memo hit on a finite slack (gap: one more than
+        the slack it holds, less this one).  Below the gap every level
+        searches the same branches and fails, so ``failed`` holds the
+        largest of them, and ``_INF`` when the subtree has no solution at
+        any slack; at the root a failure with no gap proves infeasibility.
+        The prune is given the slack this path leaves, the same value the
+        recursion gets, so it skips only subtrees that hold no solution
+        within it, and the first certificate found is the one a search
+        without the bound would find.
         """
         key = (di, used, gused)
         failed_at = self.failed.get(key, -1)
         if failed_at >= slack:
-            self.cut |= failed_at < _INF
+            if failed_at < _INF and failed_at + 1 - slack < self.gap:
+                self.gap = failed_at + 1 - slack
             return None
-        outer, self.cut = self.cut, False
+        outer, self.gap = self.gap, _INF
         d = self.demands[di]
         gi = self.gi[di]
         walk = self.walks[di]
-        lb = d.lb
+        lb, step = d.lb, d.step
         top = lb + slack
-        if top < d.max_len:
-            self.cut = True
-        else:
+        if top > d.max_len:
             top = d.max_len
         last = di + 1 == self.nd
-        for limit in range(lb, top + 1, d.step):
+        for limit in range(lb, top + 1, step):
             for pverts, pmask in walk(used, gused, limit):
                 if last:
                     # nothing is left to prune or route
@@ -559,8 +581,13 @@ class _Search:
                 tail = self._route(di + 1, nused, ngused, left)
                 if tail is not None:
                     return [pverts] + tail
-        self.failed[key] = slack if self.cut else _INF
-        self.cut |= outer
+        gap = self.gap
+        # the next length of the demand's parity, if there is one
+        nxt = step - slack % step
+        if nxt < gap and lb + slack + nxt <= d.max_len:
+            gap = nxt
+        self.failed[key] = slack + gap - 1 if gap < _INF else _INF
+        self.gap = outer if outer < gap else gap
         return None
 
     def run(self) -> SolveResult:
@@ -570,21 +597,24 @@ class _Search:
         # no bound here: with no edge used every free distance is its lb
         if not self._prune_ok(0, 0, gused0):
             return Infeasible
-        budget = 0
+        budget = lbs = 0
         for d in self.demands:
             if d.lb >= _INF:
                 return Infeasible
             budget += d.max_len - d.lb
-        routed = None
-        for slack in range(budget + 1):
-            self.slack, self.cut = slack, False
+            lbs += d.lb
+        # the paths are edge-disjoint, so their lengths sum to at most the
+        # free edges: no solution spends more slack than this
+        budget = min(budget, self.comp.nedges - lbs)
+        slack = 0
+        while slack <= budget:
+            self.slack, self.gap = slack, _INF
             routed = self._route(0, 0, gused0, slack)
-            if routed is not None or not self.cut:
-                break
-        if routed is None:
-            return Infeasible
-        verts = self.comp.verts
-        return PathSystem(tuple(tuple(verts[i] for i in p) for p in routed))
+            if routed is not None:
+                verts = self.comp.verts
+                return PathSystem(tuple(tuple(verts[i] for i in p) for p in routed))
+            slack += self.gap  # _INF, when nothing was cut off, ends the ladder
+        return Infeasible
 
 
 def _has_matching(needs: list[int]) -> bool:

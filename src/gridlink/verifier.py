@@ -80,6 +80,21 @@ _C1_IN_Q = frozenset(
     e for e in _LM.C1 if e[0] in _UL.vertices and e[1] in _UL.vertices
 )
 
+# Lemma 10's statement in its own terms (UL-local): the line A is the
+# quadrant's row 3 and B its column 3.  Every demand an L10 placement can
+# name is built once from these, so that each certificate is checked
+# against the statement rather than against the lemma's own instance.
+_L10_LINES = {
+    "A": frozenset(Vertex(3, j) for j in (1, 2, 3)),
+    "B": frozenset(Vertex(i, 3) for i in (1, 2, 3)),
+}
+_L10_PAIRS = {(s, t): Demand.pair(s, t) for s in _LOCAL for t in _LOCAL}
+_L10_ESCORTS = {
+    (s, line): Demand.escape(s, exits, distinct_group=0)
+    for s in _LOCAL
+    for line, exits in _L10_LINES.items()
+}
+
 STRATEGIES = ("exhaustive", "reduced", "random")
 
 # Lemma 9's two exceptional terminal sets and their admissible linked
@@ -117,6 +132,10 @@ class Campaign:
         elif self.seed is not None:
             raise ValueError(
                 f"the {self.strategy} strategy draws nothing, so it takes no seed"
+            )
+        elif self.samples is not None:
+            raise ValueError(
+                f"the {self.strategy} strategy draws nothing, so it takes no sample count"
             )
         _check_workers(self.workers)
 
@@ -511,11 +530,7 @@ def _run_l10(inst):
         return _bad("defect", inst, "infeasible with no certifying law")
     if reason:
         return _bad("defect", inst, f"feasible although a law predicts otherwise: {reason}")
-    demands = (
-        Demand.pair(s1, t1),
-        Demand.escape(s2, _LINE_SET[psi[0]], distinct_group=0),
-        Demand.escape(s3, _LINE_SET[psi[1]], distinct_group=0),
-    )
+    demands = (_L10_PAIRS[s1, t1], _L10_ESCORTS[s2, psi[0]], _L10_ESCORTS[s3, psi[1]])
     if not verify(Instance(_UL.graph, demands), got):
         return _bad("defect", inst, "certificate failed the independent check")
     return None

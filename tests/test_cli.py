@@ -274,6 +274,17 @@ def test_a_seed_for_a_strategy_that_draws_nothing_exits_2(capsys):
     assert "reduced strategy draws nothing" in capsys.readouterr().err
 
 
+def test_a_sample_count_for_a_strategy_that_draws_nothing_exits_2(capsys):
+    assert main(["lemma", "L5", "--samples", "5"]) == 2
+    assert "exhaustive strategy draws nothing, so it takes no sample count" in (
+        capsys.readouterr().err
+    )
+    assert main(["pairability", "--exhaustive-reduced", "--samples", "5"]) == 2
+    assert "reduced strategy draws nothing, so it takes no sample count" in (
+        capsys.readouterr().err
+    )
+
+
 def test_out_of_range_worker_counts_exit_2(capsys):
     too_many = str((os.cpu_count() or 1) + 1)
     for workers in ("-1", "0", too_many):
@@ -331,3 +342,21 @@ def test_exhaustive_reduced_flag_drives_the_lazy_reduced_stream(monkeypatch, cap
     assert main(["pairability", "--exhaustive-reduced"]) == 0
     assert "strategy: reduced" in capsys.readouterr().out
     assert seen == {"strategy": "reduced", "first": list(islice(iter_pairability_reduced(), 3))}
+
+
+def test_pairability_draws_100000_samples_unless_told_otherwise(monkeypatch, capsys):
+    # stand in for verifier.drive: only the number of placements drawn matters
+    drawn = []
+
+    def fake_drive(lemma_id, runner, instances, workers, strategy, seed):
+        drawn.append(len(instances))
+        return LemmaReport(lemma_id, len(instances), len(instances), strategy=strategy, seed=seed)
+
+    monkeypatch.setattr(verifier, "drive", fake_drive)
+    assert main(["pairability", "--seed", "1"]) == 0
+    assert main(["pairability", "--seed", "1", "--samples", "3"]) == 0
+    assert drawn == [100000, 3]
+    capsys.readouterr()
+    # the lemma command has no default sample count
+    assert main(["lemma", "L5", "--strategy", "random", "--seed", "1"]) == 2
+    assert "requires samples" in capsys.readouterr().err

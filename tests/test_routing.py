@@ -26,6 +26,7 @@ from gridlink.grid import (
 import gridlink.lemmas.crowded as crowded
 from gridlink.routing import (
     PAIR,
+    _INF,
     _compiled,
     _flood,
     _Search,
@@ -355,7 +356,8 @@ def _simple_paths(adj, source, accepts):
     return out
 
 
-def _oracle_routable(inst: Instance) -> bool:
+def _path_options(inst: Instance):
+    """Every simple path of every demand, with its edge set."""
     adj = {v: [] for v in inst.graph.present_vertices}
     for a, b in inst.graph.present_edges - inst.forbidden_edges:
         adj[a].append(b)
@@ -367,6 +369,11 @@ def _oracle_routable(inst: Instance) -> bool:
         else:
             paths = _simple_paths(adj, d.source, lambda v, xs=d.exits: v in xs)
         options.append([(p, frozenset(path_edges(p))) for p in paths])
+    return options
+
+
+def _oracle_routable(inst: Instance) -> bool:
+    options = _path_options(inst)
 
     def choose(i, used, group_ends):
         if i == len(options):
@@ -383,9 +390,46 @@ def _oracle_routable(inst: Instance) -> bool:
     return choose(0, frozenset(), frozenset())
 
 
+def _oracle_certificate(inst: Instance):
+    """The path system the solver must return, or None when there is none.
+
+    Of the path systems of least total length, the first in (len0, path0,
+    len1, path1, ...) order, paths compared vertex by vertex: the ladder
+    finds the least total, and each demand's walk yields its paths
+    shortest first and, within a length, in (row, col) order.  Branch and
+    bound over every simple path, so only for graphs of 3x4 or smaller.
+    """
+    options = [
+        sorted((len(p) - 1, p, es) for p, es in opts) for opts in _path_options(inst)
+    ]
+    if not all(options):
+        return None
+    n = len(options)
+    least_after = [sum(opts[0][0] for opts in options[i + 1 :]) for i in range(n)]
+    best = None
+
+    def choose(i, used, group_ends, total, key):
+        nonlocal best
+        if i == n:
+            if best is None or (total, key) < best:
+                best = (total, key)
+            return
+        group = inst.demands[i].distinct_group
+        for length, p, es in options[i]:
+            if best is not None and total + length + least_after[i] > best[0]:
+                break
+            end = (group, p[-1])
+            if es & used or (group is not None and end in group_ends):
+                continue
+            choose(i + 1, used | es, group_ends | {end}, total + length, key + (length, p))
+
+    choose(0, frozenset(), frozenset(), 0, ())
+    return None if best is None else PathSystem(best[1][1::2])
+
+
 @st.composite
-def small_instances(draw):
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+def small_instances(draw, max_cols=3):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, max_cols))
     g = make_grid(rows, cols)
     removals = set()
     if g.present_edges:
@@ -414,6 +458,13 @@ def test_infeasible_exactly_when_brute_force_finds_nothing(inst):
     assert (got is Infeasible) == (not _oracle_routable(inst))
     if got is not Infeasible:
         assert verify(inst, got)
+
+
+@given(small_instances(max_cols=4))
+@settings(deadline=None, max_examples=200)
+def test_certificate_is_the_least_path_system_brute_force_finds(inst):
+    want = _oracle_certificate(inst)
+    assert solve(inst) == (Infeasible if want is None else want)
 
 
 def test_oracle_sees_the_crossed_diagonals():
@@ -792,48 +843,49 @@ def _committed(search, gused=()):
 
 def test_prune_rejects_a_detour_beyond_the_slack_as_a_cut():
     # On the 2x3 grid the first pair takes the edge (1,1)-(1,2), so the
-    # second pair must go round the lower row: 3 edges where lb is 1.
+    # second pair must go round the lower row: 3 edges where lb is 1.  The
+    # rejection's gap is the rise in the slack that would let the detour in.
     pairs = (Demand.pair((1, 1), (1, 2)), Demand.pair((1, 1), (1, 2)))
     search = _Search(Instance(make_grid(2, 3), pairs))
     used, gused = _committed(search)
     assert not search._prune_ok(1, used, gused, 0)
-    assert search.cut
-    search.cut = False
+    assert search.gap == 2
+    search.gap = _INF
     assert not search._prune_ok(1, used, gused, 1)
-    assert search.cut
-    search.cut = False
+    assert search.gap == 1
+    search.gap = _INF
     assert search._prune_ok(1, used, gused, 2)
-    assert not search.cut
+    assert search.gap == _INF
     # The detours share the slack: two of them spend 4, not 2.
     search = _Search(Instance(make_grid(2, 3), pairs + pairs[:1]))
     used, gused = _committed(search)
     assert not search._prune_ok(1, used, gused, 2)
-    assert search.cut
-    search.cut = False
+    assert search.gap == 2
+    search.gap = _INF
     assert search._prune_ok(1, used, gused, 4)
-    assert not search.cut
+    assert search.gap == _INF
     # A taken exit of a group counts: the second escape's open exit is 2 away.
     line = make_grid(1, 3)
     escapes = tuple(Demand.escape((1, 1), [(1, 1), (1, 3)], distinct_group=0) for _ in "ab")
     search = _Search(Instance(line, escapes))
     used, gused = _committed(search, (0,))
     assert not search._prune_ok(1, used, gused, 1)
-    assert search.cut
-    search.cut = False
+    assert search.gap == 1
+    search.gap = _INF
     assert search._prune_ok(1, used, gused, 2)
-    assert not search.cut
+    assert search.gap == _INF
 
 
 def test_prune_rejects_an_unreachable_goal_without_a_cut():
     # On the path (1,1)-(1,2)-(1,3) the first pair takes the only edge out
-    # of (1,1), so the second pair cannot be routed at any slack.
+    # of (1,1), so the second pair cannot be routed at any slack: no gap.
     pairs = (Demand.pair((1, 1), (1, 2)), Demand.pair((1, 1), (1, 3)))
     search = _Search(Instance(make_grid(1, 3), pairs))
     used, gused = _committed(search)
     for slack in (0, 5, None):
         assert not search._prune_ok(1, used, gused, slack)
-        assert not search.cut
-    # One demand beyond the slack and a later one unreachable: no cut either.
+        assert search.gap == _INF
+    # One demand beyond the slack and a later one unreachable: no gap either.
     pairs = (
         Demand.pair((1, 1), (1, 2)),
         Demand.pair((1, 1), (1, 2)),
@@ -843,4 +895,107 @@ def test_prune_rejects_an_unreachable_goal_without_a_cut():
     search = _Search(Instance(make_grid(2, 3), pairs, forbidden_edges=cut_off))
     used, gused = _committed(search)
     assert not search._prune_ok(1, used, gused, 0)
-    assert not search.cut
+    assert search.gap == _INF
+
+
+def _root_levels(search):
+    """Run ``search``; return its answer and the slack of every level it searched."""
+    levels = []
+    route = search._route
+
+    def recording(di, used, gused, slack):
+        if not di:
+            levels.append(slack)
+        return route(di, used, gused, slack)
+
+    search._route = recording
+    return search.run(), levels
+
+
+def test_pair_ladder_on_a_bipartite_grid_climbs_by_even_gaps():
+    # Every path between two vertices of a bipartite graph has the parity of
+    # the shortest one, so each truncated length, prune and memo entry puts
+    # the next level two higher: the ladder never searches an odd slack.
+    rng = Random(3)
+    graph = make_grid(4, 4)
+    verts = sorted(graph.present_vertices)
+    levels = []
+    for _ in range(200):
+        pairs = tuple(
+            Demand.pair(rng.choice(verts), rng.choice(verts)) for _ in range(rng.randint(3, 5))
+        )
+        levels += _root_levels(_Search(Instance(graph, pairs)))[1]
+    assert max(levels) >= 10
+    assert all(slack % 2 == 0 for slack in levels)
+
+
+def _check_ladder(inst):
+    """Korf's rule, checked against a fresh search of each level.
+
+    With no memo from earlier levels, a level's least gap is exactly the
+    rise to the next level the ladder searched; the last level either
+    routes the instance or has no gap that stays within the edge budget.
+    """
+    search = _Search(inst)
+    got, levels = _root_levels(search)
+    gused0 = (0,) * search.ngroups
+    lbs = sum(d.lb for d in search.demands)
+    budget = min(sum(d.max_len for d in search.demands) - lbs, search.comp.nedges - lbs)
+    for level, after in zip(levels, levels[1:] + [None]):
+        fresh = _Search(inst)
+        routed = fresh._route(0, 0, gused0, level)
+        if after is not None:
+            assert routed is None and fresh.gap == after - level, (level, after)
+        elif got is Infeasible:
+            assert routed is None and (fresh.gap >= _INF or level + fresh.gap > budget)
+        else:
+            assert routed is not None
+    return got, levels
+
+
+def test_finite_memo_hits_keep_the_ladder_on_korfs_rule():
+    # Deep ladders on 4x4 grids where a finite memo hit from an earlier
+    # level holds the only gap that leads to the next level: ignoring it
+    # skips level 12 in the first and stops a level early in the second.
+    # Both are infeasible, so no answer changes, but neither skip is sound.
+    cases = [
+        (
+            [((1, 2), (1, 3)), ((2, 1), (2, 2)), ((3, 2), (3, 3)), ((2, 3), (3, 3))],
+            (
+                Demand.escape((4, 2), [(1, 3), (1, 4)], distinct_group=0),
+                Demand.escape((2, 4), [(3, 4), (4, 3)]),
+                Demand.pair((2, 4), (3, 4)),
+            ),
+        ),
+        (
+            [((3, 3), (3, 4)), ((3, 2), (3, 3)), ((2, 1), (2, 2)), ((1, 3), (2, 3))],
+            (
+                Demand.escape((3, 4), [(2, 2), (2, 4), (3, 3), (4, 1)]),
+                Demand.pair((3, 4), (4, 3)),
+                Demand.pair((3, 4), (2, 3)),
+            ),
+        ),
+    ]
+    for removed, demands in cases:
+        inst = Instance(make_grid(4, 4).without_edges(removed), demands)
+        got, _ = _check_ladder(inst)
+        assert got is Infeasible and not _oracle_routable(inst)
+
+
+def test_edge_budget_proves_infeasibility_at_slack_zero():
+    # Three paths must leave (1,2), which has two edges.  The 2x2 grid has
+    # four edges and the three demands need one each, so no path system
+    # spends more than 1 of slack, and the next length of every demand is
+    # 2 longer (the grid is bipartite): slack 0 proves infeasibility.
+    # Without the edge budget the ladder climbs to slack 4.
+    exits = [(1, 1), (2, 2)]
+    demands = (
+        Demand.pair((1, 2), (2, 2)),
+        Demand.escape((1, 2), exits),
+        Demand.escape((1, 2), exits),
+    )
+    inst = Instance(make_grid(2, 2), demands)
+    search = _Search(inst)
+    assert _root_levels(search) == (Infeasible, [0])
+    assert search.slack == 0
+    assert not _oracle_routable(inst)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import gridlink
 import gridlink.lemmas
-from gridlink.grid import Vertex
+from gridlink import verifier
+from gridlink.grid import Corner, Vertex, landmarks, make_grid, quadrant
 from gridlink.lemmas import LemmaReport, catalog_configurations
 from gridlink.verifier import (
     T1,
@@ -144,6 +145,10 @@ def test_campaign_validation():
         Campaign("L5", seed=3)
     with pytest.raises(ValueError, match="takes no seed"):
         Campaign("pairability", strategy="reduced", seed=3)
+    with pytest.raises(ValueError, match="takes no sample count"):
+        Campaign("L5", samples=3)
+    with pytest.raises(ValueError, match="takes no sample count"):
+        Campaign("pairability", strategy="reduced", samples=3)
     Campaign("pairability", strategy="random", samples=10, seed=4)
 
 
@@ -238,6 +243,26 @@ def test_random_escort_slice_conforms():
     assert report_conforms(report)
     assert report.instances_checked == 400
     assert report.strategy == "random" and report.seed == 5
+
+
+def test_l10_checks_each_certificate_against_the_statement(monkeypatch):
+    # The statement's lines are the quadrant's landmark lines ...
+    lm = landmarks(quadrant(make_grid(6, 6), Corner.UL))
+    assert verifier._L10_LINES == {"A": frozenset(lm.A), "B": frozenset(lm.B)}
+    # ... and a lemma that escorts to the other line is caught.
+    real = verifier.link_pair_escort_singletons
+    other = {"A": "B", "B": "A"}
+
+    def wrong_lines(q, s1, t1, s2, s3, psi):
+        return real(q, s1, t1, s2, s3, tuple(other[p] for p in psi))
+
+    monkeypatch.setattr(verifier, "link_pair_escort_singletons", wrong_lines)
+    inst = (Vertex(1, 1), Vertex(1, 2), Vertex(2, 2), Vertex(2, 1), ("A", "A"))
+    assert verifier._run_l10(inst) == (
+        "defect",
+        inst,
+        "certificate failed the independent check",
+    )
 
 
 def test_exceptional_families_rejects_foreign_reports():
