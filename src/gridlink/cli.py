@@ -5,7 +5,9 @@ certificate; ``verify`` checks a certificate against its instance (an
 ``infeasible`` claim by max flow where the instance is one flow problem,
 else by re-solving); ``lemma`` runs one lemma's verification campaign;
 ``pairability`` runs the 4-pair campaign on the full grid.  Exit codes:
-0 feasible/conforming, 1 infeasible or defective, 2 usage or parse errors.
+0 feasible/conforming, 1 infeasible or defective, 2 usage or parse errors
+(a ``--report`` path that cannot be written among them, caught before the
+campaign runs), 130 interrupted.
 
 Reports are stable ``key: value`` text.  For fixed inputs and flags every
 byte is reproducible except the final ``elapsed_seconds`` line, which is
@@ -16,11 +18,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from .fileio import ParseError, parse_certificate, parse_instance, serialize_certificate
 from .flow import escape_flow
-from .lemmas import LemmaReport
 from .routing import ESCAPE, Infeasible, Instance, solve, verify
 from .verifier import (
     LEMMA_IDS,
@@ -45,12 +47,11 @@ def _read(path: str) -> str:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror or exc}") from None
 
 
-def _emit_report(report: LemmaReport, out_path: Optional[str]) -> None:
-    text = format_report(report)
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _open_report(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write report {path}: {exc.strerror or exc}") from None
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -116,8 +117,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    report = run_campaign(campaign)
-    _emit_report(report, args.report)
+    # the report file is opened first, so a path that cannot be written
+    # fails before the campaign runs
+    with _open_report(args.report) if args.report else nullcontext() as out:
+        report = run_campaign(campaign)
+        text = format_report(report)
+        sys.stdout.write(text)
+        if out is not None:
+            out.write(text)
     return 0 if report_conforms(report) else 1
 
 
@@ -183,6 +190,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # a campaign's worker pool is closed by its context manager on the way out
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -34,9 +34,19 @@ search finds.
 
 Each graph is compiled once per forbidden edge set to vertex indices and
 edge bitmasks, and each demand once per compiled graph, to its goal mask,
-distance table and shortest-path edges.  Both are stored on the graph
-(``GridGraph.compiled_forms``), so repeated solves on one graph pay only
-for the search, and the compiled forms are freed with the graph.
+distance table and *shortest-path table*: every shortest path from the
+source to a goal, in the order the depth-first walk would find them, each
+one int holding the path's edge mask with its end vertex's bit above the
+edge bits.  Most levels of the search run at a demand's shortest length,
+where its candidates are this table filtered by the edges already used, and
+the prune asks the same table whether a shortest path is still free.  Both
+forms are stored on the graph (``GridGraph.compiled_forms``), so repeated
+solves on one graph pay only for the search, and the compiled forms are
+freed with the graph.
+
+The search itself carries edge masks and end bits, never vertex paths;
+``run`` traces each demand's path from its source along its edge mask once
+it has a solution.
 """
 
 from __future__ import annotations
@@ -50,6 +60,11 @@ PAIR = "pair"
 ESCAPE = "escape"
 
 _INF = 10 ** 9
+
+# A demand with more shortest paths than this gets no table: its walk at
+# the shortest length searches, and the prune floods (a 6x6 pair has at
+# most C(10, 5) = 252)
+_TABLE_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -159,22 +174,28 @@ class _CDemand:
     distance of every vertex to the nearest of them, ``lb`` the source's
     distance, ``step`` the parity step of the path lengths (2 when the graph
     is bipartite and every goal has one colour) and ``max_len`` the longest
-    simple path length worth trying.  ``short`` is the edge mask of every
-    shortest path from the source to a goal, and ``near`` the mask of the
-    goals those paths end at.
+    simple path length worth trying.  ``table`` holds every shortest path
+    from the source to a goal, in the walk's order, as its edge mask with
+    its end vertex's bit stored ``_Compiled.eshift`` bits up (None beyond
+    ``_TABLE_CAP`` paths).  ``short`` is the union of their edge masks and
+    ``near`` of their end bits (both 0 without a table).
     """
 
-    __slots__ = ("src", "goal", "dist", "lb", "step", "max_len", "short", "near")
+    __slots__ = ("src", "goal", "dist", "lb", "step", "max_len", "table", "short", "near")
 
-    def __init__(self, src, goal, dist, step, max_len, short, near):
+    def __init__(self, src, goal, dist, step, max_len, table, eshift):
         self.src = src
         self.goal = goal
         self.dist = dist
         self.lb = dist[src]
         self.step = step
         self.max_len = max_len
-        self.short = short
-        self.near = near
+        self.table = table
+        union = 0
+        for m in table or ():
+            union |= m
+        self.near = union >> eshift
+        self.short = union ^ self.near << eshift
 
 
 class _Compiled:
@@ -186,7 +207,8 @@ class _Compiled:
     edge {u, u + k} is bit ``lane(k) * nv + u`` of an edge mask, so shifting
     an edge mask right by ``lane(k) * nv`` lines lane k's edges up with their
     low ends, and a whole frontier crosses every edge of a lane with two
-    shifts (see ``_flood``).
+    shifts (see ``_flood``).  Edge masks use the ``eshift`` bits below the
+    end bits of the shortest-path tables.
 
     Distance tables and compiled demands are cached here too, so each is
     built once per graph and forbidden set.
@@ -220,6 +242,7 @@ class _Compiled:
             (k, lane * self.nv, low[lane]) for lane, k in enumerate(offsets)
         )
         self.adj = [tuple(sorted(a)) for a in adj]
+        self.eshift = len(offsets) * self.nv
         self.coloring = self._two_color()
         self._dist_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._demands: dict[tuple, _CDemand] = {}
@@ -305,50 +328,72 @@ class _Compiled:
         # the only simple s,s-path is the trivial one
         max_len = 0 if d.kind == PAIR and goals == (src,) else self.nv - 1
         dist = self.distances(goals)
-        lb = dist[src]
-        # u lies on a shortest path when its distances to the source and to
-        # the goals add up to lb, and so does an edge u -> w taken forwards
-        start = self.distances((src,))
-        short = near = 0
-        if lb < _INF:
-            for u in range(self.nv):
-                if start[u] + dist[u] == lb:
-                    if not dist[u]:
-                        near |= 1 << u
-                    for w, ebit, _ in self.adj[u]:
-                        if start[u] + 1 + dist[w] == lb:
-                            short |= ebit
-        return _CDemand(src, goal, dist, step, max_len, short, near)
+        table = self.shortest_paths(src, dist)
+        return _CDemand(src, goal, dist, step, max_len, table, self.eshift)
+
+    def shortest_paths(self, src: int, dist: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        """Every shortest path from ``src`` to a goal of ``dist``, depth first.
+
+        Each path is its edge mask with its end vertex's bit ``eshift`` bits
+        up; neighbours are taken in (row, col) order, so the paths come in
+        the order ``_walker`` finds them.  Empty when no goal is reachable,
+        None beyond ``_TABLE_CAP`` paths.
+        """
+        table: list[int] = []
+        stack = [(src, 0)]
+        while stack:
+            u, mask = stack.pop()
+            d = dist[u] - 1
+            if d < 0:
+                if len(table) == _TABLE_CAP:
+                    return None
+                table.append(mask | 1 << u << self.eshift)
+                continue
+            # each step of a shortest path is one closer to the goals
+            stack.extend((w, mask | ebit) for w, ebit, _ in reversed(self.adj[u]) if dist[w] == d)
+        return tuple(table)
 
 
-def _walker(adj, cd: _CDemand, gi: int):
+def _walker(adj, cd: _CDemand, gi: int, eshift: int):
     """The candidate paths of one demand in one search, as ``walk(used, gused, limit)``.
 
-    ``walk`` yields ``(path, edge_mask)`` for every simple path of exactly
+    ``walk`` yields ``(edge_mask, end_bit)`` for every simple path of exactly
     ``limit`` edges from the source to a goal over edges not in ``used``,
     depth first with neighbours in (row, col) order.  A grouped escape (group
-    slot ``gi``) may not end at an exit in ``gused[gi]``.  A pair path meets
-    its target only at its end, and an ungrouped escape may be cut at its
-    first exit, so neither is continued past one.  A vertex farther from the
-    goals than the length left is not entered, so a vertex at the last step
-    is a goal.  An edge to an unvisited vertex cannot be one of the path's
-    own.  In a bipartite graph with goals of one colour the length left and
-    that distance always have one parity, so ``_CDemand.step`` is the only
-    parity test.
+    slot ``gi``) may not end at an exit in ``gused[gi]``.
+
+    At the shortest length the walk filters the demand's table: a path is
+    free when its mask meets neither ``used`` nor, above ``eshift``, the
+    taken exits, and no adjacency is read.  Longer paths, and the shortest
+    ones of a demand without a table, are searched.  A pair path meets its
+    target only at its end, and an ungrouped escape may be cut at its first
+    exit, so neither is continued past one.  A vertex farther from the goals
+    than the length left is not entered, so a vertex at the last step is a
+    goal.  An edge to an unvisited vertex cannot be one of the path's own.
+    In a bipartite graph with goals of one colour the length left and that
+    distance always have one parity, so ``_CDemand.step`` is the only parity
+    test.
     """
-    src, goal, dist = cd.src, cd.goal, cd.dist
+    src, goal, dist, table = cd.src, cd.goal, cd.dist, cd.table
     sbit = 1 << src
     stop = goal if gi < 0 else 0
+    tabled = cd.lb if table is not None else -1
 
     def walk(used: int, gused: tuple[int, ...], limit: int):
         taken = gused[gi] if gi >= 0 else 0
+        if limit == tabled:
+            blocked = used | taken << eshift
+            for m in table:
+                if not m & blocked:
+                    end = m >> eshift
+                    yield m ^ end << eshift, end
+            return
         if not limit:
             if sbit & goal & ~taken:
-                yield (src,), 0
+                yield 0, sbit
             return
         if stop & sbit:
             return
-        path = [src]
         above = []  # (neighbour iterator, vmask, pmask) of each level above
         vmask, pmask, rem = sbit, 0, limit - 1
         nbrs = iter(adj[src])
@@ -359,10 +404,9 @@ def _walker(adj, cd: _CDemand, gi: int):
                 if not rem:
                     # distance 0: w is a goal
                     if not taken & wbit:
-                        yield (*path, w), pmask | ebit
+                        yield pmask | ebit, wbit
                 elif not stop & wbit:
                     above.append((nbrs, vmask, pmask))
-                    path.append(w)
                     vmask |= wbit
                     pmask |= ebit
                     rem -= 1
@@ -372,10 +416,23 @@ def _walker(adj, cd: _CDemand, gi: int):
                 if not above:
                     return
                 nbrs, vmask, pmask = above.pop()
-                path.pop()
                 rem += 1
 
     return walk
+
+
+def _trace(comp: "_Compiled", src: int, mask: int) -> Path:
+    """The vertices of the simple path from ``src`` whose edges are ``mask``."""
+    verts, adj = comp.verts, comp.adj
+    u, path = src, [verts[src]]
+    while mask:
+        for w, ebit, _ in adj[u]:
+            if mask & ebit:
+                mask ^= ebit
+                u = w
+                path.append(verts[w])
+                break
+    return tuple(path)
 
 
 def _flood(seen: int, free: list[tuple[int, int]]) -> int:
@@ -418,10 +475,13 @@ class _Search:
             else -1
             for d in inst.demands
         ]
-        self.walks = [_walker(comp.adj, cd, gi) for cd, gi in zip(self.demands, self.gi)]
-        # (source bit, goal mask, group slot, lb, short, near) per demand, for _prune_ok
+        self.walks = [
+            _walker(comp.adj, cd, gi, comp.eshift) for cd, gi in zip(self.demands, self.gi)
+        ]
+        # (source bit, goal mask, group slot, lb, short, near, table) per
+        # demand, for _prune_ok
         self.rows = [
-            (1 << cd.src, cd.goal, gi, cd.lb, cd.short, cd.near)
+            (1 << cd.src, cd.goal, gi, cd.lb, cd.short, cd.near, cd.table)
             for cd, gi in zip(self.demands, self.gi)
         ]
         self.nd = len(self.demands)
@@ -450,11 +510,12 @@ class _Search:
         distances exceed the ``lb`` of their demands by more than ``slack``
         in sum, no solution inside the slack remains and the branch is
         rejected.  The free distance is ``lb`` while one of the demand's
-        shortest paths to an open goal is untouched (``short``, ``near``);
-        otherwise the source is flooded over the free edges one layer at a
-        time until it meets an open goal.  Once one demand's goals lie
-        beyond the slack, and always when ``slack`` is None, the demands
-        left need only reach a goal.  Reach sets come from flooding each
+        shortest paths to an open goal is untouched: at once when no edge of
+        ``short`` is used and a goal of ``near`` is open, else by a scan of
+        the demand's table.  Otherwise the source is flooded over the free
+        edges one layer at a time until it meets an open goal.  Once one
+        demand's goals lie beyond the slack, and always when ``slack`` is
+        None, the demands left need only reach a goal.  Reach sets come from flooding each
         component of the free graph once; a demand whose source lies in a
         flooded component reuses it.  The exits still open to one group must
         be matchable to its demands.
@@ -465,19 +526,24 @@ class _Search:
         An unreachable goal or a failed Hall check rejects at every slack,
         so it leaves ``self.gap`` alone.
         """
-        free = self.comp.free_lanes(used)
+        free = None  # the free edges per lane, built by the first flood
         flooded: list[int] = []
         needs = [[] for _ in gused] if gused else None
         gap = 0
-        for sbit, goal, gi, lb, short, near in self.rows[j0:]:
+        eshift = self.comp.eshift
+        for sbit, goal, gi, lb, short, near, table in self.rows[j0:]:
+            taken = 0
             if gi >= 0:
-                goal &= ~gused[gi]
-            if not used & short and goal & near:
+                taken = gused[gi]
+                goal &= ~taken
+            if goal & near and (not used & short or _any_free(table, used | taken << eshift)):
                 # a shortest path to an open goal is still free: the free
                 # distance is lb, so the demand spends none of the slack
                 if gi < 0:
                     continue
             elif slack is not None:
+                if free is None:
+                    free = self.comp.free_lanes(used)
                 # reach: the vertices within lb + slack - left edges of the source
                 reach, left = sbit, lb + slack
                 while not reach & goal:
@@ -499,6 +565,8 @@ class _Search:
                 if reach & sbit:
                     break
             else:
+                if free is None:
+                    free = self.comp.free_lanes(used)
                 reach = _flood(sbit, free)
                 flooded.append(reach)
             avail = goal & reach
@@ -525,6 +593,8 @@ class _Search:
 
     def _route(self, di: int, used: int, gused: tuple[int, ...], slack: int):
         """Route demands di.. within a shared budget of extra path length.
+
+        Returns the edge mask of each demand's path, or None.
 
         ``slack`` bounds the total length beyond the per-demand shortest-path
         lower bounds; ``run`` widens it IDA* style, so the certificate
@@ -567,20 +637,20 @@ class _Search:
             top = d.max_len
         last = di + 1 == self.nd
         for limit in range(lb, top + 1, step):
-            for pverts, pmask in walk(used, gused, limit):
+            for pmask, end in walk(used, gused, limit):
                 if last:
                     # nothing is left to prune or route
-                    return [pverts]
+                    return [pmask]
                 nused = used | pmask
                 ngused = gused
                 if gi >= 0:
-                    ngused = gused[:gi] + (gused[gi] | 1 << pverts[-1],) + gused[gi + 1 :]
+                    ngused = gused[:gi] + (gused[gi] | end,) + gused[gi + 1 :]
                 left = slack - (limit - lb)
                 if not self._prune_ok(di + 1, nused, ngused, left):
                     continue
                 tail = self._route(di + 1, nused, ngused, left)
                 if tail is not None:
-                    return [pverts] + tail
+                    return [pmask] + tail
         gap = self.gap
         # the next length of the demand's parity, if there is one
         nxt = step - slack % step
@@ -611,10 +681,20 @@ class _Search:
             self.slack, self.gap = slack, _INF
             routed = self._route(0, 0, gused0, slack)
             if routed is not None:
-                verts = self.comp.verts
-                return PathSystem(tuple(tuple(verts[i] for i in p) for p in routed))
+                comp = self.comp
+                return PathSystem(
+                    tuple(_trace(comp, d.src, mask) for d, mask in zip(self.demands, routed))
+                )
             slack += self.gap  # _INF, when nothing was cut off, ends the ladder
         return Infeasible
+
+
+def _any_free(table: tuple[int, ...], blocked: int) -> bool:
+    """Does ``table`` hold a path that meets no bit of ``blocked``?"""
+    for m in table:
+        if not m & blocked:
+            return True
+    return False
 
 
 def _has_matching(needs: list[int]) -> bool:

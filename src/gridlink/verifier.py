@@ -759,8 +759,20 @@ def iter_pairability_reduced() -> Iterator[tuple[tuple[Vertex, Vertex], ...]]:
         yield from _matchings(list(combo))
 
 
+# Ordered pair demands on the full grid, built the first time a placement
+# names them (at most 36 x 35), so that placements share them.
+_GRID_PAIRS: dict[tuple[Vertex, Vertex], Demand] = {}
+
+
+def _grid_pair(st: tuple[Vertex, Vertex]) -> Demand:
+    d = _GRID_PAIRS.get(st)
+    if d is None:
+        d = _GRID_PAIRS[st] = Demand.pair(*st)
+    return d
+
+
 def _run_pairability(pairs):
-    inst = Instance(_GRID, tuple(Demand.pair(s, t) for s, t in pairs))
+    inst = Instance(_GRID, tuple(map(_grid_pair, pairs)))
     sol = solve(inst)
     if sol is Infeasible:
         return _bad("counterexample", pairs, "no 4-pair linkage")

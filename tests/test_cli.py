@@ -294,6 +294,32 @@ def test_out_of_range_worker_counts_exit_2(capsys):
         assert "workers must be between 1 and" in capsys.readouterr().err
 
 
+def _no_campaign(campaign):
+    raise AssertionError("the campaign ran")
+
+
+def test_an_unwritable_report_path_exits_2_before_the_campaign(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("gridlink.cli.run_campaign", _no_campaign)
+    path = str(tmp_path / "missing" / "r.txt")
+    assert main(["lemma", "L5", "--report", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write report {path}: ")
+    assert captured.out == ""
+    assert main(["pairability", "--samples", "2", "--seed", "1", "--report", path]) == 2
+    assert "error: cannot write report" in capsys.readouterr().err
+
+
+def test_an_interrupted_campaign_exits_130_without_a_traceback(monkeypatch, capsys):
+    def interrupted(campaign):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("gridlink.cli.run_campaign", interrupted)
+    assert main(["lemma", "L5"]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert main(["pairability", "--samples", "2", "--seed", "1"]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+
+
 def test_lemma_reports_are_stable_and_conforming(tmp_path, capsys):
     assert main(["lemma", "L5"]) == 0
     first = capsys.readouterr().out

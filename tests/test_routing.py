@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import weakref
+from math import comb
 from random import Random
 
 import pytest
@@ -24,9 +25,11 @@ from gridlink.grid import (
     vertex,
 )
 import gridlink.lemmas.crowded as crowded
+import gridlink.routing as routing
 from gridlink.routing import (
     PAIR,
     _INF,
+    _CDemand,
     _compiled,
     _flood,
     _Search,
@@ -666,8 +669,9 @@ def test_compiled_form_dies_with_its_graph():
 # their group already holds, and (for a pair, or an escape with no group)
 # have no goal before their last vertex; sorted by vertex index, that is the
 # order of a depth-first walk with neighbours in (row, col) order.  The
-# vertices the walk expands are checked too: every prefix it may continue,
-# which no pruning rule excludes, in the same order.
+# vertices a searching walk expands are checked too: every prefix it may
+# continue, which no pruning rule excludes, in the same order.  At the
+# shortest length the walk filters the demand's table and reads nothing.
 
 
 class _CountingAdj(list):
@@ -715,6 +719,22 @@ def _walk_reference(comp, cd, gi, used, gused, limit):
     return sorted(yielded), order
 
 
+def _as_masks(comp, paths):
+    """(edge mask, end bit) of each vertex-index path."""
+    out = []
+    for p in paths:
+        mask = 0
+        for u, v in zip(p, p[1:]):
+            mask |= next(ebit for w, ebit, _ in comp.adj[u] if w == v)
+        out.append((mask, 1 << p[-1]))
+    return out
+
+
+def _untabled(comp, cd):
+    """``cd`` without its table: its walk searches the shortest length too."""
+    return _CDemand(cd.src, cd.goal, cd.dist, cd.step, cd.max_len, None, comp.eshift)
+
+
 def _walk_graphs():
     yield "UL", quadrant(make_grid(6, 6), Corner.UL).graph, None
     for kind in ("Q0", "Q1", "Q2", "Q3", "Q4"):
@@ -743,44 +763,93 @@ def test_walk_yields_the_brute_force_paths_in_order(name, graph, exits):
     yielded = 0
     for d, gi in _walk_demands(verts, exits, rng):
         cd = comp.demand(d)
+        assert cd.table is not None
         for _ in range(3):
             used = 0
             for ebit in rng.sample(ebits, rng.randrange(len(ebits) // 3 + 1)):
                 used |= ebit
             gused = tuple(rng.getrandbits(comp.nv) & cd.goal for _ in range(2))
             for limit in range(min(comp.nv, 12)):
-                adj = _CountingAdj(comp.adj)
-                walk = _walker(adj, cd, gi)
-                got = list(walk(used, gused, limit))
                 want, order = _walk_reference(comp, cd, gi, used, gused, limit)
-                assert [p for p, _ in got] == want, (d, gi, limit)
-                assert adj.read == order, (d, gi, limit)
-                for p, pmask in got:
-                    es = [
-                        ebit
-                        for u, v in zip(p, p[1:])
-                        for w, ebit, _ in comp.adj[u]
-                        if w == v
-                    ]
-                    assert pmask == sum(es) and not pmask & used
-                yielded += len(got)
+                for c in (cd, _untabled(comp, cd)):
+                    adj = _CountingAdj(comp.adj)
+                    got = list(_walker(adj, c, gi, comp.eshift)(used, gused, limit))
+                    assert got == _as_masks(comp, want), (d, gi, limit)
+                    tabled = c.table is not None and limit == c.lb
+                    assert adj.read == ([] if tabled else order), (d, gi, limit)
+                    yielded += len(got)
     assert yielded > 100
 
 
 @pytest.mark.parametrize("name,graph,exits", list(_walk_graphs()))
 def test_shortest_path_masks_are_the_union_of_the_shortest_paths(name, graph, exits):
     # The prune takes a demand's free distance to be lb while no edge of
-    # ``short`` is used and a goal of ``near`` is open; the walk at length lb
-    # enumerates every shortest path, so the masks must be exactly theirs.
+    # ``short`` is used and a goal of ``near`` is open; a searching walk at
+    # length lb finds every shortest path, in the table's order, so the
+    # masks must be exactly theirs.
     comp = _compiled(graph, frozenset())
     verts = sorted(graph.present_vertices)
     for d, _ in _walk_demands(verts, exits, Random(name)):
         cd = comp.demand(d)
+        found = list(_walker(comp.adj, _untabled(comp, cd), -1, comp.eshift)(0, (), cd.lb))
+        assert cd.table == tuple(mask | end << comp.eshift for mask, end in found), d
         short = near = 0
-        for p, pmask in _walker(comp.adj, cd, -1)(0, (), cd.lb):
-            short |= pmask
-            near |= 1 << p[-1]
+        for mask, end in found:
+            short |= mask
+            near |= end
         assert (cd.short, cd.near) == (short, near), d
+
+
+def test_pair_tables_on_the_grid_count_the_lattice_paths():
+    # A shortest path on the intact grid is a lattice path: |dr| vertical
+    # and |dc| horizontal steps in any order.
+    g = make_grid(6, 6)
+    comp = _compiled(g, frozenset())
+    total = 0
+    for s in sorted(g.present_vertices):
+        for t in sorted(g.present_vertices):
+            if s != t:
+                dr, dc = abs(s.row - t.row), abs(s.col - t.col)
+                n = len(comp.demand(Demand.pair(s, t)).table)
+                assert n == comb(dr + dc, dr), (s, t)
+                total += n
+    assert total == 13024
+
+
+def test_a_demand_beyond_the_table_cap_is_searched():
+    # 9x9 corner to corner has C(16, 8) = 12,870 shortest paths.
+    g = make_grid(9, 9)
+    cd = _compiled(g, frozenset()).demand(Demand.pair((1, 1), (9, 9)))
+    assert cd.table is None and cd.short == cd.near == 0
+    demands = (
+        Demand.pair((1, 1), (9, 9)),
+        Demand.pair((1, 9), (9, 1)),
+        Demand.pair((1, 1), (9, 9)),
+    )
+    inst = Instance(g, demands)
+    assert verify(inst, solve(inst))
+
+
+def test_certificates_do_not_depend_on_the_tables(monkeypatch):
+    # With no table every walk searches and the prune floods; the search
+    # must find the same certificates.
+    def instances(rng):
+        g = make_grid(6, 6)
+        verts = sorted(g.present_vertices)
+        for _ in range(150):
+            pairs = sample_pairability(rng)
+            demands = [Demand.pair(s, t) for s, t in pairs[: rng.randint(2, 4)]]
+            for _ in range(rng.randint(0, 3)):
+                exits = rng.sample(verts, rng.randint(1, 4))
+                group = rng.choice([None, 0, 1])
+                demands.append(Demand.escape(rng.choice(verts), exits, group))
+            yield Instance(g, tuple(demands))
+
+    tabled = [serialize_certificate(solve(inst)) for inst in instances(Random(6))]
+    monkeypatch.setattr(routing, "_TABLE_CAP", 0)
+    bare = [serialize_certificate(solve(inst)) for inst in instances(Random(6))]
+    assert bare == tabled
+    assert sum(c.startswith("infeasible") for c in tabled) < len(tabled)
 
 
 def test_ladder_asks_only_for_lengths_of_the_shortest_paths_parity():
@@ -835,9 +904,9 @@ def test_prune_needs_distinct_exits_within_a_group():
 
 def _committed(search, gused=()):
     """The edge mask of demand 0's first shortest path, and its group use."""
-    verts, mask = next(search.walks[0](0, gused, search.demands[0].lb))
+    mask, end = next(search.walks[0](0, gused, search.demands[0].lb))
     if search.gi[0] >= 0:
-        gused = (1 << verts[-1],)
+        gused = (end,)
     return mask, gused
 
 
@@ -869,6 +938,19 @@ def test_prune_rejects_a_detour_beyond_the_slack_as_a_cut():
     escapes = tuple(Demand.escape((1, 1), [(1, 1), (1, 3)], distinct_group=0) for _ in "ab")
     search = _Search(Instance(line, escapes))
     used, gused = _committed(search, (0,))
+    assert not search._prune_ok(1, used, gused, 1)
+    assert search.gap == 1
+    search.gap = _INF
+    assert search._prune_ok(1, used, gused, 2)
+    assert search.gap == _INF
+    # A free shortest path to a taken exit does not count: on the 2x2 grid
+    # the edge (1,1)-(1,2) is used and (2,1) is taken, so the open exit
+    # (1,2) is 3 away round the square.
+    escapes = tuple(Demand.escape((1, 1), [(1, 2), (2, 1)], distinct_group=0) for _ in "ab")
+    search = _Search(Instance(make_grid(2, 2), escapes))
+    v = search.comp.vindex
+    used = next(ebit for w, ebit, _ in search.comp.adj[v[(1, 1)]] if w == v[(1, 2)])
+    gused = (1 << v[(2, 1)],)
     assert not search._prune_ok(1, used, gused, 1)
     assert search.gap == 1
     search.gap = _INF
