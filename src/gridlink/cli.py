@@ -49,7 +49,7 @@ def _read(path: str) -> str:
 
 def _open_report(path: str):
     try:
-        return open(path, "w", encoding="utf-8")
+        return open(path, "a", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write report {path}: {exc.strerror or exc}") from None
 
@@ -117,13 +117,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    # the report file is opened first, so a path that cannot be written
-    # fails before the campaign runs
+    # the report file is opened first, in append mode: a path that cannot be
+    # written fails before the campaign runs, and a failed run keeps the file
     with _open_report(args.report) if args.report else nullcontext() as out:
         report = run_campaign(campaign)
         text = format_report(report)
         sys.stdout.write(text)
         if out is not None:
+            out.truncate(0)
             out.write(text)
     return 0 if report_conforms(report) else 1
 

@@ -42,11 +42,15 @@ where its candidates are this table filtered by the edges already used, and
 the prune asks the same table whether a shortest path is still free.  Both
 forms are stored on the graph (``GridGraph.compiled_forms``), so repeated
 solves on one graph pay only for the search, and the compiled forms are
-freed with the graph.
+freed with the graph.  The walk lives on the compiled demand
+(``_CDemand.walk``), so a solve builds nothing per demand beyond its row of
+the prune.
 
 The search itself carries edge masks and end bits, never vertex paths;
 ``run`` traces each demand's path from its source along its edge mask once
-it has a solution.
+it has a solution, by incidence masks: the one edge of the mask at the
+current vertex is the next step, and XOR with its two end indices crosses
+it.
 """
 
 from __future__ import annotations
@@ -98,10 +102,12 @@ class Instance:
     forbidden_edges: frozenset[Edge] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "demands", tuple(self.demands))
-        object.__setattr__(
-            self, "forbidden_edges", frozenset(edge(*e) for e in self.forbidden_edges)
-        )
+        if type(self.demands) is not tuple:
+            object.__setattr__(self, "demands", tuple(self.demands))
+        # an empty set of any type becomes frozenset(), the compiled-forms key
+        forbidden = self.forbidden_edges
+        if forbidden or type(forbidden) is not frozenset:
+            object.__setattr__(self, "forbidden_edges", frozenset(edge(*e) for e in forbidden))
 
 
 @dataclass(frozen=True)
@@ -109,17 +115,6 @@ class PathSystem:
     """One vertex sequence per demand, in demand order."""
 
     paths: tuple[Path, ...]
-
-    def __post_init__(self):
-        # Solver output already holds Vertex values; only other input is rebuilt.
-        object.__setattr__(
-            self,
-            "paths",
-            tuple(
-                tuple(v if type(v) is Vertex else vertex(v) for v in p)
-                for p in self.paths
-            ),
-        )
 
     def __iter__(self):
         return iter(self.paths)
@@ -176,14 +171,16 @@ class _CDemand:
     is bipartite and every goal has one colour) and ``max_len`` the longest
     simple path length worth trying.  ``table`` holds every shortest path
     from the source to a goal, in the walk's order, as its edge mask with
-    its end vertex's bit stored ``_Compiled.eshift`` bits up (None beyond
+    its end vertex's bit stored ``eshift`` bits up (None beyond
     ``_TABLE_CAP`` paths).  ``short`` is the union of their edge masks and
-    ``near`` of their end bits (both 0 without a table).
+    ``near`` of their end bits (both 0 without a table).  ``adj`` and
+    ``eshift`` are the graph's (see ``_Compiled``), for ``walk``.
     """
 
-    __slots__ = ("src", "goal", "dist", "lb", "step", "max_len", "table", "short", "near")
+    __slots__ = ("src", "goal", "dist", "lb", "step", "max_len", "table", "short", "near", "adj",
+                 "eshift")
 
-    def __init__(self, src, goal, dist, step, max_len, table, eshift):
+    def __init__(self, src, goal, dist, step, max_len, table, adj, eshift):
         self.src = src
         self.goal = goal
         self.dist = dist
@@ -191,11 +188,73 @@ class _CDemand:
         self.step = step
         self.max_len = max_len
         self.table = table
+        self.adj = adj
+        self.eshift = eshift
         union = 0
         for m in table or ():
             union |= m
         self.near = union >> eshift
         self.short = union ^ self.near << eshift
+
+    def walk(self, used: int, taken: int, grouped: bool, limit: int):
+        """Yield ``(edge_mask, end_bit)`` for every simple path of exactly
+        ``limit`` edges from the source to a goal over edges not in ``used``,
+        depth first with neighbours in (row, col) order.  A ``grouped``
+        escape may not end at an exit in ``taken``.
+
+        At the shortest length the walk filters the table: a path is free
+        when its mask meets neither ``used`` nor, above ``eshift``, the
+        taken exits, and no adjacency is read.  Longer paths, and the
+        shortest ones of a demand without a table, are searched.  A pair
+        path meets its target only at its end, and an ungrouped escape may
+        be cut at its first exit, so neither is continued past one.  A
+        vertex farther from the goals than the length left is not entered,
+        so a vertex at the last step is a goal.  An edge to an unvisited
+        vertex cannot be one of the path's own.  In a bipartite graph with
+        goals of one colour the length left and that distance always have
+        one parity, so ``step`` is the only parity test.
+        """
+        table = self.table
+        if limit == self.lb and table is not None:
+            eshift = self.eshift
+            blocked = used | taken << eshift
+            for m in table:
+                if not m & blocked:
+                    end = m >> eshift
+                    yield m ^ end << eshift, end
+            return
+        src, goal, dist, adj = self.src, self.goal, self.dist, self.adj
+        sbit = 1 << src
+        if not limit:
+            if sbit & goal & ~taken:
+                yield 0, sbit
+            return
+        stop = 0 if grouped else goal
+        if stop & sbit:
+            return
+        above = []  # (neighbour iterator, vmask, pmask) of each level above
+        vmask, pmask, rem = sbit, 0, limit - 1
+        nbrs = iter(adj[src])
+        while True:
+            for w, ebit, wbit in nbrs:
+                if vmask & wbit or used & ebit or dist[w] > rem:
+                    continue
+                if not rem:
+                    # distance 0: w is a goal
+                    if not taken & wbit:
+                        yield pmask | ebit, wbit
+                elif not stop & wbit:
+                    above.append((nbrs, vmask, pmask))
+                    vmask |= wbit
+                    pmask |= ebit
+                    rem -= 1
+                    nbrs = iter(adj[w])
+                    break
+            else:
+                if not above:
+                    return
+                nbrs, vmask, pmask = above.pop()
+                rem += 1
 
 
 class _Compiled:
@@ -208,7 +267,9 @@ class _Compiled:
     an edge mask right by ``lane(k) * nv`` lines lane k's edges up with their
     low ends, and a whole frontier crosses every edge of a lane with two
     shifts (see ``_flood``).  Edge masks use the ``eshift`` bits below the
-    end bits of the shortest-path tables.
+    end bits of the shortest-path tables.  ``inc[u]`` is the mask of u's
+    edges and ``other[ebit]`` the XOR of that edge's two end indices, so
+    ``u ^ other[ebit]`` crosses the edge from either end (see ``_trace``).
 
     Distance tables and compiled demands are cached here too, so each is
     built once per graph and forbidden set.
@@ -230,12 +291,17 @@ class _Compiled:
         low = [0] * len(offsets)
         # adj[v] = ((w, edge_bit, w_bit), ...) sorted by w, i.e. (row, col) order
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.nv)]
+        self.inc = inc = [0] * self.nv
+        self.other = other = {}
         for ui, vi in pairs:
             lane = lane_of[vi - ui]
             low[lane] |= 1 << ui
             ebit = 1 << (lane * self.nv + ui)
             adj[ui].append((vi, ebit, 1 << vi))
             adj[vi].append((ui, ebit, 1 << ui))
+            inc[ui] |= ebit
+            inc[vi] |= ebit
+            other[ebit] = ui ^ vi
         # lanes[i] = (k, shift, low): lane i's offset, the shift that lines its
         # edge bits up with their low ends, and the mask of those low ends
         self.lanes = tuple(
@@ -329,14 +395,14 @@ class _Compiled:
         max_len = 0 if d.kind == PAIR and goals == (src,) else self.nv - 1
         dist = self.distances(goals)
         table = self.shortest_paths(src, dist)
-        return _CDemand(src, goal, dist, step, max_len, table, self.eshift)
+        return _CDemand(src, goal, dist, step, max_len, table, self.adj, self.eshift)
 
     def shortest_paths(self, src: int, dist: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         """Every shortest path from ``src`` to a goal of ``dist``, depth first.
 
         Each path is its edge mask with its end vertex's bit ``eshift`` bits
         up; neighbours are taken in (row, col) order, so the paths come in
-        the order ``_walker`` finds them.  Empty when no goal is reachable,
+        the order ``_CDemand.walk`` finds them.  Empty when no goal is reachable,
         None beyond ``_TABLE_CAP`` paths.
         """
         table: list[int] = []
@@ -354,84 +420,15 @@ class _Compiled:
         return tuple(table)
 
 
-def _walker(adj, cd: _CDemand, gi: int, eshift: int):
-    """The candidate paths of one demand in one search, as ``walk(used, gused, limit)``.
-
-    ``walk`` yields ``(edge_mask, end_bit)`` for every simple path of exactly
-    ``limit`` edges from the source to a goal over edges not in ``used``,
-    depth first with neighbours in (row, col) order.  A grouped escape (group
-    slot ``gi``) may not end at an exit in ``gused[gi]``.
-
-    At the shortest length the walk filters the demand's table: a path is
-    free when its mask meets neither ``used`` nor, above ``eshift``, the
-    taken exits, and no adjacency is read.  Longer paths, and the shortest
-    ones of a demand without a table, are searched.  A pair path meets its
-    target only at its end, and an ungrouped escape may be cut at its first
-    exit, so neither is continued past one.  A vertex farther from the goals
-    than the length left is not entered, so a vertex at the last step is a
-    goal.  An edge to an unvisited vertex cannot be one of the path's own.
-    In a bipartite graph with goals of one colour the length left and that
-    distance always have one parity, so ``_CDemand.step`` is the only parity
-    test.
-    """
-    src, goal, dist, table = cd.src, cd.goal, cd.dist, cd.table
-    sbit = 1 << src
-    stop = goal if gi < 0 else 0
-    tabled = cd.lb if table is not None else -1
-
-    def walk(used: int, gused: tuple[int, ...], limit: int):
-        taken = gused[gi] if gi >= 0 else 0
-        if limit == tabled:
-            blocked = used | taken << eshift
-            for m in table:
-                if not m & blocked:
-                    end = m >> eshift
-                    yield m ^ end << eshift, end
-            return
-        if not limit:
-            if sbit & goal & ~taken:
-                yield 0, sbit
-            return
-        if stop & sbit:
-            return
-        above = []  # (neighbour iterator, vmask, pmask) of each level above
-        vmask, pmask, rem = sbit, 0, limit - 1
-        nbrs = iter(adj[src])
-        while True:
-            for w, ebit, wbit in nbrs:
-                if vmask & wbit or used & ebit or dist[w] > rem:
-                    continue
-                if not rem:
-                    # distance 0: w is a goal
-                    if not taken & wbit:
-                        yield pmask | ebit, wbit
-                elif not stop & wbit:
-                    above.append((nbrs, vmask, pmask))
-                    vmask |= wbit
-                    pmask |= ebit
-                    rem -= 1
-                    nbrs = iter(adj[w])
-                    break
-            else:
-                if not above:
-                    return
-                nbrs, vmask, pmask = above.pop()
-                rem += 1
-
-    return walk
-
-
 def _trace(comp: "_Compiled", src: int, mask: int) -> Path:
     """The vertices of the simple path from ``src`` whose edges are ``mask``."""
-    verts, adj = comp.verts, comp.adj
+    verts, inc, other = comp.verts, comp.inc, comp.other
     u, path = src, [verts[src]]
     while mask:
-        for w, ebit, _ in adj[u]:
-            if mask & ebit:
-                mask ^= ebit
-                u = w
-                path.append(verts[w])
-                break
+        b = mask & inc[u]
+        mask ^= b
+        u ^= other[b]
+        path.append(verts[u])
     return tuple(path)
 
 
@@ -463,21 +460,12 @@ def _compiled(graph: GridGraph, forbidden: frozenset[Edge]) -> _Compiled:
 class _Search:
     def __init__(self, inst: Instance):
         self.comp = comp = _compiled(inst.graph, inst.forbidden_edges)
-        groups = sorted(
-            {d.distinct_group for d in inst.demands if d.distinct_group is not None}
-        )
+        ds = inst.demands
+        groups = sorted({d.distinct_group for d in ds if d.distinct_group is not None})
         gslot = {g: i for i, g in enumerate(groups)}
-        self.demands = [comp.demand(d) for d in inst.demands]
+        self.demands = [comp.demand(d) for d in ds]
         # group slot per demand, -1 for pairs and ungrouped escapes
-        self.gi = [
-            gslot[d.distinct_group]
-            if d.kind == ESCAPE and d.distinct_group is not None
-            else -1
-            for d in inst.demands
-        ]
-        self.walks = [
-            _walker(comp.adj, cd, gi, comp.eshift) for cd, gi in zip(self.demands, self.gi)
-        ]
+        self.gi = [gslot.get(d.distinct_group, -1) if d.kind == ESCAPE else -1 for d in ds]
         # (source bit, goal mask, group slot, lb, short, near, table) per
         # demand, for _prune_ok
         self.rows = [
@@ -630,21 +618,23 @@ class _Search:
         outer, self.gap = self.gap, _INF
         d = self.demands[di]
         gi = self.gi[di]
-        walk = self.walks[di]
+        grouped = gi >= 0
+        taken = gused[gi] if grouped else 0
+        walk = d.walk
         lb, step = d.lb, d.step
         top = lb + slack
         if top > d.max_len:
             top = d.max_len
         last = di + 1 == self.nd
         for limit in range(lb, top + 1, step):
-            for pmask, end in walk(used, gused, limit):
+            for pmask, end in walk(used, taken, grouped, limit):
                 if last:
                     # nothing is left to prune or route
                     return [pmask]
                 nused = used | pmask
                 ngused = gused
-                if gi >= 0:
-                    ngused = gused[:gi] + (gused[gi] | end,) + gused[gi + 1 :]
+                if grouped:
+                    ngused = gused[:gi] + (taken | end,) + gused[gi + 1 :]
                 left = slack - (limit - lb)
                 if not self._prune_ok(di + 1, nused, ngused, left):
                     continue
@@ -740,7 +730,10 @@ def _bad(msg: str) -> VerifyResult:
 
 
 def verify(inst: Instance, cert: PathSystem) -> VerifyResult:
-    """Check a certificate against an instance; reports the first violated clause."""
+    """Check a certificate against an instance; reports the first violated clause.
+
+    Plain ``(row, col)`` tuples hash and compare as ``Vertex``; messages name a ``Vertex``.
+    """
     if not isinstance(cert, PathSystem):
         return _bad("not a path system")
     if len(cert.paths) != len(inst.demands):
@@ -749,37 +742,41 @@ def verify(inst: Instance, cert: PathSystem) -> VerifyResult:
         )
     present = inst.graph.present_vertices
     gedges = inst.graph.present_edges
+    forbidden = inst.forbidden_edges
     seen_edges: set[Edge] = set()
+    nseen = 0
     group_ends: dict[int, set[Vertex]] = {}
     for i, (d, p) in enumerate(zip(inst.demands, cert.paths)):
         if not p:
             return _bad(f"path {i} is empty")
         for v in p:
             if v not in present:
-                return _bad(f"path {i}: absent vertex {v}")
+                return _bad(f"path {i}: absent vertex {vertex(v)}")
         for k in range(len(p) - 1):
-            a, b = p[k], p[k + 1]  # Vertex values: PathSystem normalised them
+            a, b = p[k], p[k + 1]
             e = (a, b) if a <= b else (b, a)
             if e not in gedges:
-                return _bad(f"path {i}: non-adjacent step {p[k]} -> {p[k + 1]}")
-            if e in inst.forbidden_edges:
-                return _bad(f"path {i}: forbidden edge {e}")
-            if e in seen_edges:
-                return _bad(f"path {i}: edge reuse {e}")
+                return _bad(f"path {i}: non-adjacent step {vertex(a)} -> {vertex(b)}")
+            if forbidden and e in forbidden:
+                return _bad(f"path {i}: forbidden edge {edge(a, b)}")
+            # a reused edge leaves the set as it was
             seen_edges.add(e)
+            if len(seen_edges) == nseen:
+                return _bad(f"path {i}: edge reuse {edge(a, b)}")
+            nseen += 1
         if p[0] != d.source:
-            return _bad(f"path {i}: endpoint mismatch, starts at {p[0]} not {d.source}")
+            return _bad(f"path {i}: endpoint mismatch, starts at {vertex(p[0])} not {d.source}")
         last = p[-1]
         if d.kind == PAIR:
             if last != d.target:
-                return _bad(f"path {i}: endpoint mismatch, ends at {last} not {d.target}")
+                return _bad(f"path {i}: endpoint mismatch, ends at {vertex(last)} not {d.target}")
         elif d.kind == ESCAPE:
             if d.exits is None or last not in d.exits:
-                return _bad(f"path {i}: exit mismatch, ends at {last} outside exits")
+                return _bad(f"path {i}: exit mismatch, ends at {vertex(last)} outside exits")
             if d.distinct_group is not None:
                 ends = group_ends.setdefault(d.distinct_group, set())
                 if last in ends:
-                    return _bad(f"path {i}: exit collision at {last}")
+                    return _bad(f"path {i}: exit collision at {vertex(last)}")
                 ends.add(last)
         else:
             return _bad(f"demand {i}: unknown kind {d.kind!r}")
@@ -803,13 +800,9 @@ def is_weakly_2_linked(graph: GridGraph) -> bool:
     comp = _compiled(graph, frozenset())
     if any(d >= _INF for d in comp.distances((0,))):
         return False  # disconnected: some single pair already fails
-    pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
+    pairs = [Demand.pair(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
     for a in range(len(pairs)):
         for bidx in range(a, len(pairs)):
-            inst = Instance(
-                graph,
-                (Demand.pair(*pairs[a]), Demand.pair(*pairs[bidx])),
-            )
-            if solve(inst) is Infeasible:
+            if solve(Instance(graph, (pairs[a], pairs[bidx]))) is Infeasible:
                 return False
     return True

@@ -320,6 +320,29 @@ def test_an_interrupted_campaign_exits_130_without_a_traceback(monkeypatch, caps
     assert capsys.readouterr().err == "interrupted\n"
 
 
+def test_a_failed_campaign_leaves_an_earlier_report_as_it_was(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "r.txt"
+    path.write_bytes(b"old report\n")
+
+    def interrupted(campaign):
+        raise KeyboardInterrupt
+
+    def failed(campaign):
+        raise ValueError("bad campaign")
+
+    monkeypatch.setattr("gridlink.cli.run_campaign", interrupted)
+    assert main(["lemma", "L5", "--report", str(path)]) == 130
+    assert path.read_bytes() == b"old report\n"
+    monkeypatch.setattr("gridlink.cli.run_campaign", failed)
+    assert main(["pairability", "--samples", "2", "--seed", "1", "--report", str(path)]) == 2
+    assert capsys.readouterr().err.endswith("error: bad campaign\n")
+    assert path.read_bytes() == b"old report\n"
+    # a finished campaign replaces it
+    monkeypatch.undo()
+    assert main(["lemma", "L5", "--report", str(path)]) == 0
+    assert path.read_text() == capsys.readouterr().out
+
+
 def test_lemma_reports_are_stable_and_conforming(tmp_path, capsys):
     assert main(["lemma", "L5"]) == 0
     first = capsys.readouterr().out

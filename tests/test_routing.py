@@ -33,7 +33,7 @@ from gridlink.routing import (
     _compiled,
     _flood,
     _Search,
-    _walker,
+    _trace,
     Demand,
     Infeasible,
     Instance,
@@ -214,6 +214,71 @@ def test_verify_other_clauses():
     )
     res = verify(forb, PathSystem((((1, 1), (1, 2), (2, 2)),)))
     assert "forbidden edge" in res.violation
+
+
+def test_verify_rejects_a_path_that_walks_one_edge_twice():
+    inst = Instance(make_grid(2, 2), (Demand.pair((1, 1), (1, 1)),))
+    res = verify(inst, PathSystem((((1, 1), (1, 2), (1, 1)),)))
+    assert res.violation == "path 0: edge reuse (Vertex(row=1, col=1), Vertex(row=1, col=2))"
+
+
+def test_verify_reports_the_earliest_clause_a_path_breaks():
+    g = make_grid(2, 2)
+    pair = (Demand.pair((1, 1), (2, 2)),)
+    forb = Instance(g, pair, forbidden_edges=[((1, 1), (1, 2))])
+    cases = [
+        # absent vertex before the non-adjacent step that leads to it
+        (Instance(g, pair), ((1, 1), (3, 3)), "absent vertex Vertex(row=3, col=3)"),
+        # non-adjacent step before the endpoint mismatch
+        (
+            Instance(g, pair),
+            ((1, 1), (2, 2), (2, 1)),
+            "non-adjacent step Vertex(row=1, col=1) -> Vertex(row=2, col=2)",
+        ),
+        # non-adjacent step before the start mismatch
+        (
+            Instance(g, pair),
+            ((1, 2), (2, 1)),
+            "non-adjacent step Vertex(row=1, col=2) -> Vertex(row=2, col=1)",
+        ),
+        # forbidden edge before its reuse
+        (
+            forb,
+            ((1, 1), (1, 2), (1, 1), (2, 1), (2, 2)),
+            "forbidden edge (Vertex(row=1, col=1), Vertex(row=1, col=2))",
+        ),
+        # edge reuse before the endpoint mismatch
+        (
+            Instance(g, pair),
+            ((1, 1), (1, 2), (1, 1)),
+            "edge reuse (Vertex(row=1, col=1), Vertex(row=1, col=2))",
+        ),
+        # start before end
+        (
+            Instance(g, pair),
+            ((1, 2), (1, 1)),
+            "endpoint mismatch, starts at Vertex(row=1, col=2) not Vertex(row=1, col=1)",
+        ),
+    ]
+    for inst, path, msg in cases:
+        # plain tuples and Vertex values give one verdict, named as Vertex
+        for p in (path, tuple(map(vertex, path))):
+            assert verify(inst, PathSystem((p,))).violation == f"path 0: {msg}"
+
+
+def test_instance_keeps_a_tuple_and_makes_an_empty_forbidden_set_hashable():
+    g = make_grid(2, 2)
+    d = Demand.pair((1, 1), (2, 2))
+    for forbidden in ([], set(), frozenset()):
+        inst = Instance(g, [d], forbidden)
+        assert inst.demands == (d,) and type(inst.demands) is tuple
+        assert inst.forbidden_edges == frozenset() and type(inst.forbidden_edges) is frozenset
+        assert hash(inst.forbidden_edges) == hash(frozenset())
+    demands = (d,)
+    assert Instance(g, demands).demands is demands
+    inst = Instance(g, [d], [((1, 2), (1, 1))])
+    assert inst.forbidden_edges == frozenset({edge((1, 1), (1, 2))})
+    assert verify(inst, solve(inst))
 
 
 # -------------------------------------------------------------- escape_flow
@@ -730,9 +795,10 @@ def _as_masks(comp, paths):
     return out
 
 
-def _untabled(comp, cd):
-    """``cd`` without its table: its walk searches the shortest length too."""
-    return _CDemand(cd.src, cd.goal, cd.dist, cd.step, cd.max_len, None, comp.eshift)
+def _rebuilt(cd, table, adj):
+    """``cd`` with another table (None: its walk searches the shortest length too)
+    and adjacency list."""
+    return _CDemand(cd.src, cd.goal, cd.dist, cd.step, cd.max_len, table, adj, cd.eshift)
 
 
 def _walk_graphs():
@@ -771,14 +837,68 @@ def test_walk_yields_the_brute_force_paths_in_order(name, graph, exits):
             gused = tuple(rng.getrandbits(comp.nv) & cd.goal for _ in range(2))
             for limit in range(min(comp.nv, 12)):
                 want, order = _walk_reference(comp, cd, gi, used, gused, limit)
-                for c in (cd, _untabled(comp, cd)):
+                taken = gused[gi] if gi >= 0 else 0
+                for table in (cd.table, None):
                     adj = _CountingAdj(comp.adj)
-                    got = list(_walker(adj, c, gi, comp.eshift)(used, gused, limit))
+                    got = list(_rebuilt(cd, table, adj).walk(used, taken, gi >= 0, limit))
                     assert got == _as_masks(comp, want), (d, gi, limit)
-                    tabled = c.table is not None and limit == c.lb
+                    tabled = table is not None and limit == cd.lb
                     assert adj.read == ([] if tabled else order), (d, gi, limit)
                     yielded += len(got)
     assert yielded > 100
+
+
+def _trace_reference(comp, src, mask):
+    """Reference for ``_trace``: at each vertex, scan its neighbours for the
+    first unspent edge of ``mask``."""
+    u, path = src, [comp.verts[src]]
+    while mask:
+        for w, ebit, _ in comp.adj[u]:
+            if mask & ebit:
+                mask ^= ebit
+                u = w
+                path.append(comp.verts[w])
+                break
+    return tuple(path)
+
+
+def test_trace_equals_the_adjacency_scan_on_every_grid_table_entry():
+    g = make_grid(6, 6)
+    comp = _compiled(g, frozenset())
+    traced = 0
+    for s in sorted(g.present_vertices):
+        for t in sorted(g.present_vertices):
+            cd = comp.demand(Demand.pair(s, t))
+            for m in cd.table:
+                mask = m & ((1 << comp.eshift) - 1)
+                path = _trace(comp, cd.src, mask)
+                assert path == _trace_reference(comp, cd.src, mask)
+                assert (path[0], path[-1]) == (s, t)
+                traced += 1
+    assert traced == 13024 + 36
+
+
+@pytest.mark.parametrize("name,graph,exits", list(_walk_graphs())[:-1])
+def test_trace_equals_the_adjacency_scan_on_walk_yields(name, graph, exits):
+    # UL and Q0-Q4; the contracted quadrants have edges between vertices
+    # that are not grid neighbours
+    comp = _compiled(graph, frozenset())
+    verts = sorted(graph.present_vertices)
+    ebits = sorted({ebit for a in comp.adj for _, ebit, _ in a})
+    rng = Random(name)
+    traced = 0
+    for d, gi in _walk_demands(verts, exits, rng):
+        cd = comp.demand(d)
+        used = 0
+        for ebit in rng.sample(ebits, rng.randrange(len(ebits) // 4 + 1)):
+            used |= ebit
+        for limit in range(cd.lb, min(comp.nv, 10)):
+            for mask, end in cd.walk(used, 0, gi >= 0, limit):
+                path = _trace(comp, cd.src, mask)
+                assert path == _trace_reference(comp, cd.src, mask), (d, limit)
+                assert len(path) == limit + 1 and 1 << comp.vindex[path[-1]] == end
+                traced += 1
+    assert traced > 40, name
 
 
 @pytest.mark.parametrize("name,graph,exits", list(_walk_graphs()))
@@ -791,7 +911,7 @@ def test_shortest_path_masks_are_the_union_of_the_shortest_paths(name, graph, ex
     verts = sorted(graph.present_vertices)
     for d, _ in _walk_demands(verts, exits, Random(name)):
         cd = comp.demand(d)
-        found = list(_walker(comp.adj, _untabled(comp, cd), -1, comp.eshift)(0, (), cd.lb))
+        found = list(_rebuilt(cd, None, comp.adj).walk(0, 0, False, cd.lb))
         assert cd.table == tuple(mask | end << comp.eshift for mask, end in found), d
         short = near = 0
         for mask, end in found:
@@ -852,14 +972,13 @@ def test_certificates_do_not_depend_on_the_tables(monkeypatch):
     assert sum(c.startswith("infeasible") for c in tabled) < len(tabled)
 
 
-def test_ladder_asks_only_for_lengths_of_the_shortest_paths_parity():
+def test_ladder_asks_only_for_lengths_of_the_shortest_paths_parity(monkeypatch):
     # In a bipartite graph every path to goals of one colour has the parity
     # of the shortest one, so the ladder skips every other length.
     graph = make_grid(4, 4)
-    asked = []
-    for s, t in [((1, 1), (1, 4)), ((2, 2), (2, 3)), ((4, 1), (1, 4))]:
-        # the second pair's shortest path lies on the first one's
-        inst = Instance(
+    # the second pair's shortest path lies on the first one's
+    instances = [
+        Instance(
             graph,
             (
                 Demand.pair(s, t),
@@ -867,17 +986,18 @@ def test_ladder_asks_only_for_lengths_of_the_shortest_paths_parity():
                 Demand.escape((2, 1), [(1, 1), (3, 3)], distinct_group=0),
             ),
         )
-        search = _Search(inst)
+        for s, t in [((1, 1), (1, 4)), ((2, 2), (2, 3)), ((4, 1), (1, 4))]
+    ]
+    want = [solve(inst) for inst in instances]
+    asked = []
+    walk = _CDemand.walk
 
-        def recording(cd, walk):
-            def record(used, gused, limit):
-                asked.append((cd, limit))
-                return walk(used, gused, limit)
+    def recording(cd, used, taken, grouped, limit):
+        asked.append((cd, limit))
+        return walk(cd, used, taken, grouped, limit)
 
-            return record
-
-        search.walks = [recording(cd, w) for cd, w in zip(search.demands, search.walks)]
-        assert search.run() == solve(inst)
+    monkeypatch.setattr(_CDemand, "walk", recording)
+    assert [solve(inst) for inst in instances] == want
     assert any(limit > cd.lb for cd, limit in asked)
     for cd, limit in asked:
         assert (limit - cd.lb) % 2 == 0
@@ -904,8 +1024,9 @@ def test_prune_needs_distinct_exits_within_a_group():
 
 def _committed(search, gused=()):
     """The edge mask of demand 0's first shortest path, and its group use."""
-    mask, end = next(search.walks[0](0, gused, search.demands[0].lb))
-    if search.gi[0] >= 0:
+    cd, gi = search.demands[0], search.gi[0]
+    mask, end = next(cd.walk(0, gused[gi] if gi >= 0 else 0, gi >= 0, cd.lb))
+    if gi >= 0:
         gused = (end,)
     return mask, gused
 
