@@ -17,8 +17,9 @@ wall-clock time and is explicitly excluded from comparisons.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from typing import Optional, Sequence
 
 from .fileio import ParseError, parse_certificate, parse_instance, serialize_certificate
@@ -47,11 +48,27 @@ def _read(path: str) -> str:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror or exc}") from None
 
 
+@contextmanager
 def _open_report(path: str):
+    """Open ``path`` for the report before the campaign runs.
+
+    A path that cannot be written fails here, before any work.  The file is
+    opened in append mode, so a campaign that does not finish leaves an
+    earlier report as it was, and removes a file that this call created.
+    """
+    created = not os.path.exists(path)
     try:
-        return open(path, "a", encoding="utf-8")
+        out = open(path, "a", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write report {path}: {exc.strerror or exc}") from None
+    try:
+        with out:
+            yield out
+    except BaseException:
+        if created:
+            with suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -117,8 +134,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    # the report file is opened first, in append mode: a path that cannot be
-    # written fails before the campaign runs, and a failed run keeps the file
     with _open_report(args.report) if args.report else nullcontext() as out:
         report = run_campaign(campaign)
         text = format_report(report)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from ..grid import Path, Quadrant, Vertex, landmarks
+from ..grid import Quadrant, Vertex, landmarks
 from ..routing import Demand, Instance, PathSystem, solve
 from .report import LemmaDefect
 

@@ -27,6 +27,8 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .flow import escape_flow
 from .grid import (
+    C0_RING,
+    C1_RING,
     SYMMETRIES,
     Corner,
     Vertex,
@@ -79,6 +81,11 @@ _PSI_MAPS = (("A", "A"), ("A", "B"), ("B", "A"), ("B", "B"))
 _C1_IN_Q = frozenset(
     e for e in _LM.C1 if e[0] in _UL.vertices and e[1] in _UL.vertices
 )
+# the vertices of C0 and C1 inside the quadrant, sorted: where L5-L7 anchor
+_RING_IN_Q = {
+    alpha: tuple(sorted(v for v in ring if v in _UL.vertices))
+    for alpha, ring in enumerate((C0_RING, C1_RING))
+}
 
 # Lemma 10's statement in its own terms (UL-local): the line A is the
 # quadrant's row 3 and B its column 3.  Every demand an L10 placement can
@@ -423,17 +430,19 @@ def _run_l5(inst):
         f = build_frame(_UL, s1, s2, alpha)
     except LemmaDefect as exc:
         return _bad("defect", inst, str(exc))
+    if f.anchor not in _RING_IN_Q[alpha]:
+        return _bad("defect", inst, f"anchor {f.anchor} is not on C{alpha}")
     demands = (Demand.pair(s1, f.anchor), Demand.pair(s2, f.anchor))
     return _check_frame(demands, PathSystem(f.mating_paths), inst)
 
 
-def _ring_vertices(alpha: int) -> tuple[Vertex, ...]:
-    ring = _LM.C0 if alpha == 0 else _LM.C1
-    return tuple(sorted({v for e in ring for v in e if v in _UL.vertices}))
-
-
-def _check_framing(res, inst, third_targets):
+def _check_framing(res, inst, terms, third_targets):
+    """Check a framing of the three terminals ``terms`` against the statement."""
     a, b = res.framed_pair
+    if sorted((a, b, res.third)) != sorted(terms):
+        return _bad("defect", inst, "framed pair and third are not the instance's terminals")
+    if res.frame.anchor not in _RING_IN_Q.get(res.alpha, ()):
+        return _bad("defect", inst, f"anchor {res.frame.anchor} is not on C{res.alpha}")
     demands = (
         Demand.pair(a, res.frame.anchor),
         Demand.pair(b, res.frame.anchor),
@@ -448,26 +457,27 @@ def _run_l6(inst):
         res = frame_two_mate_third(_UL, *inst)
     except LemmaDefect as exc:
         return _bad("defect", inst, str(exc))
-    return _check_framing(res, inst, _ring_vertices(1 - res.alpha))
+    return _check_framing(res, inst, inst, _RING_IN_Q.get(1 - res.alpha, ()))
 
 
 def _run_l7(inst):
+    terms = inst[1:4]
     if inst[0] == "i":
         try:
-            res = frame_c0_mate_c1(_UL, *inst[1:])
+            res = frame_c0_mate_c1(_UL, *terms)
         except LemmaDefect as exc:
             return _bad("defect", inst, str(exc))
         if res.alpha != 0:
             return _bad("defect", inst, "frame is not on C0")
-        return _check_framing(res, inst, _ring_vertices(1))
-    sp, sq, sr, z = inst[1:]
+        return _check_framing(res, inst, terms, _RING_IN_Q[1])
+    z = inst[4]
     try:
-        res = frame_c1_mate_corner(_UL, sp, sq, sr, z)
+        res = frame_c1_mate_corner(_UL, *terms, z)
     except LemmaDefect as exc:
         return _bad("defect", inst, str(exc))
     if res.alpha != 1:
         return _bad("defect", inst, "frame is not on C1")
-    return _check_framing(res, inst, (z,))
+    return _check_framing(res, inst, terms, (z,))
 
 
 def _run_l8(inst):

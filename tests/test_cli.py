@@ -343,6 +343,25 @@ def test_a_failed_campaign_leaves_an_earlier_report_as_it_was(tmp_path, monkeypa
     assert path.read_text() == capsys.readouterr().out
 
 
+def test_a_failed_campaign_leaves_no_new_report(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "new.txt"
+
+    def interrupted(campaign):
+        raise KeyboardInterrupt
+
+    def failed(campaign):
+        raise ValueError("bad campaign")
+
+    monkeypatch.setattr("gridlink.cli.run_campaign", interrupted)
+    assert main(["lemma", "L5", "--report", str(path)]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert not path.exists()
+    monkeypatch.setattr("gridlink.cli.run_campaign", failed)
+    assert main(["pairability", "--samples", "2", "--seed", "1", "--report", str(path)]) == 2
+    assert capsys.readouterr().err.endswith("error: bad campaign\n")
+    assert not path.exists()
+
+
 def test_lemma_reports_are_stable_and_conforming(tmp_path, capsys):
     assert main(["lemma", "L5"]) == 0
     first = capsys.readouterr().out

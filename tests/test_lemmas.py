@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridlink.grid import (
+    C0_RING,
+    C1_RING,
     Corner,
     Vertex,
     adjusted_quadrant,
@@ -97,27 +99,20 @@ def test_frame_rejects_outside_terminals():
         build_frame(_UL, Vertex(1, 1), Vertex(1, 2), alpha=2)
 
 
-_quadrant_verts = sorted(_UL.vertices)
-
-
-@given(
-    q=st.sampled_from(_CORNERS),
-    i=st.integers(0, 8),
-    j=st.integers(0, 8),
-    alpha=st.integers(0, 1),
-)
-@settings(deadline=None)
-def test_frames_exist_everywhere(q, i, j, alpha):
-    vs = sorted(q.vertices)
-    f = build_frame(q, vs[i], vs[j], alpha)
-    assert f.alpha == alpha
-    p1, p2 = f.mating_paths
-    assert p1[0] == vs[i] and p2[0] == vs[j]
-    assert p1[-1] == f.anchor == p2[-1]
-    assert _edge_sets_disjoint(p1, p2)
-    assert not (
-        (set(path_edges(p1)) | set(path_edges(p2))) & _c1_edges_inside(q)
-    )
+def test_frames_exist_everywhere():
+    # every corner x 81 ordered terminal pairs x 2 alphas: 648 frames
+    for q, alpha in product(_CORNERS, (0, 1)):
+        forbidden = _c1_edges_inside(q)
+        ring = {v for v in (C0_RING, C1_RING)[alpha] if v in q.vertices}
+        for s1, s2 in product(sorted(q.vertices), repeat=2):
+            f = build_frame(q, s1, s2, alpha)
+            assert f.alpha == alpha
+            assert f.anchor in ring
+            p1, p2 = f.mating_paths
+            assert p1[0] == s1 and p2[0] == s2
+            assert p1[-1] == f.anchor == p2[-1]
+            assert _edge_sets_disjoint(p1, p2)
+            assert not ((set(path_edges(p1)) | set(path_edges(p2))) & forbidden)
 
 
 def test_frame_two_mate_third_splits_cycles():

@@ -15,8 +15,18 @@ from hypothesis import strategies as st
 import gridlink
 import gridlink.lemmas
 from gridlink import verifier
-from gridlink.grid import Corner, Vertex, landmarks, make_grid, quadrant
-from gridlink.lemmas import LemmaReport, catalog_configurations
+from gridlink.grid import (
+    C0_RING,
+    C1_RING,
+    Corner,
+    Vertex,
+    landmarks,
+    make_grid,
+    path_edges,
+    quadrant,
+)
+from gridlink.lemmas import Frame, LemmaReport, catalog_configurations
+from gridlink.routing import Demand, Instance, solve
 from gridlink.verifier import (
     T1,
     T1_ADMISSIBLE,
@@ -263,6 +273,60 @@ def test_l10_checks_each_certificate_against_the_statement(monkeypatch):
         inst,
         "certificate failed the independent check",
     )
+
+
+_UL = quadrant(make_grid(6, 6), Corner.UL)
+
+
+def _moved_anchor(frame, s1, s2, taken=frozenset()):
+    """``frame`` re-solved at an anchor on the other cycle, still labelled C_alpha.
+
+    Its own cycle is the other cycle, so ``Frame`` accepts the anchor, and its
+    mating paths avoid the C1 edges and ``taken``, so the certificate verifies.
+    """
+    lm = landmarks(_UL)
+    other = 1 - frame.alpha
+    forbidden = frozenset(e for e in lm.C1 if set(e) <= _UL.vertices) | taken
+    for w in sorted(v for v in (C0_RING, C1_RING)[other] if v in _UL.vertices):
+        sol = solve(Instance(_UL.graph, (Demand.pair(s1, w), Demand.pair(s2, w)), forbidden))
+        if sol:
+            return Frame(frame.alpha, (lm.C0, lm.C1)[other], w, (sol[0], sol[1]))
+    return frame
+
+
+@pytest.mark.parametrize("mutant", ["wrong terminal", "off-cycle anchor"])
+@pytest.mark.parametrize(
+    "lemma_id, op",
+    [
+        ("L5", "build_frame"),
+        ("L6", "frame_two_mate_third"),
+        ("L7", "frame_c0_mate_c1"),
+        ("L7", "frame_c1_mate_corner"),
+    ],
+)
+def test_frame_campaigns_check_the_statement(monkeypatch, lemma_id, op, mutant):
+    # A framing operation that frames another terminal, or anchors off
+    # C_alpha, still returns a certificate that verifies; the campaign must
+    # check it against the instance and the grid's own rings.
+    real = getattr(verifier, op)
+    last = 1 if op == "build_frame" else 2  # position of the last terminal
+
+    def wrong_terminal(q, *args):
+        other = next(v for v in sorted(q.vertices) if v not in args[: last + 1])
+        return real(q, *args[:last], other, *args[last + 1 :])
+
+    def off_cycle_anchor(q, *args):
+        res = real(q, *args)
+        if op == "build_frame":
+            return _moved_anchor(res, *args[:2])
+        taken = frozenset(path_edges(res.mating_path))
+        return replace(res, frame=_moved_anchor(res.frame, *res.framed_pair, taken))
+
+    mutated = wrong_terminal if mutant == "wrong terminal" else off_cycle_anchor
+    monkeypatch.setattr(verifier, op, mutated)
+    report = verify_lemma(lemma_id)
+    assert any(tag == "defect" for tag, _, _ in report.exceptional)
+    assert not report_conforms(report)
 
 
 def test_exceptional_families_rejects_foreign_reports():
