@@ -168,10 +168,6 @@ def to_global(corner: Corner, v: Iterable[int]) -> Vertex:
     return Vertex(7 - i, 7 - j)
 
 
-def to_local(corner: Corner, v: Iterable[int]) -> Vertex:
-    return to_global(corner, v)
-
-
 @dataclass(frozen=True)
 class Quadrant:
     """One of the four 3x3 corner blocks of the 6x6 grid."""
@@ -183,12 +179,6 @@ class Quadrant:
     @cached_property
     def graph(self) -> GridGraph:
         return self.parent.induced(self.vertices)
-
-    def to_global(self, v: Iterable[int]) -> Vertex:
-        return to_global(self.corner, v)
-
-    def to_local(self, v: Iterable[int]) -> Vertex:
-        return to_local(self.corner, v)
 
 
 def quadrant(grid: GridGraph, corner: Corner | str) -> Quadrant:

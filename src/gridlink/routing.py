@@ -733,6 +733,7 @@ def verify(inst: Instance, cert: PathSystem) -> VerifyResult:
     """Check a certificate against an instance; reports the first violated clause.
 
     Plain ``(row, col)`` tuples hash and compare as ``Vertex``; messages name a ``Vertex``.
+    A vertex of any other shape fails the check with a message naming its path.
     """
     if not isinstance(cert, PathSystem):
         return _bad("not a path system")
@@ -746,40 +747,45 @@ def verify(inst: Instance, cert: PathSystem) -> VerifyResult:
     seen_edges: set[Edge] = set()
     nseen = 0
     group_ends: dict[int, set[Vertex]] = {}
-    for i, (d, p) in enumerate(zip(inst.demands, cert.paths)):
-        if not p:
-            return _bad(f"path {i} is empty")
-        for v in p:
-            if v not in present:
-                return _bad(f"path {i}: absent vertex {vertex(v)}")
-        for k in range(len(p) - 1):
-            a, b = p[k], p[k + 1]
-            e = (a, b) if a <= b else (b, a)
-            if e not in gedges:
-                return _bad(f"path {i}: non-adjacent step {vertex(a)} -> {vertex(b)}")
-            if forbidden and e in forbidden:
-                return _bad(f"path {i}: forbidden edge {edge(a, b)}")
-            # a reused edge leaves the set as it was
-            seen_edges.add(e)
-            if len(seen_edges) == nseen:
-                return _bad(f"path {i}: edge reuse {edge(a, b)}")
-            nseen += 1
-        if p[0] != d.source:
-            return _bad(f"path {i}: endpoint mismatch, starts at {vertex(p[0])} not {d.source}")
-        last = p[-1]
-        if d.kind == PAIR:
-            if last != d.target:
-                return _bad(f"path {i}: endpoint mismatch, ends at {vertex(last)} not {d.target}")
-        elif d.kind == ESCAPE:
-            if d.exits is None or last not in d.exits:
-                return _bad(f"path {i}: exit mismatch, ends at {vertex(last)} outside exits")
-            if d.distinct_group is not None:
-                ends = group_ends.setdefault(d.distinct_group, set())
-                if last in ends:
-                    return _bad(f"path {i}: exit collision at {vertex(last)}")
-                ends.add(last)
-        else:
-            return _bad(f"demand {i}: unknown kind {d.kind!r}")
+    i = 0
+    try:
+        for i, (d, p) in enumerate(zip(inst.demands, cert.paths)):
+            if not p:
+                return _bad(f"path {i} is empty")
+            for v in p:
+                if v not in present:
+                    return _bad(f"path {i}: absent vertex {vertex(v)}")
+            for k in range(len(p) - 1):
+                a, b = p[k], p[k + 1]
+                e = (a, b) if a <= b else (b, a)
+                if e not in gedges:
+                    return _bad(f"path {i}: non-adjacent step {vertex(a)} -> {vertex(b)}")
+                if forbidden and e in forbidden:
+                    return _bad(f"path {i}: forbidden edge {edge(a, b)}")
+                # a reused edge leaves the set as it was
+                seen_edges.add(e)
+                if len(seen_edges) == nseen:
+                    return _bad(f"path {i}: edge reuse {edge(a, b)}")
+                nseen += 1
+            if p[0] != d.source:
+                return _bad(f"path {i}: endpoint mismatch, starts at {vertex(p[0])} not {d.source}")
+            last = p[-1]
+            if d.kind == PAIR:
+                if last != d.target:
+                    return _bad(f"path {i}: endpoint mismatch, ends at {vertex(last)} not {d.target}")
+            elif d.kind == ESCAPE:
+                if d.exits is None or last not in d.exits:
+                    return _bad(f"path {i}: exit mismatch, ends at {vertex(last)} outside exits")
+                if d.distinct_group is not None:
+                    ends = group_ends.setdefault(d.distinct_group, set())
+                    if last in ends:
+                        return _bad(f"path {i}: exit collision at {vertex(last)}")
+                    ends.add(last)
+            else:
+                return _bad(f"demand {i}: unknown kind {d.kind!r}")
+    except (TypeError, ValueError) as exc:
+        # a vertex that is not a hashable (row, col) pair, e.g. a list
+        return _bad(f"path {i}: malformed vertex ({exc})")
     return VerifyResult(True)
 
 

@@ -73,10 +73,6 @@ _FULL = tuple(sorted(_GRID.present_vertices))
 _Q0 = adjusted_quadrant("Q0")
 _ADJUSTED = {kind: adjusted_quadrant(kind) for kind in ("Q1", "Q2", "Q3", "Q4")}
 
-_A_SET = frozenset(_LM.A)
-_B_SET = frozenset(_LM.B)
-_B_OFF_A = _B_SET - _A_SET
-_LINE_SET = {"A": _A_SET, "B": _B_SET}
 _PSI_MAPS = (("A", "A"), ("A", "B"), ("B", "A"), ("B", "B"))
 _C1_IN_Q = frozenset(
     e for e in _LM.C1 if e[0] in _UL.vertices and e[1] in _UL.vertices
@@ -87,19 +83,25 @@ _RING_IN_Q = {
     for alpha, ring in enumerate((C0_RING, C1_RING))
 }
 
-# Lemma 10's statement in its own terms (UL-local): the line A is the
-# quadrant's row 3 and B its column 3.  Every demand an L10 placement can
-# name is built once from these, so that each certificate is checked
-# against the statement rather than against the lemma's own instance.
+# The lemmas' statements in their own terms (UL-local): the line A is the
+# quadrant's row 3 and B its column 3.  Every demand an L1-L3 or L10
+# instance can name is built once from these, so that each certificate is
+# checked against the statement rather than against the lemma's output.
 _L10_LINES = {
     "A": frozenset(Vertex(3, j) for j in (1, 2, 3)),
     "B": frozenset(Vertex(i, 3) for i in (1, 2, 3)),
 }
+_A_SET = _L10_LINES["A"]
+_B_OFF_A = _L10_LINES["B"] - _A_SET
 _L10_PAIRS = {(s, t): Demand.pair(s, t) for s in _LOCAL for t in _LOCAL}
 _L10_ESCORTS = {
     (s, line): Demand.escape(s, exits, distinct_group=0)
     for s in _LOCAL
     for line, exits in _L10_LINES.items()
+}
+# L1-L3: every terminal not linked escapes to a distinct exit on A or B
+_CROWDED_ESCAPES = {
+    s: Demand.escape(s, _L10_LINES["A"] | _L10_LINES["B"], distinct_group=0) for s in _LOCAL
 }
 
 STRATEGIES = ("exhaustive", "reduced", "random")
@@ -173,8 +175,8 @@ def degenerate_reason(s1, t1, s2, s3, psi) -> Optional[str]:
     line2, line3 = psi
     for v in {s1, t1, s2, s3}:
         ends = int((s1 == v) != (t1 == v))
-        ends += int(s2 == v and v not in _LINE_SET[line2])
-        ends += int(s3 == v and v not in _LINE_SET[line3])
+        ends += int(s2 == v and v not in _L10_LINES[line2])
+        ends += int(s3 == v and v not in _L10_LINES[line3])
         if ends > _local_degree(v):
             return f"degree overload at {tuple(v)}"
     if s2 == s3:
@@ -374,32 +376,42 @@ def enumerate_instances(
 # witnessed and independently re-verified, or a (tag, instance, detail)
 # record otherwise.  "defect" contradicts the lemma; the documented
 # exceptional outcomes below, "refusal" (L9) and "degenerate" (L10), do not.
+# ``drive`` records a LemmaDefect raised by any runner as a defect; only L10
+# catches its own, since a placement it cannot route is data (degenerate).
+# Certificates are verified by ``_check`` against demands built from the
+# instance and the statement's constants, never from the lemma's output.
 
 _DOCUMENTED_TAGS = ("refusal", "degenerate")
 
 
-def _bad(tag, inst, detail):
-    return (tag, inst, detail)
+def _guarded(runner, inst):
+    try:
+        return runner(inst)
+    except LemmaDefect as exc:
+        return ("defect", inst, str(exc))
+
+
+def _check(inst, graph, demands, paths, forbidden=frozenset()):
+    if verify(Instance(graph, demands, forbidden), paths):
+        return None
+    return ("defect", inst, "certificate failed the independent check")
 
 
 def _run_crowded(inst, variant):
     pairs, singles = inst
-    try:
-        res = crowded_escape(_UL, pairs, singles, variant)
-    except LemmaDefect as exc:
-        return _bad("defect", inst, str(exc))
-    if not verify(Instance(_UL.graph, res.demands), res.paths):
-        return _bad("defect", inst, "certificate failed the independent check")
-    if len(res.linked) < (2 if variant == 1 else 1):
-        return _bad("defect", inst, "too few pairs linked")
-    if variant in (2, 3):
-        off = [
-            p[-1]
-            for p, d in zip(res.paths.paths, res.demands)
-            if d.kind == "escape" and p[-1] in _B_OFF_A
-        ]
-        if len(off) > 1:
-            return _bad("defect", inst, "more than one exit off A")
+    res = crowded_escape(_UL, pairs, singles, variant)
+    linked = res.linked
+    if len(set(linked)) != len(linked) or not set(linked) <= set(range(len(pairs))):
+        return ("defect", inst, "linked indices are not distinct pairs of the instance")
+    if len(linked) < (2 if variant == 1 else 1):
+        return ("defect", inst, "too few pairs linked")
+    rest = [v for i, pair in enumerate(pairs) if i not in linked for v in pair] + list(singles)
+    demands = [_L10_PAIRS[pairs[i]] for i in linked] + [_CROWDED_ESCAPES[v] for v in rest]
+    found = _check(inst, _UL.graph, demands, res.paths)
+    if found or variant == 1:
+        return found
+    if sum(p[-1] in _B_OFF_A for p in res.paths.paths[len(linked):]) > 1:
+        return ("defect", inst, "more than one exit off A")
     return None
 
 
@@ -414,117 +426,80 @@ def _run_l4(inst):
     kind, k = inst
     if is_weakly_2_linked(_l4_graph(kind, k)):
         return None
-    return _bad("defect", inst, "graph is not weakly 2-linked")
-
-
-def _check_frame(inst_demands, paths, record_inst):
-    chk = Instance(_UL.graph, inst_demands, _C1_IN_Q)
-    if not verify(chk, paths):
-        return _bad("defect", record_inst, "certificate failed the independent check")
-    return None
+    return ("defect", inst, "graph is not weakly 2-linked")
 
 
 def _run_l5(inst):
     s1, s2, alpha = inst
-    try:
-        f = build_frame(_UL, s1, s2, alpha)
-    except LemmaDefect as exc:
-        return _bad("defect", inst, str(exc))
+    f = build_frame(_UL, s1, s2, alpha)
     if f.anchor not in _RING_IN_Q[alpha]:
-        return _bad("defect", inst, f"anchor {f.anchor} is not on C{alpha}")
+        return ("defect", inst, f"anchor {f.anchor} is not on C{alpha}")
     demands = (Demand.pair(s1, f.anchor), Demand.pair(s2, f.anchor))
-    return _check_frame(demands, PathSystem(f.mating_paths), inst)
+    return _check(inst, _UL.graph, demands, PathSystem(f.mating_paths), _C1_IN_Q)
 
 
 def _check_framing(res, inst, terms, third_targets):
     """Check a framing of the three terminals ``terms`` against the statement."""
     a, b = res.framed_pair
     if sorted((a, b, res.third)) != sorted(terms):
-        return _bad("defect", inst, "framed pair and third are not the instance's terminals")
+        return ("defect", inst, "framed pair and third are not the instance's terminals")
     if res.frame.anchor not in _RING_IN_Q.get(res.alpha, ()):
-        return _bad("defect", inst, f"anchor {res.frame.anchor} is not on C{res.alpha}")
+        return ("defect", inst, f"anchor {res.frame.anchor} is not on C{res.alpha}")
     demands = (
         Demand.pair(a, res.frame.anchor),
         Demand.pair(b, res.frame.anchor),
         Demand.escape(res.third, third_targets),
     )
     paths = PathSystem(res.frame.mating_paths + (res.mating_path,))
-    return _check_frame(demands, paths, inst)
+    return _check(inst, _UL.graph, demands, paths, _C1_IN_Q)
 
 
 def _run_l6(inst):
-    try:
-        res = frame_two_mate_third(_UL, *inst)
-    except LemmaDefect as exc:
-        return _bad("defect", inst, str(exc))
+    res = frame_two_mate_third(_UL, *inst)
     return _check_framing(res, inst, inst, _RING_IN_Q.get(1 - res.alpha, ()))
 
 
 def _run_l7(inst):
     terms = inst[1:4]
     if inst[0] == "i":
-        try:
-            res = frame_c0_mate_c1(_UL, *terms)
-        except LemmaDefect as exc:
-            return _bad("defect", inst, str(exc))
+        res = frame_c0_mate_c1(_UL, *terms)
         if res.alpha != 0:
-            return _bad("defect", inst, "frame is not on C0")
+            return ("defect", inst, "frame is not on C0")
         return _check_framing(res, inst, terms, _RING_IN_Q[1])
     z = inst[4]
-    try:
-        res = frame_c1_mate_corner(_UL, *terms, z)
-    except LemmaDefect as exc:
-        return _bad("defect", inst, str(exc))
+    res = frame_c1_mate_corner(_UL, *terms, z)
     if res.alpha != 1:
-        return _bad("defect", inst, "frame is not on C1")
+        return ("defect", inst, "frame is not on C1")
     return _check_framing(res, inst, terms, (z,))
 
 
 def _run_l8(inst):
     tag = inst[0]
+    adj = _ADJUSTED[inst[1]] if tag == "i" else _Q0
     if tag == "i":
-        kind, t1, t2, t3 = inst[1:]
-        adj = _ADJUSTED[kind]
-        try:
-            got = escape_three_shared(adj, t1, t2, t3)
-        except LemmaDefect as exc:
-            return _bad("defect", inst, str(exc))
-        chk = Instance(adj.graph, tuple(Demand.escape(t, adj.A) for t in (t1, t2, t3)))
+        terms = inst[2:]
+        got = escape_three_shared(adj, *terms)
+        demands = tuple(Demand.escape(t, adj.A) for t in terms)
     elif tag == "ii":
         s1, t1, s2 = inst[1:]
-        try:
-            got = link_and_escape(_Q0, s1, t1, s2)
-        except LemmaDefect as exc:
-            return _bad("defect", inst, str(exc))
-        chk = Instance(
-            _Q0.graph, (Demand.pair(s1, t1), Demand.escape(s2, _Q0.A))
-        )
+        got = link_and_escape(adj, s1, t1, s2)
+        demands = (Demand.pair(s1, t1), Demand.escape(s2, adj.A))
     else:
-        t1, t2, t3 = inst[1:]
-        try:
-            got = escape_three_distinct(_Q0, t1, t2, t3)
-        except LemmaDefect as exc:
-            return _bad("defect", inst, str(exc))
-        chk = Instance(
-            _Q0.graph,
-            tuple(Demand.escape(t, _Q0.A, distinct_group=0) for t in (t1, t2, t3)),
-        )
-    if not verify(chk, got):
-        return _bad("defect", inst, "certificate failed the independent check")
-    return None
+        terms = inst[1:]
+        got = escape_three_distinct(adj, *terms)
+        demands = tuple(Demand.escape(t, adj.A, distinct_group=0) for t in terms)
+    return _check(inst, adj.graph, demands, got)
 
 
 def _run_l9(inst):
     T, s = inst
     got = project_with_b_link(_Q0, T, s)
     if not got:
-        return _bad("refusal", inst, "no projection with this linked terminal")
+        return ("refusal", inst, "no projection with this linked terminal")
     demands = (Demand.pair(s, Vertex(2, 3)),) + tuple(
         Demand.escape(t, _Q0.A) for t in sorted(set(T) - {s})
     )
-    if not verify(Instance(_Q0.graph, demands), got):
-        return _bad("defect", inst, "certificate failed the independent check")
-    return None
+    return _check(inst, _Q0.graph, demands, got)
 
 
 def _run_l10(inst):
@@ -536,14 +511,12 @@ def _run_l10(inst):
         got = None
     if got is None:
         if reason:
-            return _bad("degenerate", inst, reason)
-        return _bad("defect", inst, "infeasible with no certifying law")
+            return ("degenerate", inst, reason)
+        return ("defect", inst, "infeasible with no certifying law")
     if reason:
-        return _bad("defect", inst, f"feasible although a law predicts otherwise: {reason}")
+        return ("defect", inst, f"feasible although a law predicts otherwise: {reason}")
     demands = (_L10_PAIRS[s1, t1], _L10_ESCORTS[s2, psi[0]], _L10_ESCORTS[s3, psi[1]])
-    if not verify(Instance(_UL.graph, demands), got):
-        return _bad("defect", inst, "certificate failed the independent check")
-    return None
+    return _check(inst, _UL.graph, demands, got)
 
 
 def _run_p1_matching(item):
@@ -551,7 +524,7 @@ def _run_p1_matching(item):
     try:
         got = clamp_matching(list(p1), y2, y3, pi0)
     except ValueError as exc:
-        return _bad("defect", inst, f"catalog clamps violate the matching precondition: {exc}")
+        return ("defect", inst, f"catalog clamps violate the matching precondition: {exc}")
     valid = [
         (first, second)
         for first, second in ((y2, y3), (y3, y2))
@@ -559,10 +532,10 @@ def _run_p1_matching(item):
     ]
     if got is NoMatch:
         if valid:
-            return _bad("defect", inst, f"{name}: NoMatch although an assignment exists")
+            return ("defect", inst, f"{name}: NoMatch although an assignment exists")
         return None
     if got not in valid:
-        return _bad("defect", inst, f"{name}: assignment misses a singleton")
+        return ("defect", inst, f"{name}: assignment misses a singleton")
     return None
 
 
@@ -595,15 +568,17 @@ def drive(
     """Run every instance and aggregate the results, in enumeration order.
 
     Results stream from ``map`` with one worker and from ``Pool.imap``
-    otherwise.  Only the runs are timed: a finite campaign builds its
+    otherwise.  A ``LemmaDefect`` raised by the runner is recorded as a
+    defect.  Only the runs are timed: a finite campaign builds its
     instance list before calling this.
     """
     _check_workers(workers)
     chunk = max(1, len(instances) // (workers * 8)) if isinstance(instances, list) else 64
+    run = partial(_guarded, runner)
     checked, exceptional = 0, []
     start = time.perf_counter()
     with (Pool(workers) if workers > 1 else nullcontext()) as pool:
-        results = map(runner, instances) if pool is None else pool.imap(runner, instances, chunk)
+        results = map(run, instances) if pool is None else pool.imap(run, instances, chunk)
         for rec in results:
             checked += 1
             if rec is not None:
@@ -785,9 +760,9 @@ def _run_pairability(pairs):
     inst = Instance(_GRID, tuple(map(_grid_pair, pairs)))
     sol = solve(inst)
     if sol is Infeasible:
-        return _bad("counterexample", pairs, "no 4-pair linkage")
+        return ("counterexample", pairs, "no 4-pair linkage")
     if not verify(inst, sol):
-        return _bad("defect", pairs, "certificate failed the independent check")
+        return ("defect", pairs, "certificate failed the independent check")
     return None
 
 
@@ -830,10 +805,10 @@ def _run_escape_agreement(item):
     by_search = solve(inst)
     by_flow = escape_flow(adj.graph, terms, adj.A, distinct)
     if (by_search is Infeasible) != (by_flow is Infeasible):
-        return _bad("defect", item, "solver and flow oracle disagree")
+        return ("defect", item, "solver and flow oracle disagree")
     if by_search is not Infeasible:
         if not verify(inst, by_search) or not verify(inst, by_flow):
-            return _bad("defect", item, "certificate failed the independent check")
+            return ("defect", item, "certificate failed the independent check")
     return None
 
 

@@ -19,6 +19,7 @@ from gridlink.grid import (
     make_grid,
     path_edges,
     quadrant,
+    to_global,
 )
 from gridlink.lemmas import (
     Clamp,
@@ -430,7 +431,7 @@ def test_escort_certificates_obey_the_contract(q, idx, psi):
         got = link_pair_escort_singletons(q, s1, t1, s2, s3, psi)
     except LemmaDefect:
         # infeasibility must be certified by one of the degeneracy laws
-        local = [q.to_local(v) for v in (s1, t1, s2, s3)]
+        local = [to_global(q.corner, v) for v in (s1, t1, s2, s3)]
         assert s2 == s3
         assert degenerate_reason(*local, psi) is not None
         return

@@ -266,6 +266,20 @@ def test_verify_reports_the_earliest_clause_a_path_breaks():
             assert verify(inst, PathSystem((p,))).violation == f"path 0: {msg}"
 
 
+def test_verify_fails_a_malformed_vertex_and_names_its_path():
+    g = make_grid(2, 2)
+    pairs = (Demand.pair((1, 1), (1, 2)), Demand.pair((2, 1), (2, 2)))
+    good = ((2, 1), (2, 2))
+    # a list does not hash; a 3-tuple is not a (row, col) pair
+    for bad in ([[1, 1], [1, 2]], ((1, 1), [1, 2]), ((1, 1), (1, 2, 3))):
+        first = verify(Instance(g, pairs), PathSystem((bad, good)))
+        assert not first and first.violation.startswith("path 0: malformed vertex (")
+        second = verify(Instance(g, pairs[::-1]), PathSystem((good, bad)))
+        assert not second and second.violation.startswith("path 1: malformed vertex (")
+    res = verify(Instance(g, pairs), PathSystem(([[1, 1], [1, 2]], good)))
+    assert res.violation == "path 0: malformed vertex (unhashable type: 'list')"
+
+
 def test_instance_keeps_a_tuple_and_makes_an_empty_forbidden_set_hashable():
     g = make_grid(2, 2)
     d = Demand.pair((1, 1), (2, 2))

@@ -25,7 +25,8 @@ from gridlink.grid import (
     path_edges,
     quadrant,
 )
-from gridlink.lemmas import Frame, LemmaReport, catalog_configurations
+import gridlink.lemmas.crowded as crowded
+from gridlink.lemmas import Frame, LemmaDefect, LemmaReport, catalog_configurations
 from gridlink.routing import Demand, Instance, solve
 from gridlink.verifier import (
     T1,
@@ -39,6 +40,7 @@ from gridlink.verifier import (
     enumerate_instances,
     escape_agreement_check,
     exceptional_families,
+    format_report,
     iter_pairability_reduced,
     pairability_check,
     report_conforms,
@@ -327,6 +329,46 @@ def test_frame_campaigns_check_the_statement(monkeypatch, lemma_id, op, mutant):
     report = verify_lemma(lemma_id)
     assert any(tag == "defect" for tag, _, _ in report.exceptional)
     assert not report_conforms(report)
+
+
+def test_crowded_campaigns_check_the_statement(monkeypatch):
+    # A crowded lemma that leaves out its last escaping terminal still
+    # returns a certificate for the demands it built itself; the campaign
+    # must build its demands from the instance.
+    real = crowded._escape_order
+    monkeypatch.setattr(crowded, "_escape_order", lambda *args: real(*args)[:-1])
+    for lemma_id in ("L1", "L2", "L3"):
+        with_single = [inst for inst in enumerate_instances(lemma_id) if inst[1]][:20]
+        report = drive(lemma_id, verifier._CAMPAIGNS[lemma_id][1], with_single, 1)
+        assert report.feasible == 0
+        assert {tag for tag, _, _ in report.exceptional} == {"defect"}
+        assert not report_conforms(report)
+
+
+@pytest.mark.parametrize("linked", [(0, 0), (0, 1)])
+def test_crowded_campaigns_check_the_linked_pairs(monkeypatch, linked):
+    # L3 has one pair: a repeated index or an index past it is not a pair
+    real = verifier.crowded_escape
+    monkeypatch.setattr(
+        verifier, "crowded_escape", lambda *args: replace(real(*args), linked=linked)
+    )
+    inst = enumerate_instances("L3")[0]
+    assert verifier._run_crowded(inst, 3) == (
+        "defect",
+        inst,
+        "linked indices are not distinct pairs of the instance",
+    )
+
+
+def test_driver_records_a_lemma_defect_as_a_defect(monkeypatch):
+    def boom(q, T, s):
+        raise LemmaDefect("boom")
+
+    monkeypatch.setattr(verifier, "project_with_b_link", boom)
+    report = verify_lemma("L9")
+    assert report.exceptional == tuple(("defect", inst, "boom") for inst in enumerate_instances("L9"))
+    assert len(report.exceptional) == 837
+    assert "status: defective" in format_report(report).splitlines()
 
 
 def test_exceptional_families_rejects_foreign_reports():
