@@ -20,6 +20,12 @@ from typing import Optional
 from .grid import GridGraph, Vertex, edge, make_grid
 from .routing import Demand, Infeasible, Instance, PathSystem, SolveResult
 
+# The largest grid an instance file may ask for, in vertices.  The solver is
+# exact and meant for small graphs; a larger grid is refused before any of
+# it is built, so that a typo such as ``grid 100000 100000`` is a parse error
+# rather than ten billion vertices.
+_MAX_GRID_VERTICES = 10_000
+
 _VERTEX = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 _PATH_LINE = re.compile(r"^path\s+(\d+)\s*:\s*(.*)$")
 
@@ -79,6 +85,12 @@ def parse_instance(text: str, name: str = "<instance>") -> Instance:
                 raise ParseError(name, lineno, f"grid wants two integers, got {rest!r}") from None
             if rows < 1 or cols < 1:
                 raise ParseError(name, lineno, f"grid dimensions must be positive, got {rows} {cols}")
+            if rows * cols > _MAX_GRID_VERTICES:
+                raise ParseError(
+                    name,
+                    lineno,
+                    f"grid {rows} {cols} has {rows * cols} vertices, more than {_MAX_GRID_VERTICES}",
+                )
             graph = make_grid(rows, cols)
         elif word in ("remove_edge", "forbid_edge", "contract"):
             u, v = _take_vertices(name, lineno, rest, want=2)

@@ -14,13 +14,19 @@ in (row, col) lexicographic order -- so a given instance always yields the
 same certificate.
 
 The search bounds the total extra path length (the *slack*) and widens
-the bound IDA* style.  After each committed path the demands left are
-flooded over the free edges: a demand that can reach no goal ends the
+the bound IDA* style.  After each committed path the prune checks the
+demands left over the free edges: a demand that can reach no goal ends the
 branch, and so do free distances whose excess over the demands' static
 lower bounds sums to more than the slack left, since no path is shorter
-than its free distance.  The paths are edge-disjoint, so a path system
-spends at most the free edges less the demands' lower bounds as slack,
-and the ladder never climbs above that.
+than its free distance.  A demand with a free shortest path is settled by
+its table; one without grows from its source a layer at a time until it
+meets a goal, and only once the slack is spent is a demand's component of
+the free graph flooded to see whether it reaches a goal at all.  Escapes
+that need distinct exits are matched to the exits they are known to reach
+(the ends of their free shortest paths, or the goals their growth met),
+and their components are flooded only when that matching fails.  The paths
+are edge-disjoint, so a path system spends at most the free edges less the
+demands' lower bounds as slack, and the ladder never climbs above that.
 
 Every branch the slack alone cuts off reports its *gap*, the smallest rise
 in the slack at which it would try something new.  A level that fails
@@ -42,9 +48,9 @@ where its candidates are this table filtered by the edges already used, and
 the prune asks the same table whether a shortest path is still free.  Both
 forms are stored on the graph (``GridGraph.compiled_forms``), so repeated
 solves on one graph pay only for the search, and the compiled forms are
-freed with the graph.  The walk lives on the compiled demand
-(``_CDemand.walk``), so a solve builds nothing per demand beyond its row of
-the prune.
+freed with the graph.  The walk and the fixed part of the prune's row live
+on the compiled demand (``_CDemand.walk``, ``_CDemand.row``), so a solve
+adds only each demand's group slot.
 
 The search itself carries edge masks and end bits, never vertex paths;
 ``run`` traces each demand's path from its source along its edge mask once
@@ -174,11 +180,13 @@ class _CDemand:
     its end vertex's bit stored ``eshift`` bits up (None beyond
     ``_TABLE_CAP`` paths).  ``short`` is the union of their edge masks and
     ``near`` of their end bits (both 0 without a table).  ``adj`` and
-    ``eshift`` are the graph's (see ``_Compiled``), for ``walk``.
+    ``eshift`` are the graph's (see ``_Compiled``), for ``walk``.  ``row``
+    is the demand's part of a prune row, ``(source bit, goal, lb, short,
+    near, table)``; a solve adds the group slot.
     """
 
     __slots__ = ("src", "goal", "dist", "lb", "step", "max_len", "table", "short", "near", "adj",
-                 "eshift")
+                 "eshift", "row")
 
     def __init__(self, src, goal, dist, step, max_len, table, adj, eshift):
         self.src = src
@@ -195,6 +203,7 @@ class _CDemand:
             union |= m
         self.near = union >> eshift
         self.short = union ^ self.near << eshift
+        self.row = (1 << src, goal, self.lb, self.short, self.near, table)
 
     def walk(self, used: int, taken: int, grouped: bool, limit: int):
         """Yield ``(edge_mask, end_bit)`` for every simple path of exactly
@@ -461,19 +470,17 @@ class _Search:
     def __init__(self, inst: Instance):
         self.comp = comp = _compiled(inst.graph, inst.forbidden_edges)
         ds = inst.demands
-        groups = sorted({d.distinct_group for d in ds if d.distinct_group is not None})
-        gslot = {g: i for i, g in enumerate(groups)}
-        self.demands = [comp.demand(d) for d in ds]
+        self.demands = cds = [comp.demand(d) for d in ds]
+        self.nd = len(cds)
         # group slot per demand, -1 for pairs and ungrouped escapes
-        self.gi = [gslot.get(d.distinct_group, -1) if d.kind == ESCAPE else -1 for d in ds]
-        # (source bit, goal mask, group slot, lb, short, near, table) per
-        # demand, for _prune_ok
-        self.rows = [
-            (1 << cd.src, cd.goal, gi, cd.lb, cd.short, cd.near, cd.table)
-            for cd, gi in zip(self.demands, self.gi)
-        ]
-        self.nd = len(self.demands)
-        self.ngroups = len(groups)
+        self.gi = gi = [-1] * self.nd
+        slots: dict = {}
+        for k, d in enumerate(ds):
+            if d.distinct_group is not None and d.kind == ESCAPE:
+                gi[k] = slots.setdefault(d.distinct_group, len(slots))
+        self.ngroups = len(slots)
+        # (the compiled demand's row, group slot) per demand, for _prune_ok
+        self.rows = list(zip([cd.row for cd in cds], gi))
         # failed[(di, used, gused)] = largest slack that still finds nothing,
         # _INF once a search of that subtree found nothing with no gap
         self.failed: dict = {}
@@ -500,13 +507,27 @@ class _Search:
         rejected.  The free distance is ``lb`` while one of the demand's
         shortest paths to an open goal is untouched: at once when no edge of
         ``short`` is used and a goal of ``near`` is open, else by a scan of
-        the demand's table.  Otherwise the source is flooded over the free
-        edges one layer at a time until it meets an open goal.  Once one
-        demand's goals lie beyond the slack, and always when ``slack`` is
-        None, the demands left need only reach a goal.  Reach sets come from flooding each
-        component of the free graph once; a demand whose source lies in a
-        flooded component reuses it.  The exits still open to one group must
-        be matchable to its demands.
+        the demand's table.  Otherwise the source grows over the free edges
+        one layer at a time until it meets an open goal, and the demand is
+        settled even when that goal lies beyond the slack; a source that
+        stops growing first can reach no goal.  Once one demand's goals lie
+        beyond the slack, and always when ``slack`` is None, a demand left
+        with no free shortest path needs only reach a goal, which a flood of
+        its component of the free graph settles; a demand whose source lies
+        in a component already flooded reuses it.
+
+        The exits still open to one group must be matchable to its demands
+        (Hall's condition).  Each grouped demand brings a *witness row*, a
+        set of open exits it can reach: the open goals of ``near`` when no
+        edge of ``short`` is used, the ends of its free table paths when
+        some are, the goals the layered growth met, or its component's
+        goals when it was flooded.  Every row is a subset of the demand's
+        reachable open exits, so a group whose witness rows pass passes;
+        only a group whose witness rows fail floods the sources of its
+        rows and checks the full rows again.  So the prune floods only for
+        a demand with no free shortest path once the slack is spent, and
+        for a group that fails on its witnesses; the verdict and the gap
+        are those of flooding every grouped demand.
 
         A rejection that the slack alone caused lowers ``self.gap`` to the
         layers the first demand beyond the slack needed past it: below that
@@ -514,62 +535,64 @@ class _Search:
         An unreachable goal or a failed Hall check rejects at every slack,
         so it leaves ``self.gap`` alone.
         """
-        free = None  # the free edges per lane, built by the first flood
+        free = None  # the free edges per lane, built on first use
         flooded: list[int] = []
         needs = [[] for _ in gused] if gused else None
+        grouped = []  # (group slot, source bit, open goals) of each row of needs
         gap = 0
         eshift = self.comp.eshift
-        for sbit, goal, gi, lb, short, near, table in self.rows[j0:]:
-            taken = 0
+        for (sbit, goal, lb, short, near, table), gi in self.rows[j0:]:
             if gi >= 0:
                 taken = gused[gi]
                 goal &= ~taken
-            if goal & near and (not used & short or _any_free(table, used | taken << eshift)):
-                # a shortest path to an open goal is still free: the free
-                # distance is lb, so the demand spends none of the slack
+                # the ends of the free shortest paths to open goals, if any:
+                # with them the demand spends none of the slack
+                row = goal & near
+                if row and used & short:
+                    row = _free_ends(table, used | taken << eshift, eshift, row)
+            elif goal & near and (not used & short or _any_free(table, used)):
+                # a shortest path to a goal is still free: the free distance
+                # is lb, so the demand spends none of the slack
+                continue
+            else:
+                row = 0
+            if not row:
+                if free is None:
+                    free = self.comp.free_lanes(used)
+                if slack is not None:
+                    # reach: the vertices within lb + slack - left edges of the source
+                    reach, left = sbit, lb + slack
+                    while not reach & goal:
+                        grown = reach
+                        for k, low in free:
+                            grown |= (reach & low) << k | (reach >> k) & low
+                        if grown == reach:
+                            return False
+                        reach, left = grown, left - 1
+                    if left >= 0:
+                        # free distance lb + slack - left: left is the slack unspent
+                        slack = left
+                    else:
+                        # the goals lie -left layers beyond the slack
+                        slack, gap = None, -left
+                    row = reach & goal
+                else:
+                    row = goal & _component(sbit, flooded, free)
+                    if not row:
+                        return False
                 if gi < 0:
                     continue
-            elif slack is not None:
-                if free is None:
-                    free = self.comp.free_lanes(used)
-                # reach: the vertices within lb + slack - left edges of the source
-                reach, left = sbit, lb + slack
-                while not reach & goal:
-                    grown = reach
-                    for k, low in free:
-                        grown |= (reach & low) << k | (reach >> k) & low
-                    if grown == reach:
-                        return False
-                    reach, left = grown, left - 1
-                if left >= 0:
-                    # free distance lb + slack - left: left is the slack unspent
-                    slack = left
-                    if gi < 0:
-                        continue
-                else:
-                    # the goals lie -left layers beyond the slack
-                    slack, gap = None, -left
-            for reach in flooded:
-                if reach & sbit:
-                    break
-            else:
-                if free is None:
-                    free = self.comp.free_lanes(used)
-                reach = _flood(sbit, free)
-                flooded.append(reach)
-            avail = goal & reach
-            if not avail:
-                return False
-            if gi >= 0:
-                needs[gi].append(avail)
+            needs[gi].append(row)
+            grouped.append((gi, sbit, goal))
         if needs:
-            for rows in needs:
-                if len(rows) == 2:
-                    # Hall's condition for two non-empty rows
-                    a, b = rows
-                    if a == b and not a & (a - 1):
-                        return False
-                elif len(rows) > 2 and not _has_matching(rows):
+            for gi, rows in enumerate(needs):
+                if _hall(rows):
+                    continue
+                # widen each row to every open exit its source reaches
+                if free is None:
+                    free = self.comp.free_lanes(used)
+                rows = [goal & _component(sbit, flooded, free) for g, sbit, goal in grouped if g == gi]
+                if not _hall(rows):
                     return False
         if gap:
             if gap < self.gap:
@@ -657,15 +680,11 @@ class _Search:
         # no bound here: with no edge used every free distance is its lb
         if not self._prune_ok(0, 0, gused0):
             return Infeasible
-        budget = lbs = 0
-        for d in self.demands:
-            if d.lb >= _INF:
-                return Infeasible
-            budget += d.max_len - d.lb
-            lbs += d.lb
-        # the paths are edge-disjoint, so their lengths sum to at most the
-        # free edges: no solution spends more slack than this
-        budget = min(budget, self.comp.nedges - lbs)
+        # the prune found a goal within reach of every source, so every lb
+        # is finite; the paths are edge-disjoint, so their lengths sum to at
+        # most the free edges: no solution spends more slack than this
+        cds = self.demands
+        budget = min(sum([d.max_len for d in cds]), self.comp.nedges) - sum([d.lb for d in cds])
         slack = 0
         while slack <= budget:
             self.slack, self.gap = slack, _INF
@@ -685,6 +704,40 @@ def _any_free(table: tuple[int, ...], blocked: int) -> bool:
         if not m & blocked:
             return True
     return False
+
+
+def _free_ends(table: tuple[int, ...], blocked: int, eshift: int, most: int) -> int:
+    """The end bits of the paths of ``table`` that meet no bit of ``blocked``.
+
+    The scan stops once it has every bit of ``most``, the most it can find.
+    """
+    ends = 0
+    for m in table:
+        if not m & blocked:
+            ends |= m >> eshift
+            if ends == most:
+                break
+    return ends
+
+
+def _component(sbit: int, flooded: list[int], free: list[tuple[int, int]]) -> int:
+    """The free graph's component of the vertex ``sbit``: one in ``flooded``,
+    else a new flood, which is added to ``flooded``."""
+    for reach in flooded:
+        if reach & sbit:
+            return reach
+    reach = _flood(sbit, free)
+    flooded.append(reach)
+    return reach
+
+
+def _hall(rows: list[int]) -> bool:
+    """Can each of the non-empty ``rows`` be assigned its own bit?"""
+    if len(rows) == 2:
+        # Hall's condition for two non-empty rows
+        a, b = rows
+        return a != b or a & (a - 1) != 0
+    return len(rows) < 3 or _has_matching(rows)
 
 
 def _has_matching(needs: list[int]) -> bool:

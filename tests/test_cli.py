@@ -7,7 +7,7 @@ from itertools import islice
 
 import pytest
 
-from gridlink import verifier
+from gridlink import fileio, verifier
 from gridlink.cli import format_report, main, report_body
 from gridlink.fileio import (
     ParseError,
@@ -183,6 +183,22 @@ def test_solve_parse_error_exits_2(tmp_path, capsys):
     path = _write(tmp_path, "bad.inst", "grid 2 2\ndemand pair (1,1) (9,9)\n")
     assert main(["solve", path]) == 2
     assert "bad.inst:2" in capsys.readouterr().err
+
+
+def test_solve_an_oversized_grid_exits_2_without_building_it(tmp_path, monkeypatch, capsys):
+    def refuse(rows, cols):
+        raise AssertionError(f"built a {rows}x{cols} grid")
+
+    monkeypatch.setattr(fileio, "make_grid", refuse)
+    path = _write(tmp_path, "huge.inst", "grid 100000 100000\ndemand pair (1,1) (1,2)\n")
+    assert main(["solve", path]) == 2
+    err = capsys.readouterr().err
+    assert "huge.inst:1" in err and "10000000000 vertices, more than 10000" in err
+    # the largest grid the guard lets through is built
+    monkeypatch.undo()
+    path = _write(tmp_path, "wide.inst", "grid 1 10000\ndemand pair (1,1) (1,2)\n")
+    assert main(["solve", path]) == 0
+    assert capsys.readouterr().out == "path 0: (1,1) (1,2)\n"
 
 
 def test_solve_missing_file_exits_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import weakref
+from functools import partial
 from math import comb
 from random import Random
 
@@ -42,6 +43,7 @@ from gridlink.routing import (
     solve,
     verify,
 )
+from gridlink import verifier
 from gridlink.verifier import _FULL, _iter_escape_family, sample_pairability, verify_lemma
 
 
@@ -1034,6 +1036,24 @@ def test_prune_needs_distinct_exits_within_a_group():
     assert prune([(1, 1), (2, 2)], [(3, 3), (1, 3)])
     assert not prune([(1, 1), (2, 2), (2, 1)], [(3, 3), (1, 3)])
     assert prune([(1, 1), (2, 2), (2, 1)], [(3, 3), (1, 3), (3, 1)])
+    # Two escapes from (1,1) to {(1,2), (3,3)}: the shortest paths of both
+    # end at (1,2), so their witness rows are both {(1,2)} and fail Hall's
+    # check; flooded, both rows are {(1,2), (3,3)} and pass.
+    search = _Search(Instance(g, tuple(Demand.escape((1, 1), [(1, 2), (3, 3)], 0) for _ in "ab")))
+    assert search.demands[0].near == 1 << search.comp.vindex[(1, 2)]
+    assert search._prune_ok(0, 0, (0,))
+    # With a path committed and a finite slack: the pair takes the edge
+    # (1,1)-(1,2), so each escape's shortest path is blocked and its layered
+    # growth meets (1,2) first, 3 edges away ((3,3) is 4 away).  The two
+    # witness rows are again {(1,2)}; the floods widen both to {(1,2),
+    # (3,3)}, and the detours spend 2 + 2 of the slack.
+    escapes = tuple(Demand.escape((1, 1), [(1, 2), (3, 3)], 0) for _ in "ab")
+    search = _Search(Instance(g, (Demand.pair((1, 1), (1, 2)),) + escapes))
+    used, gused = _committed(search, (0,))
+    assert search._prune_ok(1, used, gused, 4)
+    assert search.gap == _INF
+    assert not search._prune_ok(1, used, gused, 3)
+    assert search.gap == 1
 
 
 def _committed(search, gused=()):
@@ -1113,6 +1133,141 @@ def test_prune_rejects_an_unreachable_goal_without_a_cut():
     used, gused = _committed(search)
     assert not search._prune_ok(1, used, gused, 0)
     assert search.gap == _INF
+
+
+def _flooding_prune_ok(search, j0, used, gused, slack=None):
+    """The prune without witness rows: it floods every grouped escape for
+    Hall's check, and every demand beyond the slack.  The reference for the
+    differential tests; it reads the search's compiled demands and group
+    slots, and sets ``search.gap`` as the prune does."""
+    comp = search.comp
+    rows = [
+        (1 << cd.src, cd.goal, gi, cd.lb, cd.short, cd.near, cd.table)
+        for cd, gi in zip(search.demands, search.gi)
+    ]
+    free = None
+    flooded = []
+    needs = [[] for _ in gused] if gused else None
+    gap = 0
+    eshift = comp.eshift
+    for sbit, goal, gi, lb, short, near, table in rows[j0:]:
+        taken = 0
+        if gi >= 0:
+            taken = gused[gi]
+            goal &= ~taken
+        if goal & near and (
+            not used & short or any(not m & (used | taken << eshift) for m in table)
+        ):
+            if gi < 0:
+                continue
+        elif slack is not None:
+            if free is None:
+                free = comp.free_lanes(used)
+            reach, left = sbit, lb + slack
+            while not reach & goal:
+                grown = reach
+                for k, low in free:
+                    grown |= (reach & low) << k | (reach >> k) & low
+                if grown == reach:
+                    return False
+                reach, left = grown, left - 1
+            if left >= 0:
+                slack = left
+                if gi < 0:
+                    continue
+            else:
+                slack, gap = None, -left
+        for reach in flooded:
+            if reach & sbit:
+                break
+        else:
+            if free is None:
+                free = comp.free_lanes(used)
+            reach = _flood(sbit, free)
+            flooded.append(reach)
+        avail = goal & reach
+        if not avail:
+            return False
+        if gi >= 0:
+            needs[gi].append(avail)
+    for group in needs or ():
+        if len(group) == 2:
+            a, b = group
+            if a == b and not a & (a - 1):
+                return False
+        elif len(group) > 2 and not routing._has_matching(group):
+            return False
+    if gap:
+        if gap < search.gap:
+            search.gap = gap
+        return False
+    return True
+
+
+class _DifferentialSearch(_Search):
+    """A search whose every prune is checked against ``_flooding_prune_ok``:
+    the same verdict, and the same ``gap`` after it."""
+
+    nodes = 0
+
+    def _prune_ok(self, j0, used, gused, slack=None):
+        before = self.gap
+        want = _flooding_prune_ok(self, j0, used, gused, slack)
+        want_gap, self.gap = self.gap, before
+        got = super()._prune_ok(j0, used, gused, slack)
+        assert (got, self.gap) == (want, want_gap), (j0, used, gused, slack)
+        _DifferentialSearch.nodes += 1
+        return got
+
+
+def test_prune_agrees_with_the_flooding_prune_at_every_node(monkeypatch):
+    # Every 13th L10 placement, every 5th L2 instance and 300 pairability
+    # placements, each solved by a search that runs both prunes at every
+    # node it visits; each campaign's runner still accepts its certificate.
+    monkeypatch.setattr(routing, "_Search", _DifferentialSearch)
+    rng = Random(5)
+    sweeps = [
+        (verifier._run_l10, list(verifier._iter_l10())[::13]),
+        (partial(verifier._run_crowded, variant=2), list(verifier._iter_l2())[::5]),
+        (verifier._run_pairability, [sample_pairability(rng) for _ in range(300)]),
+    ]
+    for runner, instances in sweeps:
+        before = _DifferentialSearch.nodes
+        for inst in instances:
+            rec = runner(inst)
+            assert rec is None or rec[0] == "degenerate", rec
+        assert _DifferentialSearch.nodes - before > 1000
+
+
+@st.composite
+def grouped_instances(draw):
+    """Small grids with two or three escapes of one group, plus up to two
+    pairs, ungrouped escapes or escapes of a second group, in any order."""
+    g = make_grid(draw(st.integers(2, 3)), draw(st.integers(2, 4)))
+    removals = draw(st.sets(st.sampled_from(sorted(g.present_edges)), max_size=2))
+    graph = g.without_edges(removals)
+    verts = sorted(graph.present_vertices)
+    vertices = st.sampled_from(verts)
+    exit_sets = st.lists(vertices, min_size=1, max_size=3, unique=True)
+    demands = [
+        Demand.escape(draw(vertices), draw(exit_sets), distinct_group=0)
+        for _ in range(draw(st.integers(2, 3)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["pair", None, 1]))
+        if kind == "pair":
+            demand = Demand.pair(draw(vertices), draw(vertices))
+        else:
+            demand = Demand.escape(draw(vertices), draw(exit_sets), distinct_group=kind)
+        demands.insert(draw(st.integers(0, len(demands))), demand)
+    return Instance(graph, tuple(demands))
+
+
+@given(grouped_instances())
+@settings(deadline=None, max_examples=150)
+def test_prune_agrees_with_the_flooding_prune_on_grouped_escapes(inst):
+    got = _DifferentialSearch(inst).run()
+    assert got == solve(inst)
 
 
 def _root_levels(search):
