@@ -6,8 +6,9 @@ certificate; ``verify`` checks a certificate against its instance (an
 else by re-solving); ``lemma`` runs one lemma's verification campaign;
 ``pairability`` runs the 4-pair campaign on the full grid.  Exit codes:
 0 feasible/conforming, 1 infeasible or defective, 2 usage or parse errors
-(a ``--report`` path that cannot be written among them, caught before the
-campaign runs), 130 interrupted.
+(a ``--report`` path that cannot be opened among them, caught before the
+campaign runs, and one that cannot be written once it has run), 3 a worker
+process died before the campaign finished, 130 interrupted.
 
 Reports are stable ``key: value`` text.  For fixed inputs and flags every
 byte is reproducible except the final ``elapsed_seconds`` line, which is
@@ -29,6 +30,7 @@ from .verifier import (
     LEMMA_IDS,
     STRATEGIES,
     Campaign,
+    WorkerDied,
     format_report,
     report_body,  # unused here; callers import the report vocabulary from gridlink.cli
     report_conforms,
@@ -48,11 +50,15 @@ def _read(path: str) -> str:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror or exc}") from None
 
 
+def _unwritable(path: str, exc: OSError) -> ValueError:
+    return ValueError(f"cannot write report {path}: {exc.strerror or exc}")
+
+
 @contextmanager
 def _open_report(path: str):
     """Open ``path`` for the report before the campaign runs.
 
-    A path that cannot be written fails here, before any work.  The file is
+    A path that cannot be opened fails here, before any work.  The file is
     opened in append mode, so a campaign that does not finish leaves an
     earlier report as it was, and removes a file that this call created.
     """
@@ -60,7 +66,7 @@ def _open_report(path: str):
     try:
         out = open(path, "a", encoding="utf-8")
     except OSError as exc:
-        raise ValueError(f"cannot write report {path}: {exc.strerror or exc}") from None
+        raise _unwritable(path, exc) from None
     try:
         with out:
             yield out
@@ -69,6 +75,22 @@ def _open_report(path: str):
             with suppress(OSError):
                 os.remove(path)
         raise
+
+
+def _save_report(out, text: str) -> None:
+    """Replace the open report's contents with ``text`` and close it.
+
+    An ``OSError`` on the way (a full disk, a file that cannot be
+    truncated) becomes the ``ValueError`` of an unwritable report.
+    """
+    try:
+        out.truncate(0)
+        out.write(text)
+        out.close()
+    except OSError as exc:
+        with suppress(OSError):
+            out.close()
+        raise _unwritable(out.name, exc) from None
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -139,8 +161,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         text = format_report(report)
         sys.stdout.write(text)
         if out is not None:
-            out.truncate(0)
-            out.write(text)
+            _save_report(out, text)
     return 0 if report_conforms(report) else 1
 
 
@@ -206,8 +227,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except KeyboardInterrupt:
-        # a campaign's worker pool is closed by its context manager on the way out
+        # a campaign's worker pool is shut down by verifier._pooled on the way out
         print("interrupted", file=sys.stderr)
         return 130
 

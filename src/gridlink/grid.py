@@ -66,8 +66,8 @@ class GridGraph:
         for u, v in self.present_edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        # Neighbour order is (row, col) lexicographic: the routing engine's
-        # exploration order, and therefore certificate determinism, relies on it.
+        # Neighbour order is (row, col) lexicographic.  The routing solver
+        # sorts its own compiled adjacency; only adjusted_quadrant reads this.
         return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
 
     @cached_property
@@ -152,20 +152,33 @@ class Corner(Enum):
     LR = "LR"
 
 
+# The eight symmetries of the 6x6 grid, identity first.  Entry 4, the
+# transpose, maps the UL and LR quadrants onto themselves, fixing x0 and
+# swapping the lines A and B; entry 6, the anti-transpose, does the same for
+# UR and LL.
+SYMMETRIES: tuple[Callable[[Vertex], Vertex], ...] = (
+    lambda v: v,
+    lambda v: Vertex(v.col, 7 - v.row),
+    lambda v: Vertex(7 - v.row, 7 - v.col),
+    lambda v: Vertex(7 - v.col, v.row),
+    lambda v: Vertex(v.col, v.row),
+    lambda v: Vertex(7 - v.row, v.col),
+    lambda v: Vertex(7 - v.col, 7 - v.row),
+    lambda v: Vertex(v.row, 7 - v.col),
+)
+
+# The symmetry that carries the UL quadrant onto each corner's: the
+# identity, or a reflection of the columns, the rows or both.
+_CORNER_SYMMETRY = {Corner.UL: 0, Corner.UR: 7, Corner.LL: 5, Corner.LR: 2}
+
+
 def to_global(corner: Corner, v: Iterable[int]) -> Vertex:
     """Map quadrant-local coordinates (1..3, row 3 = boundary line A) to the 6x6 grid.
 
     Each coordinate is either kept or reflected through 7, so the map is an
     involution and doubles as the global-to-local map.
     """
-    i, j = v
-    if corner is Corner.UL:
-        return Vertex(i, j)
-    if corner is Corner.UR:
-        return Vertex(i, 7 - j)
-    if corner is Corner.LL:
-        return Vertex(7 - i, j)
-    return Vertex(7 - i, 7 - j)
+    return SYMMETRIES[_CORNER_SYMMETRY[corner]](vertex(v))
 
 
 @dataclass(frozen=True)
@@ -320,18 +333,3 @@ def adjusted_quadrant(kind: AdjustedKind | str) -> AdjustedQuadrant:
     n = frozenset(w for a in a_line for w in g.adjacency[a])
     return AdjustedQuadrant(k, g, a_line, n)
 
-
-# The eight symmetries of the 6x6 grid, identity first.  Entry 4, the
-# transpose, maps the UL and LR quadrants onto themselves, fixing x0 and
-# swapping the lines A and B; entry 6, the anti-transpose, does the same for
-# UR and LL.
-SYMMETRIES: tuple[Callable[[Vertex], Vertex], ...] = (
-    lambda v: v,
-    lambda v: Vertex(v.col, 7 - v.row),
-    lambda v: Vertex(7 - v.row, 7 - v.col),
-    lambda v: Vertex(7 - v.col, v.row),
-    lambda v: Vertex(v.col, v.row),
-    lambda v: Vertex(7 - v.row, v.col),
-    lambda v: Vertex(7 - v.col, 7 - v.row),
-    lambda v: Vertex(v.row, 7 - v.col),
-)

@@ -28,15 +28,16 @@ and their components are flooded only when that matching fails.  The paths
 are edge-disjoint, so a path system spends at most the free edges less the
 demands' lower bounds as slack, and the ladder never climbs above that.
 
-Every branch the slack alone cuts off reports its *gap*, the smallest rise
-in the slack at which it would try something new.  A level that fails
-next climbs by the least gap it met (Korf's rule), since every level below
-that searches the same branches and fails the same way.  A level that
-fails with no gap, or whose least gap leads above the edge budget, has
-searched every simple path system that fits, so it proves the instance
-infeasible and the search stops there.  Skipped levels hold no solution,
-so the first certificate found is the one a plain one-level-at-a-time
-search finds.
+Each level of the slack is a plain depth-first search, and only its
+least gap passes to the next.  Every branch the slack alone cuts off
+reports its *gap*, the smallest rise in the slack at which it would try
+something new.  A level that fails next climbs by the least gap it met
+(Korf's rule), since every level below that searches the same branches
+and fails the same way.  A level that fails with no gap, or whose least
+gap leads above the edge budget, has searched every simple path system
+that fits, so it proves the instance infeasible and the search stops
+there.  Skipped levels hold no solution, so the first certificate found is
+the one a plain one-level-at-a-time search finds.
 
 Each graph is compiled once per forbidden edge set to vertex indices and
 edge bitmasks, and each demand once per compiled graph, to its goal mask,
@@ -481,10 +482,7 @@ class _Search:
         self.ngroups = len(slots)
         # (the compiled demand's row, group slot) per demand, for _prune_ok
         self.rows = list(zip([cd.row for cd in cds], gi))
-        # failed[(di, used, gused)] = largest slack that still finds nothing,
-        # _INF once a search of that subtree found nothing with no gap
-        self.failed: dict = {}
-        # the least rise in the slack at which a branch of the subtree being
+        # the least rise in the slack at which a branch of the level being
         # searched would try something new; _INF when nothing was cut off
         # (see _route)
         self.gap = _INF
@@ -617,28 +615,20 @@ class _Search:
         free edges less every ``lb`` less the level), so ``run``'s edge
         budget caps every path at once.
 
-        On failure ``self.gap`` is the least rise in the slack at which some
-        branch of this subtree would try something new, ``_INF`` if none
-        would.  Three things cut a branch off: demand di's next length of
-        its parity above ``lb + slack``, if it is within ``max_len`` (gap:
-        that length less ``lb + slack``); a ``_prune_ok`` rejection the slack
-        alone caused; and a memo hit on a finite slack (gap: one more than
-        the slack it holds, less this one).  Below the gap every level
-        searches the same branches and fails, so ``failed`` holds the
-        largest of them, and ``_INF`` when the subtree has no solution at
-        any slack; at the root a failure with no gap proves infeasibility.
-        The prune is given the slack this path leaves, the same value the
-        recursion gets, so it skips only subtrees that hold no solution
-        within it, and the first certificate found is the one a search
-        without the bound would find.
+        On failure ``self.gap`` has been lowered to the least rise in the
+        slack at which some branch of this subtree would try something new,
+        and is left alone if none would.  Two things cut a branch off:
+        demand di's next length of its parity above ``lb + slack``, if it is
+        within ``max_len`` (gap: that length less ``lb + slack``), and a
+        ``_prune_ok`` rejection the slack alone caused.  A rise in the
+        root's slack raises every node's slack by as much, so below the
+        least gap a level searches the same branches and fails the same way
+        (Korf's rule); at the root a failure with no gap proves
+        infeasibility.  The prune is given the slack this path leaves, the
+        same value the recursion gets, so it skips only subtrees that hold
+        no solution within it, and the first certificate found is the one a
+        search without the bound would find.
         """
-        key = (di, used, gused)
-        failed_at = self.failed.get(key, -1)
-        if failed_at >= slack:
-            if failed_at < _INF and failed_at + 1 - slack < self.gap:
-                self.gap = failed_at + 1 - slack
-            return None
-        outer, self.gap = self.gap, _INF
         d = self.demands[di]
         gi = self.gi[di]
         grouped = gi >= 0
@@ -664,13 +654,10 @@ class _Search:
                 tail = self._route(di + 1, nused, ngused, left)
                 if tail is not None:
                     return [pmask] + tail
-        gap = self.gap
         # the next length of the demand's parity, if there is one
         nxt = step - slack % step
-        if nxt < gap and lb + slack + nxt <= d.max_len:
-            gap = nxt
-        self.failed[key] = slack + gap - 1 if gap < _INF else _INF
-        self.gap = outer if outer < gap else gap
+        if nxt < self.gap and lb + slack + nxt <= d.max_len:
+            self.gap = nxt
         return None
 
     def run(self) -> SolveResult:

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter, defaultdict
-from contextlib import nullcontext
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
-from multiprocessing import Pool
+from itertools import combinations, islice, product
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -567,22 +565,19 @@ def drive(
 ) -> LemmaReport:
     """Run every instance and aggregate the results, in enumeration order.
 
-    Results stream from ``map`` with one worker and from ``Pool.imap``
+    Results stream from ``map`` with one worker and from ``_pooled``
     otherwise.  A ``LemmaDefect`` raised by the runner is recorded as a
     defect.  Only the runs are timed: a finite campaign builds its
     instance list before calling this.
     """
     _check_workers(workers)
-    chunk = max(1, len(instances) // (workers * 8)) if isinstance(instances, list) else 64
     run = partial(_guarded, runner)
     checked, exceptional = 0, []
     start = time.perf_counter()
-    with (Pool(workers) if workers > 1 else nullcontext()) as pool:
-        results = map(run, instances) if pool is None else pool.imap(run, instances, chunk)
-        for rec in results:
-            checked += 1
-            if rec is not None:
-                exceptional.append(rec)
+    for rec in map(run, instances) if workers == 1 else _pooled(run, instances, workers):
+        checked += 1
+        if rec is not None:
+            exceptional.append(rec)
     return LemmaReport(
         lemma_id=lemma_id,
         instances_checked=checked,
@@ -592,6 +587,52 @@ def drive(
         strategy=strategy,
         seed=seed,
     )
+
+
+class WorkerDied(RuntimeError):
+    """A campaign's worker process ended before it returned its results."""
+
+
+def _run_chunk(run: Callable, chunk: list) -> list:
+    return [run(item) for item in chunk]
+
+
+def _pooled(run: Callable, instances: Iterable, workers: int) -> Iterator:
+    """``map(run, instances)`` over ``workers`` processes, in order.
+
+    Instances go out in chunks, at most two per worker at a time, so a lazy
+    stream is read only as fast as it is run.  A worker that dies raises
+    ``WorkerDied`` here instead of leaving its chunk unanswered.
+    Workers are spawned, not forked, since the pool's own threads run in
+    this process, and they ignore Ctrl-C: the parent alone stops, and
+    cancels the chunks not yet started.
+    """
+    # imported here, where a pool runs: at module level they add about 1.5 MB
+    # to the peak RSS of a campaign with one worker
+    import multiprocessing
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    size = max(1, len(instances) // (workers * 8)) if isinstance(instances, list) else 64
+    items = iter(instances)
+    chunks = iter(lambda: list(islice(items, size)), [])
+    pool = ProcessPoolExecutor(
+        workers,
+        multiprocessing.get_context("spawn"),
+        initializer=signal.signal,
+        initargs=(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        window = deque(pool.submit(_run_chunk, run, c) for c in islice(chunks, 2 * workers))
+        while window:
+            done = window.popleft().result()
+            window.extend(pool.submit(_run_chunk, run, c) for c in islice(chunks, 1))
+            yield from done
+    except BrokenProcessPool:
+        raise WorkerDied("a worker process died before the campaign finished") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_campaign(campaign: Campaign) -> LemmaReport:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import os
+import threading
 from itertools import islice
 
 import pytest
@@ -357,6 +359,49 @@ def test_a_failed_campaign_leaves_an_earlier_report_as_it_was(tmp_path, monkeypa
     monkeypatch.undo()
     assert main(["lemma", "L5", "--report", str(path)]) == 0
     assert path.read_text() == capsys.readouterr().out
+
+
+def test_a_report_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys):
+    # the file opens, so the campaign runs; the disk fills as the report is saved
+    path = tmp_path / "r.txt"
+
+    def full_disk_open(name, mode, encoding):
+        fh = open(name, mode, encoding=encoding)
+
+        def write(text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr("gridlink.cli.open", full_disk_open, raising=False)
+    assert main(["lemma", "L5", "--report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "status: conforming" in captured.out
+    assert captured.err == f"error: cannot write report {path}: No space left on device\n"
+    assert not path.exists()
+
+
+def _dies(inst):
+    os._exit(1)
+
+
+def test_a_dead_worker_exits_3_without_a_hang(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "r.txt"
+    iterate, _ = verifier._CAMPAIGNS["L5"]
+    monkeypatch.setitem(verifier._CAMPAIGNS, "L5", (iterate, _dies))
+    codes = []
+    thread = threading.Thread(
+        target=lambda: codes.append(main(["lemma", "L5", "--workers", "2", "--report", str(path)])),
+        daemon=True,
+    )
+    thread.start()
+    thread.join(30)
+    assert not thread.is_alive() and codes == [3]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a worker process died before the campaign finished\n"
+    assert not path.exists()
 
 
 def test_a_failed_campaign_leaves_no_new_report(tmp_path, monkeypatch, capsys):

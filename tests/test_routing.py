@@ -607,6 +607,7 @@ def test_crowded_infeasible_searches_stop_below_their_budget(crowded_infeasible)
             assert search.run() is Infeasible
             budget = sum(d.max_len - d.dist[d.src] for d in search.demands)
             assert search.slack is not None and search.slack < budget
+            _check_ladder(inst)
 
 
 # ----------------------------------------------------- certificate digest
@@ -1286,8 +1287,9 @@ def _root_levels(search):
 
 def test_pair_ladder_on_a_bipartite_grid_climbs_by_even_gaps():
     # Every path between two vertices of a bipartite graph has the parity of
-    # the shortest one, so each truncated length, prune and memo entry puts
-    # the next level two higher: the ladder never searches an odd slack.
+    # the shortest one, so each truncated length and each prune the slack
+    # caused puts the next level two higher: the ladder never searches an
+    # odd slack.
     rng = Random(3)
     graph = make_grid(4, 4)
     verts = sorted(graph.present_vertices)
@@ -1301,35 +1303,60 @@ def test_pair_ladder_on_a_bipartite_grid_climbs_by_even_gaps():
     assert all(slack % 2 == 0 for slack in levels)
 
 
-def _check_ladder(inst):
-    """Korf's rule, checked against a fresh search of each level.
+def _level(inst, slack):
+    """Search one slack level of ``inst`` afresh.
 
-    With no memo from earlier levels, a level's least gap is exactly the
-    rise to the next level the ladder searched; the last level either
-    routes the instance or has no gap that stays within the edge budget.
+    Returns the routed masks or None, the level's least gap, and the
+    ``(di, used, gused)`` of every search node it entered, in order.
+    """
+    search = _Search(inst)
+    nodes = []
+    route = search._route
+
+    def recording(di, used, gused, slack):
+        nodes.append((di, used, gused))
+        return route(di, used, gused, slack)
+
+    search._route = recording
+    routed = search._route(0, 0, (0,) * search.ngroups, slack)
+    return routed, search.gap, nodes
+
+
+def _check_ladder(inst):
+    """Korf's rule, checked against a fresh search of each slack.
+
+    A level's least gap is exactly the rise to the next level the ladder
+    searched, and every slack it skips enters the same search nodes as
+    that level; the last level either routes the instance or has no gap
+    that stays within the edge budget, and every slack from it up to the
+    budget enters its nodes too.
     """
     search = _Search(inst)
     got, levels = _root_levels(search)
-    gused0 = (0,) * search.ngroups
     lbs = sum(d.lb for d in search.demands)
     budget = min(sum(d.max_len for d in search.demands) - lbs, search.comp.nedges - lbs)
     for level, after in zip(levels, levels[1:] + [None]):
-        fresh = _Search(inst)
-        routed = fresh._route(0, 0, gused0, level)
+        routed, gap, nodes = _level(inst, level)
         if after is not None:
-            assert routed is None and fresh.gap == after - level, (level, after)
+            assert routed is None and gap == after - level, (level, after)
         elif got is Infeasible:
-            assert routed is None and (fresh.gap >= _INF or level + fresh.gap > budget)
+            assert routed is None and (gap >= _INF or level + gap > budget)
+            after = min(level + gap, budget + 1)
         else:
             assert routed is not None
+            continue
+        for skipped in range(level + 1, after):
+            assert _level(inst, skipped)[2] == nodes, (level, skipped)
     return got, levels
 
 
-def test_finite_memo_hits_keep_the_ladder_on_korfs_rule():
-    # Deep ladders on 4x4 grids where a finite memo hit from an earlier
-    # level holds the only gap that leads to the next level: ignoring it
-    # skips level 12 in the first and stops a level early in the second.
-    # Both are infeasible, so no answer changes, but neither skip is sound.
+def test_deep_infeasible_ladders_keep_to_korfs_rule():
+    # Deep ladders on 4x4 grids where the only gap that leads to the next
+    # level lies in a subtree an earlier level had already searched: a
+    # search that cached that subtree's failure and lost its gap would skip
+    # level 12 in the first case and stop a level early in the second.
+    # Both are infeasible, so no answer would change, but neither skip is
+    # sound.
     cases = [
         (
             [((1, 2), (1, 3)), ((2, 1), (2, 2)), ((3, 2), (3, 3)), ((2, 3), (3, 3))],

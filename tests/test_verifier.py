@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Iterator
 from dataclasses import replace
 from itertools import islice
@@ -406,6 +407,46 @@ def test_driver_streams_a_generator_alike_for_one_and_two_workers():
     assert reports[0].instances_checked == 50
     assert reports[0].strategy == "reduced" and reports[0].seed is None
     assert replace(reports[0], elapsed=0.0) == replace(reports[1], elapsed=0.0)
+
+
+def _dies_on_3(item):
+    if item == 3:
+        os._exit(1)
+
+
+def _nothing(item):
+    return None
+
+
+def test_a_dead_worker_ends_the_campaign_instead_of_hanging():
+    raised = []
+
+    def campaign():
+        try:
+            drive("x", _dies_on_3, list(range(8)), 2)
+        except verifier.WorkerDied as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=campaign, daemon=True)
+    thread.start()
+    thread.join(30)
+    assert not thread.is_alive() and len(raised) == 1
+
+
+def test_two_workers_read_a_lazy_stream_as_they_run_it():
+    # chunks of 64 go out at most two per worker at a time, so an endless
+    # stream is read ahead of its results by a bounded amount
+    read = []
+
+    def stream():
+        for k in range(10 ** 9):
+            read.append(k)
+            yield k
+
+    results = verifier._pooled(_nothing, stream(), 2)
+    assert list(islice(results, 5)) == [None] * 5
+    assert len(read) <= 64 * 5
+    results.close()
 
 
 # ------------------------------------------------------------- pairability
