@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 from contextlib import contextmanager, nullcontext, suppress
 from typing import Optional, Sequence
 
@@ -56,20 +58,17 @@ def _unwritable(path: str, exc: OSError) -> ValueError:
 
 @contextmanager
 def _open_report(path: str):
-    """Open ``path`` for the report before the campaign runs.
+    """Check that ``path`` opens for the report before the campaign runs.
 
-    A path that cannot be opened fails here, before any work.  The file is
-    opened in append mode, so a campaign that does not finish leaves an
-    earlier report as it was, and removes a file that this call created.
-    """
+    A campaign that does not finish then leaves an earlier report as it
+    was, and removes a file that this call created."""
     created = not os.path.exists(path)
     try:
-        out = open(path, "a", encoding="utf-8")
+        open(path, "a", encoding="utf-8").close()
     except OSError as exc:
         raise _unwritable(path, exc) from None
     try:
-        with out:
-            yield out
+        yield
     except BaseException:
         if created:
             with suppress(OSError):
@@ -77,20 +76,23 @@ def _open_report(path: str):
         raise
 
 
-def _save_report(out, text: str) -> None:
-    """Replace the open report's contents with ``text`` and close it.
-
-    An ``OSError`` on the way (a full disk, a file that cannot be
-    truncated) becomes the ``ValueError`` of an unwritable report.
-    """
+def _save_report(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then move it over
+    ``path``: a failed write (a full disk) leaves the earlier report whole,
+    and becomes the ``ValueError`` of an unwritable report."""
+    target = os.path.realpath(path)  # through a symlink, not over it
     try:
-        out.truncate(0)
-        out.write(text)
-        out.close()
+        fd, tmp = tempfile.mkstemp(prefix=".report-", dir=os.path.dirname(target))
+        try:
+            with open(fd, "w", encoding="utf-8") as out:
+                out.write(text)
+            shutil.copymode(target, tmp)
+            os.replace(tmp, target)
+        finally:
+            with suppress(OSError):
+                os.remove(tmp)  # already gone once it has replaced the report
     except OSError as exc:
-        with suppress(OSError):
-            out.close()
-        raise _unwritable(out.name, exc) from None
+        raise _unwritable(path, exc) from None
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -156,12 +158,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    with _open_report(args.report) if args.report else nullcontext() as out:
+    with _open_report(args.report) if args.report else nullcontext():
         report = run_campaign(campaign)
         text = format_report(report)
         sys.stdout.write(text)
-        if out is not None:
-            _save_report(out, text)
+        if args.report:
+            _save_report(args.report, text)
     return 0 if report_conforms(report) else 1
 
 

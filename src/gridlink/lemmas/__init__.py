@@ -1,6 +1,10 @@
-"""Quadrant routing lemmas: frames, escapes, clamps, crowded quadrants."""
+"""Quadrant routing lemmas: frames, escapes, clamps, crowded quadrants.
 
-from .report import LemmaDefect, LemmaReport
+Each operation rejects bad terminals with ``ValueError``, then answers as
+``solve`` does, with a certificate or ``Infeasible`` (``clamp_matching``:
+an assignment or None); the campaigns decide what a missing one means.
+"""
+
 from .frames import (
     Frame,
     FramingResult,
@@ -10,7 +14,6 @@ from .frames import (
     frame_two_mate_third,
 )
 from .escapes import (
-    ExceptionalRefusal,
     escape_three_distinct,
     escape_three_shared,
     link_and_escape,
@@ -18,7 +21,6 @@ from .escapes import (
 )
 from .clamps import (
     Clamp,
-    NoMatch,
     catalog_configurations,
     clamp_matching,
     link_pair_escort_singletons,
@@ -28,12 +30,8 @@ from .crowded import CrowdedResult, crowded_escape
 __all__ = [
     "Clamp",
     "CrowdedResult",
-    "ExceptionalRefusal",
     "Frame",
     "FramingResult",
-    "LemmaDefect",
-    "LemmaReport",
-    "NoMatch",
     "build_frame",
     "catalog_configurations",
     "clamp_matching",

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..grid import Edge, Path, Quadrant, Vertex, edge, landmarks, path_edges
-from ..routing import Demand, Instance, PathSystem, solve
-from .report import LemmaDefect
+from ..routing import Demand, Instance, SolveResult, solve
 
 _X0 = Vertex(3, 3)
 
@@ -65,29 +64,6 @@ class Clamp:
         return self.anchors | {v for e in self.edges for v in e}
 
 
-class _NoMatchType:
-    """Singleton: the singletons cannot be assigned to the two clamps."""
-
-    _instance: Optional["_NoMatchType"] = None
-
-    def __new__(cls) -> "_NoMatchType":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return "NoMatch"
-
-    def __reduce__(self):
-        return (_NoMatchType, ())
-
-
-NoMatch = _NoMatchType()
-
-
 def _adjacency(edges: Iterable[Edge]) -> dict[Vertex, list[Vertex]]:
     adj: dict[Vertex, list[Vertex]] = {}
     for u, v in edges:
@@ -123,11 +99,11 @@ def _bfs_in(edges: Iterable[Edge], s: Vertex, t: Vertex) -> Optional[Path]:
 
 def clamp_matching(
     p1: Sequence[Vertex], y2: Clamp, y3: Clamp, pi0: tuple[Vertex, Vertex]
-):
+) -> Optional[tuple[Clamp, Clamp]]:
     """Assign the singleton pair pi0 to the clamps (Y2, Y3), one each.
 
     Returns the pair of clamps aligned with the input order of ``pi0``, or
-    :data:`NoMatch` when no assignment puts each singleton on its clamp.
+    None when no assignment puts each singleton on its clamp.
     Each singleton must lie on exactly the clamp it is assigned to walk in,
     so an assignment exists iff both singletons lie on the union and at
     most one of them lies strictly in Y2 and at most one strictly in Y3.
@@ -148,11 +124,11 @@ def clamp_matching(
     u, v = pi0
     v2, v3 = y2.vertices, y3.vertices
     if u not in v2 | v3 or v not in v2 | v3:
-        return NoMatch
+        return None
     only2 = sum(1 for w in (u, v) if w in v2 and w not in v3)
     only3 = sum(1 for w in (u, v) if w in v3 and w not in v2)
     if only2 > 1 or only3 > 1:
-        return NoMatch
+        return None
     if u in v2 and u not in v3:
         return (y2, y3)
     if u in v3 and u not in v2:
@@ -370,11 +346,12 @@ def _escort_demand(s: Vertex, exits: tuple[Vertex, ...]) -> Demand:
 
 def link_pair_escort_singletons(
     q: Quadrant, s1: Vertex, t1: Vertex, s2: Vertex, s3: Vertex, psi
-) -> PathSystem:
+) -> SolveResult:
     """Link s1-t1 and escort s2, s3 to distinct vertices of their lines.
 
     ``psi`` prescribes a line ("A" or "B") for each singleton, as a pair
-    ordered like (s2, s3).
+    ordered like (s2, s3).  Returns what ``solve`` returns: the path
+    system, or ``Infeasible``.
     """
     for v in (s1, t1, s2, s3):
         if v not in q.vertices:
@@ -384,7 +361,4 @@ def link_pair_escort_singletons(
     # the lines are named as the landmarks name them: lm.A and lm.B
     escort2 = _escort_demand(s2, getattr(lm, line2))
     escort3 = _escort_demand(s3, getattr(lm, line3))
-    sol = solve(Instance(q.graph, (_pair_demand(s1, t1), escort2, escort3)))
-    if sol:
-        return sol
-    raise LemmaDefect(f"no linkage with escorts for {(s1, t1, s2, s3)} and psi {(line2, line3)}")
+    return solve(Instance(q.graph, (_pair_demand(s1, t1), escort2, escort3)))

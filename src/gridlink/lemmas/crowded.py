@@ -21,21 +21,20 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from ..grid import Quadrant, Vertex, landmarks
-from ..routing import Demand, Instance, PathSystem, solve
-from .report import LemmaDefect
+from ..routing import Demand, Infeasible, InfeasibleType, Instance, PathSystem, solve
 
 
 @dataclass(frozen=True)
 class CrowdedResult:
     """Certificate for a crowded-quadrant instance.
 
-    ``linked`` gives the indices of the pairs routed in full; ``demands``
-    is the realized demand list the paths answer, in certificate order.
+    ``linked`` gives the indices of the pairs routed in full.  The paths
+    answer those pairs in ``linked`` order, then escape the unlinked pairs'
+    terminals in pair order, then the singles.
     """
 
     paths: PathSystem
     linked: tuple[int, ...]
-    demands: tuple[Demand, ...]
 
 
 def _escape_order(
@@ -54,12 +53,13 @@ def crowded_escape(
     pairs: Sequence[tuple[Vertex, Vertex]],
     singles: Sequence[Vertex],
     variant: int,
-) -> CrowdedResult:
+) -> CrowdedResult | InfeasibleType:
     """Link a subset of the full pairs and escape the remaining terminals.
 
     ``pairs`` are the terminal pairs lying entirely inside the quadrant,
     ``singles`` the terminals whose partners lie elsewhere.  Escapes end
-    at pairwise distinct exits.
+    at pairwise distinct exits.  ``Infeasible`` when no choice of linked
+    pairs and exits routes.
     """
     pairs = tuple((Vertex(*s), Vertex(*t)) for s, t in pairs)
     singles = tuple(Vertex(*v) for v in singles)
@@ -119,7 +119,5 @@ def crowded_escape(
             )
             sol = solve(Instance(q.graph, demands))
             if sol:
-                return CrowdedResult(sol, linked, demands)
-    raise LemmaDefect(
-        f"no linkage found for {len(pairs)} pairs, {len(singles)} singles, variant {variant}"
-    )
+                return CrowdedResult(sol, linked)
+    return Infeasible

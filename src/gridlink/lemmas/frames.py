@@ -7,7 +7,8 @@ central-cycle edges inside the quadrant (only ``C1`` contributes such
 edges).  Every frame comes from the exact solver: the vertices of
 ``C_alpha`` inside the quadrant are tried as anchors in sorted order, and
 the first one where ``solve`` routes both mating paths (and the third
-terminal's path, for a framing) is returned.
+terminal's path, for a framing) is returned.  Like ``solve``, each
+operation answers ``Infeasible`` when no anchor works.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from ..grid import (
     Vertex,
     landmarks,
 )
-from ..routing import Demand, Instance, solve
-from .report import LemmaDefect
+from ..routing import Demand, Infeasible, InfeasibleType, Instance, solve
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,6 @@ class FramingResult:
 
     frame: Frame
     mating_path: Path
-    alpha: int
     framed_pair: tuple[Vertex, Vertex]
     third: Vertex
 
@@ -98,16 +97,14 @@ def _solve_frame(
     return None
 
 
-def build_frame(q: Quadrant, s1: Vertex, s2: Vertex, alpha: int) -> Frame:
+def build_frame(q: Quadrant, s1: Vertex, s2: Vertex, alpha: int) -> Frame | InfeasibleType:
     """Frame the (possibly coincident) terminals s1, s2 on cycle C_alpha."""
     if alpha not in (0, 1):
         raise ValueError(f"alpha must be 0 or 1, got {alpha!r}")
     _check_terminal(q, s1)
     _check_terminal(q, s2)
     found = _solve_frame(q, landmarks(q), _c1_edges_in(q), alpha, s1, s2)
-    if found is None:
-        raise LemmaDefect(f"no frame for {s1}, {s2} on C{alpha} in {q.corner.name}")
-    return found[0]
+    return Infeasible if found is None else found[0]
 
 
 def _framed_search(
@@ -115,7 +112,7 @@ def _framed_search(
     terms: tuple[Vertex, Vertex, Vertex],
     alphas: tuple[int, ...],
     mate,
-) -> FramingResult:
+) -> FramingResult | InfeasibleType:
     """Shared search: choose a pair to frame, an alpha, and an anchor;
     ``mate(c, alpha)`` is the demand that routes the third terminal c."""
     lm = landmarks(q)
@@ -126,11 +123,13 @@ def _framed_search(
             found = _solve_frame(q, lm, forbidden, alpha, a, b, (mate(c, alpha),))
             if found is not None:
                 frame, (mating_path,) = found
-                return FramingResult(frame, mating_path, alpha, (a, b), c)
-    raise LemmaDefect(f"no framing of {terms} in {q.corner.name}")
+                return FramingResult(frame, mating_path, (a, b), c)
+    return Infeasible
 
 
-def frame_two_mate_third(q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex) -> FramingResult:
+def frame_two_mate_third(
+    q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex
+) -> FramingResult | InfeasibleType:
     """Frame two of three distinct terminals on some C_alpha; mate the third to C_beta."""
     terms = _distinct_terminals(q, sp, sq, sr)
     return _framed_search(
@@ -138,7 +137,9 @@ def frame_two_mate_third(q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex) -> Fra
     )
 
 
-def frame_c0_mate_c1(q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex) -> FramingResult:
+def frame_c0_mate_c1(
+    q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex
+) -> FramingResult | InfeasibleType:
     """Frame two of three distinct terminals on C0; mate the third to C1."""
     terms = _distinct_terminals(q, sp, sq, sr)
     return _framed_search(q, terms, (0,), lambda c, alpha: Demand.escape(c, _cycle_targets(q, 1)))
@@ -146,7 +147,7 @@ def frame_c0_mate_c1(q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex) -> Framing
 
 def frame_c1_mate_corner(
     q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex, z: Vertex
-) -> FramingResult:
+) -> FramingResult | InfeasibleType:
     """Frame two of three distinct terminals on C1; route the third to z in {x0, y0}."""
     terms = _distinct_terminals(q, sp, sq, sr)
     lm = landmarks(q)

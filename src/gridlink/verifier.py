@@ -17,11 +17,11 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, islice, product
 from random import Random
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .flow import escape_flow
 from .grid import (
@@ -37,9 +37,6 @@ from .grid import (
     vertex,
 )
 from .lemmas import (
-    LemmaDefect,
-    LemmaReport,
-    NoMatch,
     build_frame,
     catalog_configurations,
     clamp_matching,
@@ -372,21 +369,14 @@ def enumerate_instances(
 #
 # Each runner takes one instance and returns None when the lemma's claim is
 # witnessed and independently re-verified, or a (tag, instance, detail)
-# record otherwise.  "defect" contradicts the lemma; the documented
-# exceptional outcomes below, "refusal" (L9) and "degenerate" (L10), do not.
-# ``drive`` records a LemmaDefect raised by any runner as a defect; only L10
-# catches its own, since a placement it cannot route is data (degenerate).
-# Certificates are verified by ``_check`` against demands built from the
-# instance and the statement's constants, never from the lemma's output.
+# record otherwise.  A lemma operation returns a certificate or the falsy
+# ``Infeasible``, and the runner's ``if not`` says what a missing one is: a
+# "defect", an L9 "refusal" or an L10 "degenerate" placement (the last two
+# are documented).  ``_check`` verifies certificates against demands built
+# from the instance and the statement, never from the lemma's output.
 
 _DOCUMENTED_TAGS = ("refusal", "degenerate")
-
-
-def _guarded(runner, inst):
-    try:
-        return runner(inst)
-    except LemmaDefect as exc:
-        return ("defect", inst, str(exc))
+_NO_CERTIFICATE = "no certificate"
 
 
 def _check(inst, graph, demands, paths, forbidden=frozenset()):
@@ -398,6 +388,8 @@ def _check(inst, graph, demands, paths, forbidden=frozenset()):
 def _run_crowded(inst, variant):
     pairs, singles = inst
     res = crowded_escape(_UL, pairs, singles, variant)
+    if not res:
+        return ("defect", inst, _NO_CERTIFICATE)
     linked = res.linked
     if len(set(linked)) != len(linked) or not set(linked) <= set(range(len(pairs))):
         return ("defect", inst, "linked indices are not distinct pairs of the instance")
@@ -430,6 +422,8 @@ def _run_l4(inst):
 def _run_l5(inst):
     s1, s2, alpha = inst
     f = build_frame(_UL, s1, s2, alpha)
+    if not f:
+        return ("defect", inst, _NO_CERTIFICATE)
     if f.anchor not in _RING_IN_Q[alpha]:
         return ("defect", inst, f"anchor {f.anchor} is not on C{alpha}")
     demands = (Demand.pair(s1, f.anchor), Demand.pair(s2, f.anchor))
@@ -441,8 +435,8 @@ def _check_framing(res, inst, terms, third_targets):
     a, b = res.framed_pair
     if sorted((a, b, res.third)) != sorted(terms):
         return ("defect", inst, "framed pair and third are not the instance's terminals")
-    if res.frame.anchor not in _RING_IN_Q.get(res.alpha, ()):
-        return ("defect", inst, f"anchor {res.frame.anchor} is not on C{res.alpha}")
+    if res.frame.anchor not in _RING_IN_Q[res.frame.alpha]:
+        return ("defect", inst, f"anchor {res.frame.anchor} is not on C{res.frame.alpha}")
     demands = (
         Demand.pair(a, res.frame.anchor),
         Demand.pair(b, res.frame.anchor),
@@ -454,21 +448,23 @@ def _check_framing(res, inst, terms, third_targets):
 
 def _run_l6(inst):
     res = frame_two_mate_third(_UL, *inst)
-    return _check_framing(res, inst, inst, _RING_IN_Q.get(1 - res.alpha, ()))
+    if not res:
+        return ("defect", inst, _NO_CERTIFICATE)
+    return _check_framing(res, inst, inst, _RING_IN_Q[1 - res.frame.alpha])
 
 
 def _run_l7(inst):
     terms = inst[1:4]
     if inst[0] == "i":
-        res = frame_c0_mate_c1(_UL, *terms)
-        if res.alpha != 0:
-            return ("defect", inst, "frame is not on C0")
-        return _check_framing(res, inst, terms, _RING_IN_Q[1])
-    z = inst[4]
-    res = frame_c1_mate_corner(_UL, *terms, z)
-    if res.alpha != 1:
-        return ("defect", inst, "frame is not on C1")
-    return _check_framing(res, inst, terms, (z,))
+        res, alpha, third_targets = frame_c0_mate_c1(_UL, *terms), 0, _RING_IN_Q[1]
+    else:
+        z = inst[4]
+        res, alpha, third_targets = frame_c1_mate_corner(_UL, *terms, z), 1, (z,)
+    if not res:
+        return ("defect", inst, _NO_CERTIFICATE)
+    if res.frame.alpha != alpha:
+        return ("defect", inst, f"frame is not on C{alpha}")
+    return _check_framing(res, inst, terms, third_targets)
 
 
 def _run_l8(inst):
@@ -486,6 +482,8 @@ def _run_l8(inst):
         terms = inst[1:]
         got = escape_three_distinct(adj, *terms)
         demands = tuple(Demand.escape(t, adj.A, distinct_group=0) for t in terms)
+    if not got:
+        return ("defect", inst, _NO_CERTIFICATE)
     return _check(inst, adj.graph, demands, got)
 
 
@@ -503,11 +501,8 @@ def _run_l9(inst):
 def _run_l10(inst):
     s1, t1, s2, s3, psi = inst
     reason = degenerate_reason(s1, t1, s2, s3, psi)
-    try:
-        got = link_pair_escort_singletons(_UL, s1, t1, s2, s3, psi)
-    except LemmaDefect:
-        got = None
-    if got is None:
+    got = link_pair_escort_singletons(_UL, s1, t1, s2, s3, psi)
+    if not got:
         if reason:
             return ("degenerate", inst, reason)
         return ("defect", inst, "infeasible with no certifying law")
@@ -528,9 +523,9 @@ def _run_p1_matching(item):
         for first, second in ((y2, y3), (y3, y2))
         if pi0[0] in first.vertices and pi0[1] in second.vertices
     ]
-    if got is NoMatch:
+    if got is None:
         if valid:
-            return ("defect", inst, f"{name}: NoMatch although an assignment exists")
+            return ("defect", inst, f"{name}: no match although an assignment exists")
         return None
     if got not in valid:
         return ("defect", inst, f"{name}: assignment misses a singleton")
@@ -555,6 +550,36 @@ LEMMA_IDS = tuple(_CAMPAIGNS)
 
 # ----------------------------------------------------------------- campaign
 
+@dataclass(frozen=True)
+class LemmaReport:
+    """Outcome of checking one lemma over its full instance family.
+
+    ``instances_checked == feasible + len(exceptional)`` always holds;
+    ``elapsed`` is wall-clock seconds and is excluded from report
+    comparisons.
+    """
+
+    lemma_id: str
+    instances_checked: int
+    feasible: int
+    exceptional: tuple[Any, ...] = field(default=())
+    elapsed: float = 0.0
+    strategy: str = "exhaustive"
+    seed: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "exceptional", tuple(self.exceptional))
+        if self.instances_checked != self.feasible + len(self.exceptional):
+            raise ValueError(
+                "inconsistent report: %d checked != %d feasible + %d exceptional"
+                % (self.instances_checked, self.feasible, len(self.exceptional))
+            )
+
+    @property
+    def clean(self) -> bool:
+        return not self.exceptional
+
+
 def drive(
     lemma_id: str,
     runner: Callable,
@@ -563,18 +588,17 @@ def drive(
     strategy: str = "exhaustive",
     seed: Optional[int] = None,
 ) -> LemmaReport:
-    """Run every instance and aggregate the results, in enumeration order.
+    """Run every instance and aggregate the runner's records, in enumeration order.
 
-    Results stream from ``map`` with one worker and from ``_pooled``
-    otherwise.  A ``LemmaDefect`` raised by the runner is recorded as a
-    defect.  Only the runs are timed: a finite campaign builds its
-    instance list before calling this.
+    A record is None for a witnessed claim, else a (tag, instance, detail)
+    triple; the runner alone decides which.  Results stream from ``map``
+    with one worker and from ``_pooled`` otherwise.  Only the runs are
+    timed: a finite campaign builds its instance list before calling this.
     """
     _check_workers(workers)
-    run = partial(_guarded, runner)
     checked, exceptional = 0, []
     start = time.perf_counter()
-    for rec in map(run, instances) if workers == 1 else _pooled(run, instances, workers):
+    for rec in map(runner, instances) if workers == 1 else _pooled(runner, instances, workers):
         checked += 1
         if rec is not None:
             exceptional.append(rec)
@@ -593,6 +617,11 @@ class WorkerDied(RuntimeError):
     """A campaign's worker process ended before it returned its results."""
 
 
+# instances per chunk sent to a worker: small enough that Ctrl-C waits for
+# few of them, large enough that the pickling round trips stay cheap
+_CHUNK = 64
+
+
 def _run_chunk(run: Callable, chunk: list) -> list:
     return [run(item) for item in chunk]
 
@@ -600,12 +629,12 @@ def _run_chunk(run: Callable, chunk: list) -> list:
 def _pooled(run: Callable, instances: Iterable, workers: int) -> Iterator:
     """``map(run, instances)`` over ``workers`` processes, in order.
 
-    Instances go out in chunks, at most two per worker at a time, so a lazy
-    stream is read only as fast as it is run.  A worker that dies raises
-    ``WorkerDied`` here instead of leaving its chunk unanswered.
-    Workers are spawned, not forked, since the pool's own threads run in
-    this process, and they ignore Ctrl-C: the parent alone stops, and
-    cancels the chunks not yet started.
+    Instances go out in chunks of ``_CHUNK``, at most two per worker at a
+    time, so a lazy stream is read only as fast as it is run.  A worker
+    that dies raises ``WorkerDied`` here instead of leaving its chunk
+    unanswered.  Workers are spawned, not forked, since the pool's own
+    threads run in this process, and they ignore Ctrl-C: the parent alone
+    stops, and cancels the chunks not yet started.
     """
     # imported here, where a pool runs: at module level they add about 1.5 MB
     # to the peak RSS of a campaign with one worker
@@ -614,9 +643,8 @@ def _pooled(run: Callable, instances: Iterable, workers: int) -> Iterator:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    size = max(1, len(instances) // (workers * 8)) if isinstance(instances, list) else 64
     items = iter(instances)
-    chunks = iter(lambda: list(islice(items, size)), [])
+    chunks = iter(lambda: list(islice(items, _CHUNK)), [])
     pool = ProcessPoolExecutor(
         workers,
         multiprocessing.get_context("spawn"),

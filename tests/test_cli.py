@@ -18,9 +18,8 @@ from gridlink.fileio import (
     serialize_certificate,
 )
 from gridlink.grid import Vertex, edge
-from gridlink.lemmas import LemmaReport
 from gridlink.routing import Infeasible, PathSystem, solve
-from gridlink.verifier import iter_pairability_reduced
+from gridlink.verifier import LemmaReport, iter_pairability_reduced
 
 _THREE_ESCAPES = """\
 grid 3 3
@@ -380,6 +379,14 @@ def test_a_report_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys):
     assert "status: conforming" in captured.out
     assert captured.err == f"error: cannot write report {path}: No space left on device\n"
     assert not path.exists()
+    # an earlier report survives the failed write whole, and no temporary file is left
+    path.write_bytes(b"old report\n")
+    assert main(["lemma", "L5", "--report", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write report {path}: No space left on device\n"
+    )
+    assert path.read_bytes() == b"old report\n"
+    assert os.listdir(tmp_path) == ["r.txt"]
 
 
 def _dies(inst):

@@ -23,8 +23,6 @@ from gridlink.grid import (
 )
 from gridlink.lemmas import (
     Clamp,
-    LemmaDefect,
-    NoMatch,
     build_frame,
     catalog_configurations,
     clamp_matching,
@@ -38,6 +36,7 @@ from gridlink.lemmas import (
     link_pair_escort_singletons,
     project_with_b_link,
 )
+from gridlink.routing import Demand, Infeasible, Instance, verify
 from gridlink.verifier import degenerate_reason
 
 _GRID = make_grid(6, 6)
@@ -119,7 +118,7 @@ def test_frames_exist_everywhere():
 def test_frame_two_mate_third_splits_cycles():
     res = frame_two_mate_third(_UL, Vertex(1, 1), Vertex(2, 2), Vertex(1, 3))
     assert set(res.framed_pair) | {res.third} == {(1, 1), (2, 2), (1, 3)}
-    beta = 1 - res.alpha
+    beta = 1 - res.frame.alpha
     ring = _LM.C0 if beta == 0 else _LM.C1
     ring_verts = {v for e in ring for v in e if v in _UL.vertices}
     assert res.mating_path[0] == res.third
@@ -129,7 +128,7 @@ def test_frame_two_mate_third_splits_cycles():
 
 def test_frame_c0_mate_c1_fixes_alpha():
     res = frame_c0_mate_c1(_UL, Vertex(1, 2), Vertex(3, 1), Vertex(2, 3))
-    assert res.alpha == 0
+    assert res.frame.alpha == 0
     assert res.frame.anchor == _LM.x0
     c1_verts = {v for e in _LM.C1 for v in e if v in _UL.vertices}
     assert res.mating_path[-1] in c1_verts
@@ -139,7 +138,7 @@ def test_frame_c1_mate_corner_both_choices_of_z():
     triple = (Vertex(1, 1), Vertex(1, 3), Vertex(3, 1))
     for z in (_LM.x0, _LM.y0):
         res = frame_c1_mate_corner(_UL, *triple, z=z)
-        assert res.alpha == 1
+        assert res.frame.alpha == 1
         assert res.mating_path[-1] == z
         assert _edge_sets_disjoint(res.mating_path, *res.frame.mating_paths)
     with pytest.raises(ValueError):
@@ -221,16 +220,13 @@ _T2 = frozenset({Vertex(1, 1), Vertex(1, 2), Vertex(1, 3), Vertex(2, 3)})
 
 def test_projection_exceptional_families_are_frozen():
     """T1's working linked terminals are the top two of the column; T2's
-    are the two nearest b.  Everything else refuses, and the refusal is a
-    falsy value carrying the configuration."""
+    are the two nearest b.  Everything else refuses with ``Infeasible``."""
     adj = adjusted_quadrant("Q0")
     t1_working = {s for s in _T1 if project_with_b_link(adj, _T1, s)}
     assert t1_working == {Vertex(1, 1), Vertex(2, 1)}
     t2_working = {s for s in _T2 if project_with_b_link(adj, _T2, s)}
     assert t2_working == {Vertex(1, 3), Vertex(2, 3)}
-    refusal = project_with_b_link(adj, _T1, Vertex(3, 1))
-    assert not refusal
-    assert refusal.terminals == _T1 and refusal.s == (3, 1)
+    assert project_with_b_link(adj, _T1, Vertex(3, 1)) is Infeasible
 
 
 def test_projection_free_sets_never_refuse():
@@ -307,11 +303,9 @@ def test_clamp_matching_pigeonhole_and_misses():
     y2 = _clamp(((1, 1), (2, 1)), anchors=[(1, 1)])
     y3 = _clamp(((2, 2), (3, 2)), anchors=[(3, 2)])
     # both singletons exclusive to y2
-    got = clamp_matching(_P1, y2, y3, (Vertex(1, 1), Vertex(2, 1)))
-    assert got is NoMatch and not got
+    assert clamp_matching(_P1, y2, y3, (Vertex(1, 1), Vertex(2, 1))) is None
     # a singleton in neither clamp
-    assert clamp_matching(_P1, y2, y3, (Vertex(1, 1), Vertex(1, 3))) is NoMatch
-    assert repr(NoMatch) == "NoMatch"
+    assert clamp_matching(_P1, y2, y3, (Vertex(1, 1), Vertex(1, 3))) is None
 
 
 def test_clamp_matching_precondition_errors():
@@ -378,10 +372,10 @@ def test_catalog_configurations_link_the_pair_beside_the_clamps():
 
 def test_escorts_at_an_overloaded_corner_refuse():
     # three positive-length demand ends at a degree-2 vertex cannot all leave
-    with pytest.raises(LemmaDefect):
-        link_pair_escort_singletons(
-            _UL, Vertex(1, 1), Vertex(1, 2), Vertex(1, 1), Vertex(1, 1), ("A", "A")
-        )
+    got = link_pair_escort_singletons(
+        _UL, Vertex(1, 1), Vertex(1, 2), Vertex(1, 1), Vertex(1, 1), ("A", "A")
+    )
+    assert got is Infeasible
     # collapsing the pair frees the corner's two edges for the escorts
     got = link_pair_escort_singletons(
         _UL, Vertex(1, 1), Vertex(1, 1), Vertex(1, 1), Vertex(1, 1), ("A", "A")
@@ -392,14 +386,14 @@ def test_escorts_at_an_overloaded_corner_refuse():
 def test_escorts_blocked_by_a_line_cut_refuse():
     # P1 across the top row + both escorts from its midpoint to A: the three
     # edges leaving the row cannot cover P1 and two edge-disjoint escorts
-    with pytest.raises(LemmaDefect):
-        link_pair_escort_singletons(
-            _UL, Vertex(1, 1), Vertex(1, 3), Vertex(1, 2), Vertex(1, 2), ("A", "A")
-        )
-    with pytest.raises(LemmaDefect):
-        link_pair_escort_singletons(
-            _UL, Vertex(1, 1), Vertex(3, 1), Vertex(2, 1), Vertex(2, 1), ("B", "B")
-        )
+    got = link_pair_escort_singletons(
+        _UL, Vertex(1, 1), Vertex(1, 3), Vertex(1, 2), Vertex(1, 2), ("A", "A")
+    )
+    assert got is Infeasible
+    got = link_pair_escort_singletons(
+        _UL, Vertex(1, 1), Vertex(3, 1), Vertex(2, 1), Vertex(2, 1), ("B", "B")
+    )
+    assert got is Infeasible
     # pointing one escort at the near line restores feasibility
     got = link_pair_escort_singletons(
         _UL, Vertex(1, 1), Vertex(1, 3), Vertex(1, 2), Vertex(1, 2), ("A", "B")
@@ -427,9 +421,8 @@ def test_escort_certificates_obey_the_contract(q, idx, psi):
     s1, t1, s2, s3 = (vs[i] for i in idx)
     lm = landmarks(q)
     lines = {"A": set(lm.A), "B": set(lm.B)}
-    try:
-        got = link_pair_escort_singletons(q, s1, t1, s2, s3, psi)
-    except LemmaDefect:
+    got = link_pair_escort_singletons(q, s1, t1, s2, s3, psi)
+    if got is Infeasible:
         # infeasibility must be certified by one of the degeneracy laws
         local = [to_global(q.corner, v) for v in (s1, t1, s2, s3)]
         assert s2 == s3
@@ -443,6 +436,18 @@ def test_escort_certificates_obey_the_contract(q, idx, psi):
 
 
 # ------------------------------------------------------------------ crowded
+
+def _crowded_demands(q, pairs, singles, res):
+    """The demands a crowded certificate answers, built from the instance:
+    the linked pairs in ``res.linked`` order, then the unlinked pairs'
+    terminals and the singles, escaping to distinct exits on A or B."""
+    lm = landmarks(q)
+    exits = set(lm.A) | set(lm.B)
+    rest = [v for i, pair in enumerate(pairs) if i not in res.linked for v in pair]
+    return tuple(Demand.pair(*pairs[i]) for i in res.linked) + tuple(
+        Demand.escape(v, exits, distinct_group=0) for v in rest + list(singles)
+    )
+
 
 def test_crowded_variant_preconditions():
     vs = sorted(_UL.vertices)
@@ -466,7 +471,7 @@ def test_crowded_four_pairs_links_at_least_two():
     assert len(res.linked) >= 2
     exits = set(_LM.A) | set(_LM.B)
     seen = set()
-    for p, d in zip(res.paths.paths, res.demands):
+    for p, d in zip(res.paths.paths, _crowded_demands(_UL, pairs, (), res)):
         if d.kind == "pair":
             assert p[0] == d.source and p[-1] == d.target
         else:
@@ -475,48 +480,43 @@ def test_crowded_four_pairs_links_at_least_two():
             seen.add(p[-1])
 
 
-def _b_side_exits(res):
+def _b_side_exits(pairs, singles, res):
     off_a = set(_LM.B) - set(_LM.A)
     return [
         p[-1]
-        for p, d in zip(res.paths.paths, res.demands)
+        for p, d in zip(res.paths.paths, _crowded_demands(_UL, pairs, singles, res))
         if d.kind == "escape" and p[-1] in off_a
     ]
 
 
 def test_crowded_six_terminals_stay_near_a():
     vs = sorted(_UL.vertices)
-    res = crowded_escape(_UL, ((vs[0], vs[4]), (vs[1], vs[5]), (vs[2], vs[6])), (), variant=2)
+    pairs = ((vs[0], vs[4]), (vs[1], vs[5]), (vs[2], vs[6]))
+    res = crowded_escape(_UL, pairs, (), variant=2)
     assert len(res.linked) >= 1
-    assert len(_b_side_exits(res)) <= 1
+    assert len(_b_side_exits(pairs, (), res)) <= 1
 
 
 def test_crowded_five_terminals_link_the_pair():
-    res = crowded_escape(
-        _UL,
-        ((_LM.x0, _LM.x2),),
-        (Vertex(1, 2), Vertex(2, 1), Vertex(2, 2)),
-        variant=3,
-    )
+    pairs, singles = ((_LM.x0, _LM.x2),), (Vertex(1, 2), Vertex(2, 1), Vertex(2, 2))
+    res = crowded_escape(_UL, pairs, singles, variant=3)
     assert res.linked == (0,)
     link = res.paths.paths[0]
     assert link[0] == _LM.x0 and link[-1] == _LM.x2
-    assert len(_b_side_exits(res)) <= 1
+    assert len(_b_side_exits(pairs, singles, res)) <= 1
 
 
 def test_crowded_second_full_pair_escapes_unlinked():
     # five terminals may also arrive as two full pairs plus a single; only
     # the designated pair is linked and the other one escapes endpoint-wise
-    res = crowded_escape(
-        _UL,
-        ((Vertex(1, 1), Vertex(3, 3)), (Vertex(1, 3), Vertex(3, 1))),
-        (Vertex(2, 2),),
-        variant=3,
-    )
+    pairs = ((Vertex(1, 1), Vertex(3, 3)), (Vertex(1, 3), Vertex(3, 1)))
+    res = crowded_escape(_UL, pairs, (Vertex(2, 2),), variant=3)
     assert res.linked == (0,)
-    kinds = [d.kind for d in res.demands]
-    assert kinds == ["pair", "escape", "escape", "escape"]
-    assert res.demands[1].source == (1, 3) and res.demands[2].source == (3, 1)
+    demands = _crowded_demands(_UL, pairs, (Vertex(2, 2),), res)
+    assert [d.kind for d in demands] == ["pair", "escape", "escape", "escape"]
+    assert verify(Instance(_UL.graph, demands), res.paths)
+    # the second pair's terminals escape from where they stand
+    assert res.paths.paths[1][0] == (1, 3) and res.paths.paths[2][0] == (3, 1)
 
 
 @given(q=st.sampled_from(_CORNERS), data=st.data())
@@ -534,10 +534,12 @@ def test_crowded_certificates_obey_side_conditions(q, data):
     pairs = tuple((chosen[2 * i], chosen[2 * i + 1]) for i in range(npairs))
     singles = tuple(chosen[2 * npairs :])
     res = crowded_escape(q, pairs, singles, variant)
+    demands = _crowded_demands(q, pairs, singles, res)
+    assert verify(Instance(q.graph, demands), res.paths)
     lm = landmarks(q)
     exits = set(lm.A) | set(lm.B)
     ends = []
-    for p, d in zip(res.paths.paths, res.demands):
+    for p, d in zip(res.paths.paths, demands):
         if d.kind == "escape":
             assert p[-1] in exits
             ends.append(p[-1])
@@ -546,5 +548,5 @@ def test_crowded_certificates_obey_side_conditions(q, data):
         assert len([v for v in ends if v in set(lm.B) - set(lm.A)]) <= 1
     for i in res.linked:
         s, t = pairs[i]
-        matching = [p for p, d in zip(res.paths.paths, res.demands) if d.kind == "pair"]
+        matching = [p for p, d in zip(res.paths.paths, demands) if d.kind == "pair"]
         assert any(p[0] == s and p[-1] == t for p in matching)

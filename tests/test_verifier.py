@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import Counter
 from collections.abc import Iterator
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import islice
 from random import Random
@@ -27,14 +29,15 @@ from gridlink.grid import (
     quadrant,
 )
 import gridlink.lemmas.crowded as crowded
-from gridlink.lemmas import Frame, LemmaDefect, LemmaReport, catalog_configurations
-from gridlink.routing import Demand, Instance, solve
+from gridlink.lemmas import Frame, catalog_configurations
+from gridlink.routing import Demand, Infeasible, Instance, solve
 from gridlink.verifier import (
     T1,
     T1_ADMISSIBLE,
     T2,
     T2_ADMISSIBLE,
     Campaign,
+    LemmaReport,
     _run_pairability,
     degenerate_reason,
     drive,
@@ -361,14 +364,30 @@ def test_crowded_campaigns_check_the_linked_pairs(monkeypatch, linked):
     )
 
 
-def test_driver_records_a_lemma_defect_as_a_defect(monkeypatch):
-    def boom(q, T, s):
-        raise LemmaDefect("boom")
+_OPERATIONS = {
+    "L1": ("crowded_escape",),
+    "L5": ("build_frame",),
+    "L6": ("frame_two_mate_third",),
+    "L7": ("frame_c0_mate_c1", "frame_c1_mate_corner"),
+    "L8": ("escape_three_shared", "link_and_escape", "escape_three_distinct"),
+    "L10": ("link_pair_escort_singletons",),
+}
 
-    monkeypatch.setattr(verifier, "project_with_b_link", boom)
-    report = verify_lemma("L9")
-    assert report.exceptional == tuple(("defect", inst, "boom") for inst in enumerate_instances("L9"))
-    assert len(report.exceptional) == 837
+
+@pytest.mark.parametrize("lemma_id", sorted(_OPERATIONS))
+def test_a_lemma_operation_answering_infeasible_is_a_defect(monkeypatch, lemma_id):
+    # the runner alone turns a missing certificate into a record: a defect,
+    # except where an L10 law certifies the placement as degenerate
+    for op in _OPERATIONS[lemma_id]:
+        monkeypatch.setattr(verifier, op, lambda *args: Infeasible)
+    report = verify_lemma(lemma_id)
+    instances = enumerate_instances(lemma_id)
+    assert [inst for _, inst, _ in report.exceptional] == instances
+    tags = Counter(tag for tag, _, _ in report.exceptional)
+    if lemma_id == "L10":
+        assert tags == {"defect": len(instances) - 100, "degenerate": 100}
+    else:
+        assert tags == {"defect": len(instances)}
     assert "status: defective" in format_report(report).splitlines()
 
 
@@ -447,6 +466,19 @@ def test_two_workers_read_a_lazy_stream_as_they_run_it():
     assert list(islice(results, 5)) == [None] * 5
     assert len(read) <= 64 * 5
     results.close()
+
+
+def test_two_workers_take_a_list_in_chunks_of_at_most_64(monkeypatch):
+    sizes = []
+    real = ProcessPoolExecutor.submit
+
+    def submit(self, fn, run, chunk):
+        sizes.append(len(chunk))
+        return real(self, fn, run, chunk)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    assert list(verifier._pooled(_nothing, list(range(2000)), 2)) == [None] * 2000
+    assert sum(sizes) == 2000 and max(sizes) <= 64
 
 
 # ------------------------------------------------------------- pairability
