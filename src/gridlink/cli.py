@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
+import stat
 import sys
 import tempfile
 from contextlib import contextmanager, nullcontext, suppress
@@ -58,41 +58,47 @@ def _unwritable(path: str, exc: OSError) -> ValueError:
 
 @contextmanager
 def _open_report(path: str):
-    """Check that ``path`` opens for the report before the campaign runs.
+    """Open a temporary file beside ``path`` before the campaign runs, and
+    yield a function that writes the report to it and moves it over ``path``.
 
-    A campaign that does not finish then leaves an earlier report as it
-    was, and removes a file that this call created."""
-    created = not os.path.exists(path)
+    A path that is not a writable regular file, or whose directory cannot be
+    written, fails here.  A campaign that does not finish, or a write that
+    fails (a full disk), leaves an earlier report whole and creates no file.
+    The report replaces a symlink's target and keeps the old file's mode,
+    but not its owner or hard links.
+    """
+    target = os.path.realpath(path)
     try:
-        open(path, "a", encoding="utf-8").close()
-    except OSError as exc:
-        raise _unwritable(path, exc) from None
-    try:
-        yield
-    except BaseException:
-        if created:
-            with suppress(OSError):
-                os.remove(path)
-        raise
-
-
-def _save_report(path: str, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then move it over
-    ``path``: a failed write (a full disk) leaves the earlier report whole,
-    and becomes the ``ValueError`` of an unwritable report."""
-    target = os.path.realpath(path)  # through a symlink, not over it
-    try:
+        if os.path.exists(target):
+            mode = os.stat(target).st_mode
+            if not stat.S_ISREG(mode):
+                raise ValueError(f"cannot write report {path}: not a regular file")
+            open(target, "a", encoding="utf-8").close()  # refuse a report we may not write
+        else:
+            os.umask(mask := os.umask(0))  # read the umask: a new report gets open()'s mode
+            mode = 0o666 & ~mask
         fd, tmp = tempfile.mkstemp(prefix=".report-", dir=os.path.dirname(target))
-        try:
-            with open(fd, "w", encoding="utf-8") as out:
-                out.write(text)
-            shutil.copymode(target, tmp)
-            os.replace(tmp, target)
-        finally:
-            with suppress(OSError):
-                os.remove(tmp)  # already gone once it has replaced the report
     except OSError as exc:
         raise _unwritable(path, exc) from None
+    out = open(fd, "w", encoding="utf-8")
+
+    def save(text: str) -> None:
+        try:
+            with out:
+                out.write(text)
+                out.flush()
+                os.fsync(out.fileno())
+            os.chmod(tmp, stat.S_IMODE(mode))
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise _unwritable(path, exc) from None
+
+    try:
+        yield save
+    finally:
+        out.close()  # already closed once saved
+        with suppress(FileNotFoundError):
+            os.remove(tmp)  # gone once it has replaced the report
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -158,12 +164,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    with _open_report(args.report) if args.report else nullcontext():
+    with _open_report(args.report) if args.report else nullcontext() as save:
         report = run_campaign(campaign)
         text = format_report(report)
         sys.stdout.write(text)
-        if args.report:
-            _save_report(args.report, text)
+        if save:
+            save(text)
     return 0 if report_conforms(report) else 1
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, islice, product
 from random import Random
@@ -373,7 +373,8 @@ def enumerate_instances(
 # ``Infeasible``, and the runner's ``if not`` says what a missing one is: a
 # "defect", an L9 "refusal" or an L10 "degenerate" placement (the last two
 # are documented).  ``_check`` verifies certificates against demands built
-# from the instance and the statement, never from the lemma's output.
+# from the instance and the statement, never from the lemma's output, and
+# fails ``Infeasible`` itself (so L8, reading nothing first, needs no ``if``).
 
 _DOCUMENTED_TAGS = ("refusal", "degenerate")
 _NO_CERTIFICATE = "no certificate"
@@ -482,8 +483,6 @@ def _run_l8(inst):
         terms = inst[1:]
         got = escape_three_distinct(adj, *terms)
         demands = tuple(Demand.escape(t, adj.A, distinct_group=0) for t in terms)
-    if not got:
-        return ("defect", inst, _NO_CERTIFICATE)
     return _check(inst, adj.graph, demands, got)
 
 
@@ -555,14 +554,13 @@ class LemmaReport:
     """Outcome of checking one lemma over its full instance family.
 
     ``instances_checked == feasible + len(exceptional)`` always holds;
-    ``elapsed`` is wall-clock seconds and is excluded from report
-    comparisons.
+    ``elapsed`` is wall-clock seconds, excluded from report comparisons.
     """
 
     lemma_id: str
     instances_checked: int
     feasible: int
-    exceptional: tuple[Any, ...] = field(default=())
+    exceptional: tuple[Any, ...] = ()
     elapsed: float = 0.0
     strategy: str = "exhaustive"
     seed: Optional[int] = None
@@ -617,11 +615,6 @@ class WorkerDied(RuntimeError):
     """A campaign's worker process ended before it returned its results."""
 
 
-# instances per chunk sent to a worker: small enough that Ctrl-C waits for
-# few of them, large enough that the pickling round trips stay cheap
-_CHUNK = 64
-
-
 def _run_chunk(run: Callable, chunk: list) -> list:
     return [run(item) for item in chunk]
 
@@ -629,12 +622,13 @@ def _run_chunk(run: Callable, chunk: list) -> list:
 def _pooled(run: Callable, instances: Iterable, workers: int) -> Iterator:
     """``map(run, instances)`` over ``workers`` processes, in order.
 
-    Instances go out in chunks of ``_CHUNK``, at most two per worker at a
-    time, so a lazy stream is read only as fast as it is run.  A worker
-    that dies raises ``WorkerDied`` here instead of leaving its chunk
-    unanswered.  Workers are spawned, not forked, since the pool's own
-    threads run in this process, and they ignore Ctrl-C: the parent alone
-    stops, and cancels the chunks not yet started.
+    Instances go out in chunks of 64 (few for Ctrl-C to wait on, enough to
+    keep the pickling cheap), at most two per worker at a time, so a lazy
+    stream is read only as fast as it is run.  A worker that dies raises
+    ``WorkerDied`` here instead of leaving its chunk unanswered.  Workers
+    are spawned, not forked, since the pool's own threads run in this
+    process, and they ignore Ctrl-C: the parent alone stops, and cancels
+    the chunks not yet started.
     """
     # imported here, where a pool runs: at module level they add about 1.5 MB
     # to the peak RSS of a campaign with one worker
@@ -644,7 +638,7 @@ def _pooled(run: Callable, instances: Iterable, workers: int) -> Iterator:
     from concurrent.futures.process import BrokenProcessPool
 
     items = iter(instances)
-    chunks = iter(lambda: list(islice(items, _CHUNK)), [])
+    chunks = iter(lambda: list(islice(items, 64)), [])
     pool = ProcessPoolExecutor(
         workers,
         multiprocessing.get_context("spawn"),

@@ -326,6 +326,63 @@ def test_an_unwritable_report_path_exits_2_before_the_campaign(tmp_path, monkeyp
     assert "error: cannot write report" in capsys.readouterr().err
 
 
+def test_a_report_path_that_is_not_a_regular_file_exits_2_before_the_campaign(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr("gridlink.cli.run_campaign", _no_campaign)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    (tmp_path / "link").symlink_to(fifo)
+    for path in (fifo, tmp_path / "link", tmp_path):
+        assert main(["lemma", "L5", "--report", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write report {path}: not a regular file\n"
+        )
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "link"]
+    assert (tmp_path / "link").is_symlink() and (tmp_path / "fifo").is_fifo()
+
+
+def test_a_report_directory_that_cannot_be_written_exits_2_before_the_campaign(
+    tmp_path, monkeypatch, capsys
+):
+    # the report file itself opens, but the report is saved through a new file beside it
+    monkeypatch.setattr("gridlink.cli.run_campaign", _no_campaign)
+
+    def denied(prefix, dir):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr("gridlink.cli.tempfile.mkstemp", denied)
+    path = tmp_path / "r.txt"
+    path.write_bytes(b"old report\n")
+    assert main(["lemma", "L5", "--report", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write report {path}: Permission denied\n"
+    assert path.read_bytes() == b"old report\n"
+
+
+def test_a_saved_report_is_synced_and_keeps_the_mode(tmp_path, monkeypatch, capsys):
+    calls = []
+    fsync, replace = os.fsync, os.replace
+    monkeypatch.setattr(os, "fsync", lambda fd: (calls.append("fsync"), fsync(fd))[1])
+    monkeypatch.setattr(os, "replace", lambda a, b: (calls.append("replace"), replace(a, b))[1])
+    path = tmp_path / "r.txt"
+    mask = os.umask(0o022)
+    try:
+        assert main(["lemma", "L5", "--report", str(path)]) == 0
+        assert path.stat().st_mode & 0o777 == 0o644  # a new report follows the umask
+        path.chmod(0o640)
+        capsys.readouterr()
+        (tmp_path / "link").symlink_to(path)
+        assert main(["lemma", "L5", "--report", str(tmp_path / "link")]) == 0
+    finally:
+        os.umask(mask)
+    assert calls == ["fsync", "replace"] * 2
+    # the report replaces the link's target, and keeps its mode
+    assert path.read_text() == capsys.readouterr().out
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert (tmp_path / "link").is_symlink()
+    assert sorted(os.listdir(tmp_path)) == ["link", "r.txt"]
+
+
 def test_an_interrupted_campaign_exits_130_without_a_traceback(monkeypatch, capsys):
     def interrupted(campaign):
         raise KeyboardInterrupt
