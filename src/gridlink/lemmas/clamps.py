@@ -323,27 +323,6 @@ def _normalize_psi(psi) -> tuple[str, str]:
     return pair  # type: ignore[return-value]
 
 
-# The pair and escort demands of the placements, built the first time one
-# names them and shared by the rest: (s, t) -> pair demand, and
-# (s, line vertices) -> escape to the line with distinct exits.
-_PAIRS: dict[tuple[Vertex, Vertex], Demand] = {}
-_ESCORTS: dict[tuple[Vertex, tuple[Vertex, ...]], Demand] = {}
-
-
-def _pair_demand(s: Vertex, t: Vertex) -> Demand:
-    d = _PAIRS.get((s, t))
-    if d is None:
-        d = _PAIRS[s, t] = Demand.pair(s, t)
-    return d
-
-
-def _escort_demand(s: Vertex, exits: tuple[Vertex, ...]) -> Demand:
-    d = _ESCORTS.get((s, exits))
-    if d is None:
-        d = _ESCORTS[s, exits] = Demand.escape(s, exits, distinct_group=0)
-    return d
-
-
 def link_pair_escort_singletons(
     q: Quadrant, s1: Vertex, t1: Vertex, s2: Vertex, s3: Vertex, psi
 ) -> SolveResult:
@@ -359,6 +338,6 @@ def link_pair_escort_singletons(
     line2, line3 = _normalize_psi(psi)
     lm = landmarks(q)
     # the lines are named as the landmarks name them: lm.A and lm.B
-    escort2 = _escort_demand(s2, getattr(lm, line2))
-    escort3 = _escort_demand(s3, getattr(lm, line3))
-    return solve(Instance(q.graph, (_pair_demand(s1, t1), escort2, escort3)))
+    escort2 = Demand.escape(s2, getattr(lm, line2), distinct_group=0)
+    escort3 = Demand.escape(s3, getattr(lm, line3), distinct_group=0)
+    return solve(Instance(q.graph, (Demand.pair(s1, t1), escort2, escort3)))

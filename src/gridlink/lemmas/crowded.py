@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from ..grid import Quadrant, Vertex, landmarks
+from ..grid import Quadrant, Vertex, landmarks, vertex
 from ..routing import Demand, Infeasible, InfeasibleType, Instance, PathSystem, solve
 
 
@@ -61,8 +61,8 @@ def crowded_escape(
     at pairwise distinct exits.  ``Infeasible`` when no choice of linked
     pairs and exits routes.
     """
-    pairs = tuple((Vertex(*s), Vertex(*t)) for s, t in pairs)
-    singles = tuple(Vertex(*v) for v in singles)
+    pairs = tuple((vertex(s), vertex(t)) for s, t in pairs)
+    singles = tuple(map(vertex, singles))
     occupied = [v for s, t in pairs for v in (s, t)] + list(singles)
     for v in occupied:
         if v not in q.vertices:
@@ -93,12 +93,12 @@ def crowded_escape(
         raise ValueError(f"variant must be 1, 2 or 3, got {variant!r}")
 
     lm = landmarks(q)
+    line_a = frozenset(lm.A)
     if variant == 1:
-        exit_sets = (tuple(sorted(set(lm.A) | set(lm.B))),)
+        exit_sets = (line_a.union(lm.B),)
     else:
         # at most one exit off A: try each admissible extra vertex of B - A
-        extras = [v for v in lm.B if v not in lm.A]
-        exit_sets = tuple(tuple(sorted(set(lm.A) | {b})) for b in extras)
+        exit_sets = tuple(line_a | {b} for b in lm.B if b not in line_a)
 
     if variant == 3:
         # the statement fixes P1: exactly the designated pair is linked,
@@ -111,12 +111,12 @@ def crowded_escape(
             for size in range(len(pairs), min_link - 1, -1)
             for linked in combinations(range(len(pairs)), size)
         )
+    links = [Demand.pair(s, t) for s, t in pairs]
     for linked in link_choices:
+        linking = tuple(links[i] for i in linked)
+        escaping = _escape_order(pairs, singles, linked)
         for exits in exit_sets:
-            demands = tuple(Demand.pair(*pairs[i]) for i in linked) + tuple(
-                Demand.escape(v, exits, distinct_group=0)
-                for v in _escape_order(pairs, singles, linked)
-            )
+            demands = linking + tuple(Demand.escape(v, exits, distinct_group=0) for v in escaping)
             sol = solve(Instance(q.graph, demands))
             if sol:
                 return CrowdedResult(sol, linked)

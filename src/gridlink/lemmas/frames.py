@@ -54,14 +54,13 @@ class FramingResult:
     third: Vertex
 
 
-def _c1_edges_in(q: Quadrant) -> frozenset[Edge]:
-    return frozenset(e for e in landmarks(q).C1 if e in q.graph.present_edges)
+def _c1_edges_in(q: Quadrant, lm: QuadrantLandmarks) -> frozenset[Edge]:
+    return frozenset(e for e in lm.C1 if e in q.graph.present_edges)
 
 
-def _cycle_targets(q: Quadrant, alpha: int) -> tuple[Vertex, ...]:
-    """Vertices of C_alpha that lie inside the quadrant, sorted."""
-    ring = C0_RING if alpha == 0 else C1_RING
-    return tuple(sorted(v for v in ring if v in q.vertices))
+def _rings_in(q: Quadrant) -> tuple[tuple[Vertex, ...], tuple[Vertex, ...]]:
+    """The vertices of C0 and of C1 that lie inside the quadrant, each sorted."""
+    return tuple(tuple(sorted(v for v in ring if v in q.vertices)) for ring in (C0_RING, C1_RING))
 
 
 def _check_terminal(q: Quadrant, s: Vertex) -> None:
@@ -83,13 +82,13 @@ def _distinct_terminals(
 
 def _solve_frame(
     q: Quadrant, lm: QuadrantLandmarks, forbidden: frozenset[Edge], alpha: int,
-    s1: Vertex, s2: Vertex, extra: tuple[Demand, ...] = (),
+    anchors: tuple[Vertex, ...], s1: Vertex, s2: Vertex, extra: tuple[Demand, ...] = (),
 ) -> tuple[Frame, tuple[Path, ...]] | None:
-    """The frame at the first anchor of C_alpha, in sorted order, where
-    ``solve`` routes s1 and s2 to it together with the ``extra`` demands,
-    and the extra demands' paths; None when no anchor works."""
+    """The frame at the first of the ``anchors`` on C_alpha where ``solve``
+    routes s1 and s2 to it together with the ``extra`` demands, and the
+    extra demands' paths; None when no anchor works."""
     cycle = lm.C0 if alpha == 0 else lm.C1
-    for w in _cycle_targets(q, alpha):
+    for w in anchors:
         demands = (Demand.pair(s1, w), Demand.pair(s2, w)) + extra
         sol = solve(Instance(q.graph, demands, forbidden))
         if sol:
@@ -103,24 +102,28 @@ def build_frame(q: Quadrant, s1: Vertex, s2: Vertex, alpha: int) -> Frame | Infe
         raise ValueError(f"alpha must be 0 or 1, got {alpha!r}")
     _check_terminal(q, s1)
     _check_terminal(q, s2)
-    found = _solve_frame(q, landmarks(q), _c1_edges_in(q), alpha, s1, s2)
+    lm = landmarks(q)
+    found = _solve_frame(q, lm, _c1_edges_in(q, lm), alpha, _rings_in(q)[alpha], s1, s2)
     return Infeasible if found is None else found[0]
 
 
 def _framed_search(
     q: Quadrant,
+    lm: QuadrantLandmarks,
     terms: tuple[Vertex, Vertex, Vertex],
     alphas: tuple[int, ...],
     mate,
 ) -> FramingResult | InfeasibleType:
     """Shared search: choose a pair to frame, an alpha, and an anchor;
-    ``mate(c, alpha)`` is the demand that routes the third terminal c."""
-    lm = landmarks(q)
-    forbidden = _c1_edges_in(q)
+    ``mate(c, alpha, rings)`` is the demand that routes the third terminal
+    c, where ``rings`` are ``_rings_in(q)``."""
+    forbidden = _c1_edges_in(q, lm)
+    rings = _rings_in(q)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         a, b, c = terms[i], terms[j], terms[3 - i - j]
         for alpha in alphas:
-            found = _solve_frame(q, lm, forbidden, alpha, a, b, (mate(c, alpha),))
+            extra = (mate(c, alpha, rings),)
+            found = _solve_frame(q, lm, forbidden, alpha, rings[alpha], a, b, extra)
             if found is not None:
                 frame, (mating_path,) = found
                 return FramingResult(frame, mating_path, (a, b), c)
@@ -133,7 +136,8 @@ def frame_two_mate_third(
     """Frame two of three distinct terminals on some C_alpha; mate the third to C_beta."""
     terms = _distinct_terminals(q, sp, sq, sr)
     return _framed_search(
-        q, terms, (0, 1), lambda c, alpha: Demand.escape(c, _cycle_targets(q, 1 - alpha))
+        q, landmarks(q), terms, (0, 1),
+        lambda c, alpha, rings: Demand.escape(c, rings[1 - alpha]),
     )
 
 
@@ -142,7 +146,9 @@ def frame_c0_mate_c1(
 ) -> FramingResult | InfeasibleType:
     """Frame two of three distinct terminals on C0; mate the third to C1."""
     terms = _distinct_terminals(q, sp, sq, sr)
-    return _framed_search(q, terms, (0,), lambda c, alpha: Demand.escape(c, _cycle_targets(q, 1)))
+    return _framed_search(
+        q, landmarks(q), terms, (0,), lambda c, alpha, rings: Demand.escape(c, rings[1])
+    )
 
 
 def frame_c1_mate_corner(
@@ -153,4 +159,4 @@ def frame_c1_mate_corner(
     lm = landmarks(q)
     if z not in (lm.x0, lm.y0):
         raise ValueError(f"z must be x0 {lm.x0} or y0 {lm.y0}, got {z}")
-    return _framed_search(q, terms, (1,), lambda c, alpha: Demand.pair(c, z))
+    return _framed_search(q, lm, terms, (1,), lambda c, alpha, rings: Demand.pair(c, z))

@@ -80,7 +80,13 @@ _TABLE_CAP = 1024
 
 @dataclass(frozen=True)
 class Demand:
-    """One routing demand; build with ``Demand.pair`` / ``Demand.escape``."""
+    """One routing demand; build with ``Demand.pair`` / ``Demand.escape``.
+
+    Those two hand out one shared object per demand value, kept for the life
+    of the process, so a demand is built (and its exit set hashed) once
+    however often it is named.  Sharing is safe because a demand is frozen.
+    A ``Demand(...)`` built directly is equal to the shared one, not it.
+    """
 
     kind: str
     source: Vertex
@@ -90,7 +96,14 @@ class Demand:
 
     @staticmethod
     def pair(source: Iterable[int], target: Iterable[int]) -> "Demand":
-        return Demand(PAIR, vertex(source), target=vertex(target))
+        key = (PAIR, source, target)
+        try:
+            d = _SHARED.get(key)
+        except TypeError:  # a coordinate given as a list
+            d = None
+        if d is None:
+            d = _share(key, (PAIR, vertex(source), vertex(target)))
+        return d
 
     @staticmethod
     def escape(
@@ -98,8 +111,40 @@ class Demand:
         exits: Iterable[Iterable[int]],
         distinct_group: Optional[int] = None,
     ) -> "Demand":
-        xs = frozenset(map(vertex, exits))
-        return Demand(ESCAPE, vertex(source), exits=xs, distinct_group=distinct_group)
+        if type(exits) is not tuple and type(exits) is not frozenset:
+            exits = frozenset(map(vertex, exits))
+        key = (ESCAPE, source, None, exits, distinct_group)
+        try:
+            d = _SHARED.get(key)
+        except TypeError:
+            d = None
+        if d is None:
+            xs = frozenset(map(vertex, exits))
+            d = _share(key, (ESCAPE, vertex(source), None, xs, distinct_group))
+        return d
+
+
+# The shared demands, each keyed by its fields in ``Demand``'s order, both
+# as given to ``Demand.pair`` or ``Demand.escape`` and normalised, so that
+# every spelling of one value finds the same object.  The kind leads and
+# the group ends an escape's key, so a pair, an ungrouped escape and a
+# group-0 escape never meet.
+_SHARED: dict[tuple, Demand] = {}
+
+
+def _share(key: tuple, fields: tuple) -> Demand:
+    """The shared demand with these normalised ``fields``, now also under ``key``."""
+    try:
+        d = _SHARED.get(fields)
+    except TypeError:  # a coordinate that cannot be hashed: build, don't share
+        return Demand(*fields)
+    if d is None:
+        d = _SHARED[fields] = Demand(*fields)
+    try:
+        _SHARED[key] = d
+    except TypeError:
+        pass
+    return d
 
 
 @dataclass(frozen=True)

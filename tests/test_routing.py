@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import multiprocessing
+import pickle
 import weakref
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import FrozenInstanceError
 from functools import partial
 from math import comb
 from random import Random
@@ -44,7 +49,7 @@ from gridlink.routing import (
     verify,
 )
 from gridlink import verifier
-from gridlink.verifier import _FULL, _iter_escape_family, sample_pairability, verify_lemma
+from gridlink.verifier import _iter_escape_family, sample_pairability, verify_lemma
 
 
 def test_zero_length_pair():
@@ -152,13 +157,102 @@ def test_vertex_keeps_a_vertex_and_builds_one_from_a_pair():
     assert type(vertex([3, 4])) is Vertex
 
 
-def test_sampled_placements_reuse_the_grid_vertices():
-    canonical = {id(v) for v in _FULL}
+def _count_demands_built(monkeypatch) -> Counter:
+    """Patch ``Demand.__init__`` to count the demands built, by value."""
+    built: Counter = Counter()
+    init = Demand.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built[self] += 1
+
+    monkeypatch.setattr(Demand, "__init__", counting)
+    return built
+
+
+def test_sampled_placements_share_their_demands(monkeypatch):
+    # Which Vertex objects a shared demand holds depends on the call that
+    # built it first (here: plain tuples); a sampled placement gets that
+    # one shared demand, and sampling builds none.
     rng = Random(3)
-    for _ in range(200):
-        for s, t in sample_pairability(rng):
-            demand = Demand.pair(s, t)
-            assert id(demand.source) in canonical and id(demand.target) in canonical
+    placements = [sample_pairability(rng) for _ in range(200)]
+    shared = {st: Demand.pair(tuple(st[0]), tuple(st[1])) for p in placements for st in p}
+    built = _count_demands_built(monkeypatch)
+    for p in placements:
+        for st in p:
+            assert verifier._grid_pair(st) is shared[st]
+            assert Demand.pair(*st) is shared[st]
+        assert verifier._run_pairability(p) is None
+    assert not built
+
+
+def test_equal_demands_are_one_shared_object():
+    pair = Demand.pair(Vertex(5, 1), Vertex(6, 2))
+    assert Demand.pair((5, 1), (6, 2)) is pair
+    assert Demand.pair([5, 1], [6, 2]) is pair
+    assert Demand.pair(Vertex(6, 2), Vertex(5, 1)) is not pair
+    exits = [Vertex(6, 1), (6, 2), [6, 3]]
+    escape = Demand.escape((5, 2), tuple(exits[:2]) + ((6, 3),))
+    spellings = (
+        tuple(exits[:2]) + ((6, 3),),
+        tuple(reversed(exits[:2])) + ((6, 3),),
+        exits,
+        {Vertex(6, 1), (6, 2), (6, 3)},
+        frozenset({(6, 1), (6, 2), Vertex(6, 3)}),
+    )
+    for source in (Vertex(5, 2), (5, 2), [5, 2]):
+        for xs in spellings + ((vertex(x) for x in exits),):
+            assert Demand.escape(source, xs) is escape
+    assert escape.exits == frozenset({Vertex(6, 1), Vertex(6, 2), Vertex(6, 3)})
+    assert type(escape.source) is Vertex and all(type(x) is Vertex for x in escape.exits)
+    # the kind and the group are part of the value
+    grouped = Demand.escape((5, 2), exits, distinct_group=0)
+    assert grouped is not escape and grouped != escape
+    assert Demand.escape((5, 2), list(exits), 0) is grouped
+    assert Demand.escape((5, 2), [(6, 2)]) is not Demand.pair((5, 2), (6, 2))
+    # built directly: equal, not shared
+    direct = Demand(PAIR, Vertex(5, 1), Vertex(6, 2))
+    assert direct == pair and direct is not pair
+    assert Demand.pair((5, 1), (6, 2)) is pair
+
+
+def test_a_shared_demand_is_frozen_and_pickles_to_an_equal_copy():
+    d = Demand.escape((1, 1), [(2, 1), (2, 2)], distinct_group=0)
+    with pytest.raises(FrozenInstanceError):
+        d.source = Vertex(2, 2)
+    with pytest.raises(FrozenInstanceError):
+        d.exits = frozenset()
+    copy = pickle.loads(pickle.dumps(d))
+    assert copy == d and copy is not d and hash(copy) == hash(d)
+    assert solve(Instance(make_grid(2, 2), (copy,))) == solve(Instance(make_grid(2, 2), (d,)))
+
+
+def _shared_in_worker(d: Demand) -> tuple[bool, bool, bool]:
+    own = Demand.pair(d.source, d.target)
+    return d == own, d is own, own is Demand.pair(tuple(d.source), tuple(d.target))
+
+
+def test_a_spawned_worker_unpickles_its_own_copy():
+    d = Demand.pair((1, 1), (3, 3))
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert pool.submit(_shared_in_worker, d).result() == (True, False, True)
+        back = pool.submit(Demand.pair, (1, 1), (3, 3)).result()
+    assert back == d and back is not d
+
+
+def test_a_demand_with_an_unhashable_coordinate_is_built_but_not_shared():
+    a = Demand.pair((1, [1]), (2, 2))
+    b = Demand.pair((1, [1]), (2, 2))
+    assert a == b and a is not b
+
+
+def test_a_lemma_sweep_builds_each_demand_value_at_most_once(monkeypatch):
+    # L8 and L9 name the same few demands in every instance, in the lemma
+    # operations and again in the runners' statement checks
+    built = _count_demands_built(monkeypatch)
+    for lemma_id in ("L8", "L9"):
+        assert verify_lemma(lemma_id).instances_checked
+    assert max(built.values(), default=1) == 1
 
 
 # ------------------------------------------------------------------- verify

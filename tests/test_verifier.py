@@ -29,6 +29,7 @@ from gridlink.grid import (
     quadrant,
 )
 import gridlink.lemmas.crowded as crowded
+import gridlink.lemmas.escapes as escapes
 from gridlink.lemmas import Frame, catalog_configurations
 from gridlink.routing import Demand, Infeasible, Instance, solve
 from gridlink.verifier import (
@@ -330,6 +331,28 @@ def test_frame_campaigns_check_the_statement(monkeypatch, lemma_id, op, mutant):
 
     mutated = wrong_terminal if mutant == "wrong terminal" else off_cycle_anchor
     monkeypatch.setattr(verifier, op, mutated)
+    report = verify_lemma(lemma_id)
+    assert any(tag == "defect" for tag, _, _ in report.exceptional)
+    assert not report_conforms(report)
+
+
+def _escape_with_shared_exits(adj, *terms):
+    return solve(Instance(adj.graph, tuple(Demand.escape(t, adj.A) for t in terms)))
+
+
+@pytest.mark.parametrize(
+    "lemma_id, owner, name, mutant",
+    [
+        ("L8", verifier, "escape_three_distinct", _escape_with_shared_exits),
+        ("L9", escapes, "_B_LINK", Vertex(1, 3)),
+    ],
+    ids=["L8-shared exits", "L9-b moved"],
+)
+def test_escape_campaigns_check_the_statement(monkeypatch, lemma_id, owner, name, mutant):
+    # L8 (iii) answered with shared exits, or L9 linking to another b,
+    # returns a certificate that verifies for its own demands; the campaign
+    # must check it against the statement's distinct exits and b = (2, 3).
+    monkeypatch.setattr(owner, name, mutant)
     report = verify_lemma(lemma_id)
     assert any(tag == "defect" for tag, _, _ in report.exceptional)
     assert not report_conforms(report)
