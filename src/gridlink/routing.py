@@ -111,6 +111,7 @@ class Demand:
         exits: Iterable[Iterable[int]],
         distinct_group: Optional[int] = None,
     ) -> "Demand":
+        # an iterator hashes by identity: key any other iterable by its value
         if type(exits) is not tuple and type(exits) is not frozenset:
             exits = frozenset(map(vertex, exits))
         key = (ESCAPE, source, None, exits, distinct_group)
