@@ -30,7 +30,7 @@ from .flow import escape_flow
 from .routing import ESCAPE, Infeasible, Instance, solve, verify
 from .verifier import (
     LEMMA_IDS,
-    STRATEGIES,
+    PAIRABILITY_SAMPLES,
     Campaign,
     WorkerDied,
     format_report,
@@ -38,10 +38,6 @@ from .verifier import (
     report_conforms,
     run_campaign,
 )
-
-
-# placements a pairability run draws when --samples is not given
-_PAIRABILITY_SAMPLES = 100000
 
 
 def _read(path: str) -> str:
@@ -154,16 +150,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    samples = args.samples
-    if samples is None and args.strategy == "random":
-        samples = args.random_samples
-    campaign = Campaign(
-        lemma_id=args.lemma_id,
-        strategy=args.strategy,
-        samples=samples,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    campaign = Campaign(args.lemma_id, args.samples, args.seed, args.workers)
     with _open_report(args.report) if args.report else nullcontext() as save:
         report = run_campaign(campaign)
         text = format_report(report)
@@ -191,36 +178,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lemma = sub.add_parser("lemma", help="run one lemma's verification campaign")
     p_lemma.add_argument("lemma_id", choices=list(LEMMA_IDS), metavar="lemma_id")
-    p_lemma.add_argument("--strategy", choices=list(STRATEGIES), default="exhaustive")
-    p_lemma.add_argument("--samples", type=int, default=None)
-    p_lemma.add_argument("--seed", type=int, default=None)
     p_lemma.add_argument("--workers", type=int, default=1)
     p_lemma.add_argument("--report", metavar="PATH", help="also write the report here")
-    p_lemma.set_defaults(func=cmd_campaign, random_samples=None)
+    p_lemma.set_defaults(func=cmd_campaign, samples=None, seed=None)
 
     p_pair = sub.add_parser("pairability", help="run the 4-pair campaign on the 6x6 grid")
-    p_pair.add_argument(
+    slice_of = p_pair.add_mutually_exclusive_group()
+    slice_of.add_argument(
         "--samples",
         type=int,
-        default=None,
-        help=f"random draws (default {_PAIRABILITY_SAMPLES})",
+        default=PAIRABILITY_SAMPLES,
+        help=f"random draws (default {PAIRABILITY_SAMPLES})",
     )
-    p_pair.add_argument("--seed", type=int, default=None)
-    p_pair.add_argument(
+    slice_of.add_argument(
         "--exhaustive-reduced",
         action="store_const",
-        const="reduced",
-        dest="strategy",
+        const=None,
+        dest="samples",
+        # argparse counts a flag as given only if its value is not its default
+        default=argparse.SUPPRESS,
         help="sweep all symmetry-reduced placements (very long-running)",
     )
+    p_pair.add_argument("--seed", type=int, default=None)
     p_pair.add_argument("--workers", type=int, default=1)
     p_pair.add_argument("--report", metavar="PATH", help="also write the report here")
-    p_pair.set_defaults(
-        func=cmd_campaign,
-        lemma_id="pairability",
-        strategy="random",
-        random_samples=_PAIRABILITY_SAMPLES,
-    )
+    p_pair.set_defaults(func=cmd_campaign, lemma_id="pairability")
     return parser
 
 

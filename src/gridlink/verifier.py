@@ -4,8 +4,9 @@ Every lemma's quantified domain is enumerated in a fixed order, each
 instance is handed to its lemma operation, and every returned certificate
 is re-checked with the independent routing verifier.  Reports aggregate in
 enumeration order regardless of worker count, so a report is a pure
-function of (lemma id, strategy, seed); wall-clock time lives in the
-``elapsed`` field, which consumers must exclude from comparisons.
+function of the campaign (a lemma id, or pairability's sample count and
+seed); wall-clock time lives in the ``elapsed`` field, which consumers
+must exclude from comparisons.
 
 Campaigns run in the upper-left quadrant (its local and global coordinate
 systems coincide); the grid's symmetries carry every result to the other
@@ -99,8 +100,6 @@ _CROWDED_ESCAPES = {
     s: Demand.escape(s, _L10_LINES["A"] | _L10_LINES["B"], distinct_group=0) for s in _LOCAL
 }
 
-STRATEGIES = ("exhaustive", "reduced", "random")
-
 # Lemma 9's two exceptional terminal sets and their admissible linked
 # terminals, in quadrant-local coordinates (frozen by the exhaustive run).
 T1 = frozenset({Vertex(1, 1), Vertex(2, 1), Vertex(3, 1)})
@@ -113,21 +112,25 @@ T2_ADMISSIBLE = frozenset({Vertex(1, 3), Vertex(2, 3)})
 class Campaign:
     """A verification run: which lemma, which slice of its domain, how wide.
 
+    A lemma campaign sweeps its whole domain.  Pairability draws ``samples``
+    seeded placements, or without a sample count sweeps the reduced domain.
     Every rule on these fields is checked here and nowhere else."""
 
     lemma_id: str
-    strategy: str = "exhaustive"
     samples: Optional[int] = None
     seed: Optional[int] = None
     workers: int = 1
 
+    @property
+    def strategy(self) -> str:
+        """The report's name for the slice: exhaustive, random or reduced."""
+        if self.lemma_id != "pairability":
+            return "exhaustive"
+        return "reduced" if self.samples is None else "random"
+
     def __post_init__(self) -> None:
         if self.lemma_id not in LEMMA_IDS and self.lemma_id != "pairability":
             raise ValueError(f"unknown lemma id {self.lemma_id!r}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.lemma_id == "pairability" and self.strategy == "exhaustive":
-            raise ValueError("pairability has no exhaustive strategy: use random or reduced")
         if self.strategy == "random":
             if self.seed is None:
                 raise ValueError("the random strategy requires an explicit seed")
@@ -289,80 +292,19 @@ def _iter_p1_matching() -> Iterator:
             yield (inst, config)
 
 
-# ------------------------------------------------------- symmetry reduction
-
-_t = SYMMETRIES[4]  # the transpose: maps the UL quadrant onto itself, swapping A and B
-
-_SWAP_LINE = {"A": "B", "B": "A"}
-
-
-def _canon_crowded(inst):
-    pairs, singles = inst
-    return (
-        tuple(sorted(tuple(sorted(p)) for p in pairs)),
-        tuple(sorted(singles)),
-    )
-
-
-def transpose_instance(lemma_id: str, inst):
-    """Image of an instance under the quadrant transpose, or None when the
-    lemma's domain is not closed under it (b, y0, the B-side condition and
-    the Fig. 4 graphs all break the symmetry)."""
-    if lemma_id == "L1":
-        pairs, singles = inst
-        return (
-            tuple((_t(s), _t(t)) for s, t in pairs),
-            tuple(_t(v) for v in singles),
-        )
-    if lemma_id == "L5":
-        s1, s2, alpha = inst
-        return (_t(s1), _t(s2), alpha)
-    if lemma_id == "L6":
-        a, b, c = (_t(v) for v in inst)
-        return (min(a, b), max(a, b), c)
-    if lemma_id == "L7" and inst[0] == "i":
-        return ("i",) + tuple(sorted(_t(v) for v in inst[1:]))
-    if lemma_id == "L10":
-        s1, t1, s2, s3, (p2, p3) = inst
-        return (_t(s1), _t(t1), _t(s2), _t(s3), (_SWAP_LINE[p2], _SWAP_LINE[p3]))
-    return None
-
-
-def _is_representative(lemma_id: str, inst) -> bool:
-    image = transpose_instance(lemma_id, inst)
-    if image is None:
-        return True
-    if lemma_id == "L1":
-        return _canon_crowded(inst) <= _canon_crowded(image)
-    return inst <= image
-
-
 def enumerate_instances(
-    lemma_id: str,
-    strategy: str = "exhaustive",
-    samples: Optional[int] = None,
-    seed: Optional[int] = None,
+    lemma_id: str, samples: Optional[int] = None, seed: Optional[int] = None
 ) -> Iterable:
-    """The campaign's instances: all of them, transpose-orbit
-    representatives, or seeded uniform draws (with replacement).
-
-    A lemma's instances and pairability's seeded draws come as a list; the
-    reduced pairability sweep is the lazy ``iter_pairability_reduced()``.
-    """
-    Campaign(lemma_id, strategy, samples, seed)  # validates the arguments
-    if lemma_id == "pairability":
-        if strategy == "reduced":
-            return iter_pairability_reduced()
-        rng = Random(seed)
-        return [sample_pairability(rng) for _ in range(samples)]
-    base = _CAMPAIGNS[lemma_id][0]()
-    if strategy == "exhaustive":
-        return list(base)
-    if strategy == "reduced":
-        return [inst for inst in base if _is_representative(lemma_id, inst)]
-    pool = list(base)
+    """The campaign's instances: a lemma's whole domain, as a list, or
+    pairability's ``samples`` seeded uniform draws (a list), or without a
+    sample count its lazy reduced sweep ``iter_pairability_reduced()``."""
+    Campaign(lemma_id, samples, seed)  # validates the arguments
+    if lemma_id != "pairability":
+        return list(_CAMPAIGNS[lemma_id][0]())
+    if samples is None:
+        return iter_pairability_reduced()
     rng = Random(seed)
-    return [pool[rng.randrange(len(pool))] for _ in range(samples)]
+    return [sample_pairability(rng) for _ in range(samples)]
 
 
 # ------------------------------------------------------------------ runners
@@ -661,23 +603,23 @@ def run_campaign(campaign: Campaign) -> LemmaReport:
     """Look up the campaign's runner, enumerate its instances, drive them."""
     # pairability is the one campaign outside the lemma table
     _, runner = _CAMPAIGNS.get(campaign.lemma_id, (None, _run_pairability))
-    instances = enumerate_instances(
-        campaign.lemma_id, campaign.strategy, campaign.samples, campaign.seed
-    )
+    instances = enumerate_instances(campaign.lemma_id, campaign.samples, campaign.seed)
     return drive(
         campaign.lemma_id, runner, instances, campaign.workers, campaign.strategy, campaign.seed
     )
 
 
-def verify_lemma(
-    lemma_id: str,
-    strategy: str = "exhaustive",
-    workers: int = 1,
-    samples: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> LemmaReport:
-    """Run one lemma's campaign and aggregate its report."""
-    return run_campaign(Campaign(lemma_id, strategy, samples, seed, workers))
+def verify_lemma(lemma_id: str, strategy: str = "exhaustive", workers: int = 1) -> LemmaReport:
+    """Run one lemma's exhaustive campaign and aggregate its report.
+
+    A lemma always runs exhaustively.  ``strategy`` accepts only
+    "exhaustive": the campaign benchmark (``perfbench/workloads.py``) still
+    passes it positionally, so it stays until that benchmark changes."""
+    if strategy != "exhaustive":
+        raise ValueError(f"a lemma campaign is exhaustive, got strategy {strategy!r}")
+    if lemma_id == "pairability":
+        raise ValueError("pairability is not a lemma: use pairability_check")
+    return run_campaign(Campaign(lemma_id, workers=workers))
 
 
 # ------------------------------------------------------------- L9 families
@@ -829,13 +771,19 @@ def _run_pairability(pairs):
     return None
 
 
+# placements a pairability run draws when no sample count is given
+PAIRABILITY_SAMPLES = 100000
+
+
 def pairability_check(
-    samples: int = 100000, seed: Optional[int] = None, workers: int = 1
+    samples: int = PAIRABILITY_SAMPLES, seed: Optional[int] = None, workers: int = 1
 ) -> LemmaReport:
     """Solve ``samples`` seeded 4-pair placements on the full grid and
     report counterexamples.  The reduced exhaustive sweep is the campaign
-    ``Campaign("pairability", "reduced")``."""
-    return run_campaign(Campaign("pairability", "random", samples, seed, workers))
+    ``Campaign("pairability")``, with no sample count."""
+    if samples is None:
+        raise ValueError("pairability_check draws samples: give a sample count")
+    return run_campaign(Campaign("pairability", samples, seed, workers))
 
 
 # ------------------------------------------------- solver/flow cross-check

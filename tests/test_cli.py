@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
 import errno
 import os
+import pathlib
+import re
 import threading
 from itertools import islice
 
 import pytest
 
 from gridlink import fileio, verifier
-from gridlink.cli import format_report, main, report_body
+from gridlink.cli import _build_parser, format_report, main, report_body
 from gridlink.fileio import (
     ParseError,
     parse_certificate,
@@ -274,32 +277,38 @@ def test_verify_confirms_infeasible_escapes_by_max_flow(tmp_path, capsys):
     assert "solvable (re-solved)" in capsys.readouterr().out
 
 
-def test_bad_usage_exits_2(tmp_path, capsys):
+def _usage_error(capsys, argv):
+    """Run ``argv``, which argparse must refuse, and return its stderr."""
     with pytest.raises(SystemExit) as exc:
-        main(["lemma", "L99"])
+        main(argv)
     assert exc.value.code == 2
-    assert main(["lemma", "L5", "--strategy", "random"]) == 2  # no seed
-    assert "requires an explicit seed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gridlink")
+    return err
+
+
+def test_bad_usage_exits_2(tmp_path, capsys):
+    _usage_error(capsys, ["lemma", "L99"])
+    # a lemma runs exhaustively: it has no strategy to choose
+    assert "unrecognized arguments: --strategy" in _usage_error(
+        capsys, ["lemma", "L5", "--strategy", "random"]
+    )
     assert main(["pairability"]) == 2  # sampling without a seed
     assert "requires an explicit seed" in capsys.readouterr().err
 
 
 def test_a_seed_for_a_strategy_that_draws_nothing_exits_2(capsys):
-    assert main(["lemma", "L5", "--seed", "3"]) == 2
-    assert "exhaustive strategy draws nothing" in capsys.readouterr().err
+    assert "unrecognized arguments: --seed 3" in _usage_error(capsys, ["lemma", "L5", "--seed", "3"])
     assert main(["pairability", "--exhaustive-reduced", "--seed", "3"]) == 2
     assert "reduced strategy draws nothing" in capsys.readouterr().err
 
 
 def test_a_sample_count_for_a_strategy_that_draws_nothing_exits_2(capsys):
-    assert main(["lemma", "L5", "--samples", "5"]) == 2
-    assert "exhaustive strategy draws nothing, so it takes no sample count" in (
-        capsys.readouterr().err
+    assert "unrecognized arguments: --samples 5" in _usage_error(
+        capsys, ["lemma", "L5", "--samples", "5"]
     )
-    assert main(["pairability", "--exhaustive-reduced", "--samples", "5"]) == 2
-    assert "reduced strategy draws nothing, so it takes no sample count" in (
-        capsys.readouterr().err
-    )
+    for argv in (["--exhaustive-reduced", "--samples", "5"], ["--samples", "5", "--exhaustive-reduced"]):
+        assert "not allowed with argument" in _usage_error(capsys, ["pairability", *argv])
 
 
 def test_out_of_range_worker_counts_exit_2(capsys):
@@ -517,12 +526,6 @@ def test_pairability_single_sample_is_reproducible(capsys):
     assert "seed: 7" in first
 
 
-def test_lemma_random_strategy_embeds_the_seed(capsys):
-    assert main(["lemma", "L10", "--strategy", "random", "--samples", "30", "--seed", "9"]) == 0
-    out = capsys.readouterr().out
-    assert "strategy: random" in out and "seed: 9" in out and "instances: 30" in out
-
-
 def test_exhaustive_reduced_flag_drives_the_lazy_reduced_stream(monkeypatch, capsys):
     # stand in for the driver: the real sweep has ~4 x 10^8 placements
     seen = {}
@@ -549,7 +552,28 @@ def test_pairability_draws_100000_samples_unless_told_otherwise(monkeypatch, cap
     assert main(["pairability", "--seed", "1"]) == 0
     assert main(["pairability", "--seed", "1", "--samples", "3"]) == 0
     assert drawn == [100000, 3]
-    capsys.readouterr()
-    # the lemma command has no default sample count
-    assert main(["lemma", "L5", "--strategy", "random", "--seed", "1"]) == 2
-    assert "requires samples" in capsys.readouterr().err
+    # the one default, which the help text reads too
+    assert verifier.PAIRABILITY_SAMPLES == 100000
+    assert "(default 100000)" in _subcommands()["pairability"].format_help()
+
+
+def _subcommands() -> dict:
+    """The subparsers of ``gridlink``, by name."""
+    parser = _build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_the_readme_cli_block_lists_every_flag_and_no_other():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    listed: dict[str, set] = {}
+    for line in block.splitlines():
+        code = line.split("#", 1)[0]
+        if code.startswith("gridlink "):
+            flags = listed.setdefault(code.split()[1], set())
+        flags.update(re.findall(r"--[a-z][a-z-]*", code))  # a continuation adds to its command
+    parsed = {
+        name: {s for a in sub._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+        for name, sub in _subcommands().items()
+    }
+    assert listed == parsed

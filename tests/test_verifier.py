@@ -1,4 +1,4 @@
-"""Campaign enumeration, reduction, reports, and the pairability sampler."""
+"""Campaign enumeration, reports, and the pairability sampler."""
 
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from gridlink import verifier
 from gridlink.grid import (
     C0_RING,
     C1_RING,
+    SYMMETRIES,
     Corner,
     Vertex,
     landmarks,
@@ -31,7 +32,8 @@ from gridlink.grid import (
 import gridlink.lemmas.crowded as crowded
 import gridlink.lemmas.escapes as escapes
 from gridlink.lemmas import Frame, catalog_configurations
-from gridlink.routing import Demand, Infeasible, Instance, solve
+from gridlink.cli import main
+from gridlink.routing import Demand, Infeasible, Instance, PathSystem, solve
 from gridlink.verifier import (
     T1,
     T1_ADMISSIBLE,
@@ -50,7 +52,6 @@ from gridlink.verifier import (
     pairability_check,
     report_conforms,
     sample_pairability,
-    transpose_instance,
     verify_lemma,
 )
 
@@ -97,88 +98,40 @@ def test_p1_matching_checks_each_l10_configuration_once():
 def test_unknown_lemma_rejected():
     with pytest.raises(ValueError):
         list(enumerate_instances("L11"))
-    with pytest.raises(ValueError):
-        list(enumerate_instances("L5", strategy="surprising"))
-
-
-@pytest.mark.parametrize(
-    "lemma_id,reduced_count",
-    [("L5", 90), ("L6", 132), ("L7", 215), ("L10", 13122)],
-)
-def test_reduction_picks_one_representative_per_orbit(lemma_id, reduced_count):
-    full = list(enumerate_instances(lemma_id))
-    reduced = list(enumerate_instances(lemma_id, strategy="reduced"))
-    assert len(reduced) == reduced_count
-    covered = set()
-    for inst in reduced:
-        covered.add(inst)
-        covered.add(transpose_instance(lemma_id, inst))
-    assert covered >= set(full)
-    # no orbit is represented twice
-    reduced_set = set(reduced)
-    doubled = [
-        inst
-        for inst in reduced
-        if transpose_instance(lemma_id, inst) != inst
-        and transpose_instance(lemma_id, inst) in reduced_set
-    ]
-    assert not doubled
-
-
-@pytest.mark.parametrize("lemma_id", ["L2", "L3", "L4", "L8", "L9"])
-def test_lemmas_without_a_usable_transpose_run_in_full(lemma_id):
-    # b, y0, the off-A side condition and the adjusted graphs all break the
-    # symmetry, so "reduced" must not drop instances there
-    full = list(enumerate_instances(lemma_id))
-    reduced = list(enumerate_instances(lemma_id, strategy="reduced"))
-    assert reduced == full
-
-
-def test_random_strategy_is_seeded_and_validated():
-    a = list(enumerate_instances("L5", strategy="random", samples=25, seed=11))
-    b = list(enumerate_instances("L5", strategy="random", samples=25, seed=11))
-    c = list(enumerate_instances("L5", strategy="random", samples=25, seed=12))
-    assert a == b
-    assert len(a) == 25
-    assert a != c
-    with pytest.raises(ValueError):
-        list(enumerate_instances("L5", strategy="random", samples=25))
-    with pytest.raises(ValueError):
-        list(enumerate_instances("L5", strategy="random", seed=3))
 
 
 def test_campaign_validation():
     with pytest.raises(ValueError):
         Campaign("L12")
-    with pytest.raises(ValueError):
-        Campaign("L5", strategy="quick")
-    with pytest.raises(ValueError):
-        Campaign("L5", strategy="random", samples=10)
-    with pytest.raises(ValueError):
-        Campaign("L5", strategy="random", seed=4)
+    with pytest.raises(ValueError, match="requires an explicit seed"):
+        Campaign("pairability", samples=10)
+    with pytest.raises(ValueError, match="requires samples >= 1"):
+        Campaign("pairability", samples=0, seed=4)
     with pytest.raises(ValueError):
         Campaign("L5", workers=0)
     with pytest.raises(ValueError, match="takes no seed"):
         Campaign("L5", seed=3)
     with pytest.raises(ValueError, match="takes no seed"):
-        Campaign("pairability", strategy="reduced", seed=3)
+        Campaign("pairability", seed=3)
     with pytest.raises(ValueError, match="takes no sample count"):
         Campaign("L5", samples=3)
-    with pytest.raises(ValueError, match="takes no sample count"):
-        Campaign("pairability", strategy="reduced", samples=3)
-    Campaign("pairability", strategy="random", samples=10, seed=4)
+    Campaign("pairability", samples=10, seed=4)
 
 
 def test_pairability_has_no_exhaustive_campaign():
+    # a lemma runs exhaustively; pairability draws samples, or without a
+    # sample count sweeps its reduced domain, and is not a lemma
+    assert Campaign("L5").strategy == "exhaustive"
+    assert Campaign("pairability", samples=10, seed=4).strategy == "random"
+    assert Campaign("pairability").strategy == "reduced"
+    with pytest.raises(ValueError, match="not a lemma"):
+        verify_lemma("pairability")
     with pytest.raises(ValueError, match="exhaustive"):
-        Campaign("pairability")
-    with pytest.raises(ValueError, match="exhaustive"):
-        enumerate_instances("pairability")
-    Campaign("pairability", strategy="reduced")
+        verify_lemma("L5", "random")
 
 
 def test_reduced_pairability_stream_is_lazy():
-    stream = enumerate_instances("pairability", "reduced")
+    stream = enumerate_instances("pairability")
     assert isinstance(stream, Iterator)  # a list would hold ~4 x 10^8 placements
     assert list(islice(stream, 50)) == list(islice(iter_pairability_reduced(), 50))
 
@@ -229,11 +182,14 @@ def test_degenerate_reason_flags_the_two_line_cuts():
     psi=st.tuples(st.sampled_from("AB"), st.sampled_from("AB")),
 )
 def test_degenerate_laws_commute_with_the_transpose(idx, psi):
+    # the transpose maps the UL quadrant onto itself and swaps the lines A and B
+    transpose, swap = SYMMETRIES[4], {"A": "B", "B": "A"}
     vs = sorted(Vertex(r, c) for r in (1, 2, 3) for c in (1, 2, 3))
     s1, t1, s2, s3 = (vs[i] for i in idx)
-    image = transpose_instance("L10", (s1, t1, s2, s3, tuple(psi)))
     here = degenerate_reason(s1, t1, s2, s3, tuple(psi))
-    there = degenerate_reason(*image[:4], image[4])
+    there = degenerate_reason(
+        *(transpose(v) for v in (s1, t1, s2, s3)), tuple(swap[p] for p in psi)
+    )
     assert (here is None) == (there is None)
 
 
@@ -253,13 +209,6 @@ def test_projection_campaign_yields_the_two_known_families():
     assert report_conforms(report)  # ... and accounted for
     families = dict(exceptional_families(report))
     assert families == {T1: T1_ADMISSIBLE, T2: T2_ADMISSIBLE}
-
-
-def test_random_escort_slice_conforms():
-    report = verify_lemma("L10", strategy="random", samples=400, seed=5)
-    assert report_conforms(report)
-    assert report.instances_checked == 400
-    assert report.strategy == "random" and report.seed == 5
 
 
 def test_l10_checks_each_certificate_against_the_statement(monkeypatch):
@@ -414,6 +363,51 @@ def test_a_lemma_operation_answering_infeasible_is_a_defect(monkeypatch, lemma_i
     assert "status: defective" in format_report(report).splitlines()
 
 
+def _reused_edge(inst):
+    # the first path walks back over its last edge and returns: one edge twice
+    sol = solve(inst)
+    first = sol.paths[0]
+    return PathSystem((first + first[-2:],) + sol.paths[1:])
+
+
+@pytest.mark.parametrize(
+    "campaign, name, mutant, tag, count, detail",
+    [
+        ("L4", "is_weakly_2_linked", lambda graph: False, "defect", 8, "graph is not weakly 2-linked"),
+        ("P1-matching", "clamp_matching", lambda *args: None, "defect", 2868, "no match although"),
+        (
+            "escape-agreement",
+            "escape_flow",
+            lambda *args, **kwargs: Infeasible,
+            "defect",
+            485,
+            "solver and flow oracle disagree",
+        ),
+        ("pairability", "solve", lambda inst: Infeasible, "counterexample", 20, "no 4-pair linkage"),
+        ("pairability", "solve", _reused_edge, "defect", 20, "certificate failed"),
+    ],
+    ids=["L4-never linked", "P1-no match", "escape-flow infeasible", "pairability-infeasible",
+         "pairability-reused edge"],
+)
+def test_every_runner_reads_defective_under_its_mutant(
+    monkeypatch, capsys, campaign, name, mutant, tag, count, detail
+):
+    # the runners no other test can make fail: a wrong answer from the
+    # function each one trusts must show up as a record and fail the report
+    monkeypatch.setattr(verifier, name, mutant)
+    if campaign == "escape-agreement":
+        report = escape_agreement_check()
+    elif campaign == "pairability":
+        report = pairability_check(samples=20, seed=1)
+        assert main(["pairability", "--samples", "20", "--seed", "1"]) == 1
+        assert "status: defective" in capsys.readouterr().out.splitlines()
+    else:
+        report = verify_lemma(campaign)
+    assert Counter(t for t, _, _ in report.exceptional) == {tag: count}
+    assert all(detail in d for _, _, d in report.exceptional)
+    assert "status: defective" in format_report(report).splitlines()
+
+
 def test_exceptional_families_rejects_foreign_reports():
     report = verify_lemma("L5")
     with pytest.raises(ValueError):
@@ -523,6 +517,9 @@ def test_pairability_requires_a_seed():
         pairability_check(samples=10)
     with pytest.raises(ValueError):
         pairability_check(samples=0, seed=1)
+    # no sample count would be the reduced sweep, ~4 x 10^8 placements
+    with pytest.raises(ValueError, match="give a sample count"):
+        pairability_check(samples=None)
 
 
 def test_sampled_pairability_run_is_clean_and_reproducible():
