@@ -46,12 +46,21 @@ source to a goal, in the order the depth-first walk would find them, each
 one int holding the path's edge mask with its end vertex's bit above the
 edge bits.  Most levels of the search run at a demand's shortest length,
 where its candidates are this table filtered by the edges already used, and
-the prune asks the same table whether a shortest path is still free.  Both
-forms are stored on the graph (``GridGraph.compiled_forms``), so repeated
-solves on one graph pay only for the search, and the compiled forms are
-freed with the graph.  The walk and the fixed part of the prune's row live
-on the compiled demand (``_CDemand.walk``, ``_CDemand.row``), so a solve
-adds only each demand's group slot.
+the prune asks the same table whether a shortest path is still free.  A
+longer length is searched the first time a demand is walked at it; the
+second time, the compiled demand tables it too (its *length table*, built by
+one search with no edge used), and from then on filters that table.  A
+length with more than ``_TABLE_CAP`` paths is remembered and always
+searched.  Both forms are stored on the graph (``GridGraph.compiled_forms``),
+so repeated solves on one graph pay only for the search, and the compiled
+forms are freed with the graph.  The walk and the fixed part of the prune's
+row live on the compiled demand (``_CDemand.walk``, ``_CDemand.row``), so a
+solve adds only each demand's group slot.
+
+The last demand is settled from its table: once the demand before it has
+committed a path, a free shortest path of the last demand (for a grouped
+escape, one to an exit not yet taken) completes the certificate, since it
+is the path the prune would pass and the walk would yield first.
 
 The search itself carries edge masks and end bits, never vertex paths;
 ``run`` traces each demand's path from its source along its edge mask once
@@ -76,6 +85,11 @@ _INF = 10 ** 9
 # the shortest length searches, and the prune floods (a 6x6 pair has at
 # most C(10, 5) = 252)
 _TABLE_CAP = 1024
+
+# The states of a length in ``_CDemand.tables`` that hold no table: walked
+# once, and holding more than ``_TABLE_CAP`` paths
+_ASKED_ONCE = "asked once"
+_BEYOND_CAP = "beyond the cap"
 
 
 @dataclass(frozen=True)
@@ -160,7 +174,25 @@ class Instance:
         # an empty set of any type becomes frozenset(), the compiled-forms key
         forbidden = self.forbidden_edges
         if forbidden or type(forbidden) is not frozenset:
-            object.__setattr__(self, "forbidden_edges", frozenset(edge(*e) for e in forbidden))
+            object.__setattr__(self, "forbidden_edges", _canonical_edges(forbidden))
+
+
+# The canonical twin of each non-empty frozenset of edges given as an
+# instance's ``forbidden_edges``, and of each twin itself, kept for the life
+# of the process: a set named by many instances is rebuilt once.
+_CANONICAL_EDGES: dict[frozenset, frozenset[Edge]] = {}
+
+
+def _canonical_edges(edges: Iterable[Iterable[Iterable[int]]]) -> frozenset[Edge]:
+    """``edges`` as a frozenset of canonical edges; one shared set per frozenset given."""
+    if type(edges) is not frozenset:  # a set, list or iterator: build, don't keep
+        return frozenset(edge(*e) for e in edges)
+    canon = _CANONICAL_EDGES.get(edges)
+    if canon is None:
+        canon = frozenset(edge(*e) for e in edges)
+        canon = _CANONICAL_EDGES.setdefault(canon, canon)
+        _CANONICAL_EDGES[edges] = canon
+    return canon
 
 
 @dataclass(frozen=True)
@@ -230,10 +262,22 @@ class _CDemand:
     ``eshift`` are the graph's (see ``_Compiled``), for ``walk``.  ``row``
     is the demand's part of a prune row, ``(source bit, goal, lb, short,
     near, table)``; a solve adds the group slot.
+
+    ``table`` also settles the last demand of a search (see
+    ``_Search._route``).
+
+    ``tables`` holds the *length tables* of the lengths above ``lb``, keyed
+    by ``limit << 1 | grouped`` (None until the first such walk): every
+    path of that many edges the walk finds with no edge used and no exit
+    taken, in the walk's order and stored as ``table`` stores them.  A
+    length gets its table the second time it is walked; until then it
+    holds ``_ASKED_ONCE``, and ``_BEYOND_CAP`` when it has more than
+    ``_TABLE_CAP`` paths, so that it keeps being searched.  The tables grow
+    with the solves on the graph and are freed with it.
     """
 
     __slots__ = ("src", "goal", "dist", "lb", "step", "max_len", "table", "short", "near", "adj",
-                 "eshift", "row")
+                 "eshift", "row", "tables")
 
     def __init__(self, src, goal, dist, step, max_len, table, adj, eshift):
         self.src = src
@@ -251,34 +295,63 @@ class _CDemand:
         self.near = union >> eshift
         self.short = union ^ self.near << eshift
         self.row = (1 << src, goal, self.lb, self.short, self.near, table)
+        self.tables = None
 
     def walk(self, used: int, taken: int, grouped: bool, limit: int):
-        """Yield ``(edge_mask, end_bit)`` for every simple path of exactly
+        """Iterate ``(edge_mask, end_bit)`` over every simple path of exactly
         ``limit`` edges from the source to a goal over edges not in ``used``,
         depth first with neighbours in (row, col) order.  A ``grouped``
         escape may not end at an exit in ``taken``.
 
-        At the shortest length the walk filters the table: a path is free
-        when its mask meets neither ``used`` nor, above ``eshift``, the
-        taken exits, and no adjacency is read.  Longer paths, and the
-        shortest ones of a demand without a table, are searched.  A pair
-        path meets its target only at its end, and an ungrouped escape may
-        be cut at its first exit, so neither is continued past one.  A
-        vertex farther from the goals than the length left is not entered,
-        so a vertex at the last step is a goal.  An edge to an unvisited
-        vertex cannot be one of the path's own.  In a bipartite graph with
-        goals of one colour the length left and that distance always have
-        one parity, so ``step`` is the only parity test.
+        A length with a table filters it: a path is free when its mask meets
+        neither ``used`` nor, above ``eshift``, the taken exits, and no
+        adjacency is read.  Used edges only remove paths from the depth-first
+        order, and taken exits only remove path ends, so the filtered table
+        yields the paths the search would, in its order.  A shortest path
+        meets no goal before its end, so ``table`` serves both kinds of walk.
+        Any other length is searched (see ``_search``).
         """
-        table = self.table
-        if limit == self.lb and table is not None:
-            eshift = self.eshift
-            blocked = used | taken << eshift
-            for m in table:
-                if not m & blocked:
-                    end = m >> eshift
-                    yield m ^ end << eshift, end
-            return
+        table = self.table if limit == self.lb else self._longer(grouped, limit)
+        if table is None:
+            return self._search(used, taken, grouped, limit)
+        return _free_paths(table, used | taken << self.eshift, self.eshift)
+
+    def _longer(self, grouped: bool, limit: int) -> Optional[tuple[int, ...]]:
+        """The length table of ``limit`` edges, built at its second walk;
+        None while the length is searched."""
+        tables = self.tables
+        if tables is None:
+            tables = self.tables = {}
+        key = limit << 1 | grouped
+        table = tables.get(key)
+        if table is None:
+            tables[key] = _ASKED_ONCE
+        elif table is _ASKED_ONCE:
+            table = tables[key] = self._length_table(grouped, limit)
+        return table if table.__class__ is tuple else None
+
+    def _length_table(self, grouped: bool, limit: int):
+        """The paths of ``limit`` edges, searched with nothing used, as a
+        table; ``_BEYOND_CAP`` beyond ``_TABLE_CAP`` paths."""
+        eshift = self.eshift
+        table = []
+        for mask, end in self._search(0, 0, grouped, limit):
+            if len(table) == _TABLE_CAP:
+                return _BEYOND_CAP
+            table.append(mask | end << eshift)
+        return tuple(table)
+
+    def _search(self, used: int, taken: int, grouped: bool, limit: int):
+        """``walk``'s paths, found by a depth-first search of the adjacency.
+
+        A pair path meets its target only at its end, and an ungrouped
+        escape may be cut at its first exit, so neither is continued past
+        one.  A vertex farther from the goals than the length left is not
+        entered, so a vertex at the last step is a goal.  An edge to an
+        unvisited vertex cannot be one of the path's own.  In a bipartite
+        graph with goals of one colour the length left and that distance
+        always have one parity, so ``step`` is the only parity test.
+        """
         src, goal, dist, adj = self.src, self.goal, self.dist, self.adj
         sbit = 1 << src
         if not limit:
@@ -516,18 +589,32 @@ def _compiled(graph: GridGraph, forbidden: frozenset[Edge]) -> _Compiled:
 class _Search:
     def __init__(self, inst: Instance):
         self.comp = comp = _compiled(inst.graph, inst.forbidden_edges)
-        ds = inst.demands
-        self.demands = cds = [comp.demand(d) for d in ds]
-        self.nd = len(cds)
-        # group slot per demand, -1 for pairs and ungrouped escapes
-        self.gi = gi = [-1] * self.nd
+        self.eshift = comp.eshift
+        demand = comp.demand
+        # per demand: the compiled demand, its group slot (-1 for pairs and
+        # ungrouped escapes) and (the compiled demand's row, group slot) for
+        # _prune_ok
+        self.demands = cds = []
+        self.gi = gi = []
+        self.rows = rows = []
         slots: dict = {}
-        for k, d in enumerate(ds):
+        lbs = longest = 0
+        for d in inst.demands:
+            cd = demand(d)
+            g = -1
             if d.distinct_group is not None and d.kind == ESCAPE:
-                gi[k] = slots.setdefault(d.distinct_group, len(slots))
+                g = slots.setdefault(d.distinct_group, len(slots))
+            cds.append(cd)
+            gi.append(g)
+            rows.append((cd.row, g))
+            lbs += cd.lb
+            longest += cd.max_len
+        self.nd = len(cds)
         self.ngroups = len(slots)
-        # (the compiled demand's row, group slot) per demand, for _prune_ok
-        self.rows = list(zip([cd.row for cd in cds], gi))
+        # the paths are edge-disjoint, so their lengths sum to at most the
+        # free edges: no solution spends more slack than this (finite once
+        # the prune has found a goal within reach of every source)
+        self.budget = min(longest, comp.nedges) - lbs
         # the least rise in the slack at which a branch of the level being
         # searched would try something new; _INF when nothing was cut off
         # (see _route)
@@ -578,13 +665,17 @@ class _Search:
         rise the demands before it spend the same and it still lies beyond.
         An unreachable goal or a failed Hall check rejects at every slack,
         so it leaves ``self.gap`` alone.
+
+        A node whose demands all keep a free shortest path builds nothing:
+        the free edges, with the list of flooded components, are built at
+        their first use, and the witness rows, one list for all groups, at
+        the first grouped demand.
         """
-        free = None  # the free edges per lane, built on first use
-        flooded: list[int] = []
-        needs = [[] for _ in gused] if gused else None
-        grouped = []  # (group slot, source bit, open goals) of each row of needs
+        # the free edges per lane, and the components flooded over them
+        free = flooded = None
+        wit = None  # the witness row of each grouped demand, in order
         gap = 0
-        eshift = self.comp.eshift
+        eshift = self.eshift
         for (sbit, goal, lb, short, near, table), gi in self.rows[j0:]:
             if gi >= 0:
                 taken = gused[gi]
@@ -594,7 +685,7 @@ class _Search:
                 row = goal & near
                 if row and used & short:
                     row = _free_ends(table, used | taken << eshift, eshift, row)
-            elif goal & near and (not used & short or _any_free(table, used)):
+            elif goal & near and (not used & short or _first_free(table, used)):
                 # a shortest path to a goal is still free: the free distance
                 # is lb, so the demand spends none of the slack
                 continue
@@ -602,7 +693,7 @@ class _Search:
                 row = 0
             if not row:
                 if free is None:
-                    free = self.comp.free_lanes(used)
+                    free, flooded = self.comp.free_lanes(used), []
                 if slack is not None:
                     # reach: the vertices within lb + slack - left edges of the source
                     reach, left = sbit, lb + slack
@@ -626,16 +717,23 @@ class _Search:
                         return False
                 if gi < 0:
                     continue
-            needs[gi].append(row)
-            grouped.append((gi, sbit, goal))
-        if needs:
-            for gi, rows in enumerate(needs):
+            if wit is None:
+                wit = [row]
+            else:
+                wit.append(row)
+        if wit is not None and len(wit) > 1:
+            for g, rows in enumerate((wit,) if self.ngroups == 1 else self._by_group(j0, wit)):
                 if _hall(rows):
                     continue
-                # widen each row to every open exit its source reaches
+                # widen each row of the group to every open exit its source reaches
                 if free is None:
-                    free = self.comp.free_lanes(used)
-                rows = [goal & _component(sbit, flooded, free) for g, sbit, goal in grouped if g == gi]
+                    free, flooded = self.comp.free_lanes(used), []
+                taken = gused[g]
+                rows = [
+                    goal & ~taken & _component(sbit, flooded, free)
+                    for (sbit, goal, *_), gi in self.rows[j0:]
+                    if gi == g
+                ]
                 if not _hall(rows):
                     return False
         if gap:
@@ -643,6 +741,11 @@ class _Search:
                 self.gap = gap
             return False
         return True
+
+    def _by_group(self, j0: int, wit: list[int]) -> list[list[int]]:
+        """The witness rows ``wit`` of the grouped demands j0.. split by group slot."""
+        slots = [gi for _, gi in self.rows[j0:] if gi >= 0]
+        return [[row for row, gi in zip(wit, slots) if gi == g] for g in range(self.ngroups)]
 
     # ------------------------------------------------------------- search --
 
@@ -660,6 +763,12 @@ class _Search:
         later demands' ``lb`` exceed ``lb + slack`` by the same amount (the
         free edges less every ``lb`` less the level), so ``run``'s edge
         budget caps every path at once.
+
+        When demand di + 1 is the last, each path of demand di first asks
+        the last demand's table for a free shortest path (for a grouped
+        escape, one to an exit its group has not taken).  One completes the
+        certificate: it is the path the prune would pass and the last
+        demand's walk would yield first, so neither is run.
 
         On failure ``self.gap`` has been lowered to the least rise in the
         slack at which some branch of this subtree would try something new,
@@ -685,6 +794,11 @@ class _Search:
         if top > d.max_len:
             top = d.max_len
         last = di + 1 == self.nd
+        # the last demand's table, when it comes next, and its group slot
+        settle = self.demands[di + 1].table if di + 2 == self.nd else None
+        if settle is not None:
+            eshift = self.eshift
+            sgi = self.gi[di + 1]
         for limit in range(lb, top + 1, step):
             for pmask, end in walk(used, taken, grouped, limit):
                 if last:
@@ -694,6 +808,10 @@ class _Search:
                 ngused = gused
                 if grouped:
                     ngused = gused[:gi] + (taken | end,) + gused[gi + 1 :]
+                if settle is not None:
+                    m = _first_free(settle, nused | ngused[sgi] << eshift if sgi >= 0 else nused)
+                    if m:
+                        return [pmask, m ^ (m >> eshift) << eshift]
                 left = slack - (limit - lb)
                 if not self._prune_ok(di + 1, nused, ngused, left):
                     continue
@@ -713,30 +831,37 @@ class _Search:
         # no bound here: with no edge used every free distance is its lb
         if not self._prune_ok(0, 0, gused0):
             return Infeasible
-        # the prune found a goal within reach of every source, so every lb
-        # is finite; the paths are edge-disjoint, so their lengths sum to at
-        # most the free edges: no solution spends more slack than this
-        cds = self.demands
-        budget = min(sum([d.max_len for d in cds]), self.comp.nedges) - sum([d.lb for d in cds])
+        budget = self.budget
         slack = 0
         while slack <= budget:
             self.slack, self.gap = slack, _INF
             routed = self._route(0, 0, gused0, slack)
             if routed is not None:
                 comp = self.comp
-                return PathSystem(
-                    tuple(_trace(comp, d.src, mask) for d, mask in zip(self.demands, routed))
-                )
+                paths = []
+                for d, mask in zip(self.demands, routed):
+                    paths.append(_trace(comp, d.src, mask))
+                return PathSystem(tuple(paths))
             slack += self.gap  # _INF, when nothing was cut off, ends the ladder
         return Infeasible
 
 
-def _any_free(table: tuple[int, ...], blocked: int) -> bool:
-    """Does ``table`` hold a path that meets no bit of ``blocked``?"""
+def _free_paths(table: tuple[int, ...], blocked: int, eshift: int):
+    """Yield ``(edge_mask, end_bit)`` of each path of ``table`` that meets no
+    bit of ``blocked``, in the table's order."""
     for m in table:
         if not m & blocked:
-            return True
-    return False
+            end = m >> eshift
+            yield m ^ end << eshift, end
+
+
+def _first_free(table: tuple[int, ...], blocked: int) -> int:
+    """The first path of ``table`` that meets no bit of ``blocked``, else 0
+    (a table path is never 0: its end bit is set)."""
+    for m in table:
+        if not m & blocked:
+            return m
+    return 0
 
 
 def _free_ends(table: tuple[int, ...], blocked: int, eshift: int, most: int) -> int:

@@ -170,18 +170,21 @@ def degenerate_reason(s1, t1, s2, s3, psi) -> Optional[str]:
     at its midpoint.  Every placement outside both laws is feasible.
     """
     s1, t1, s2, s3 = vertex(s1), vertex(t1), vertex(s2), vertex(s3)
+    if s2 != s3:
+        # Both laws need the escorts to share a start.  A vertex ends at most
+        # one path of the pair and one of each escort, and has degree 2 or
+        # more, so only the shared start of both escorts can be overloaded;
+        # the line cuts start both escorts at one midpoint.
+        return None
     line2, line3 = psi
-    for v in {s1, t1, s2, s3}:
-        ends = int((s1 == v) != (t1 == v))
-        ends += int(s2 == v and v not in _L10_LINES[line2])
-        ends += int(s3 == v and v not in _L10_LINES[line3])
-        if ends > _local_degree(v):
-            return f"degree overload at {tuple(v)}"
-    if s2 == s3:
-        if {s1, t1} == {Vertex(1, 1), Vertex(1, 3)} and s2 == (1, 2) and line2 == line3 == "A":
-            return "line cut across the far row"
-        if {s1, t1} == {Vertex(1, 1), Vertex(3, 1)} and s2 == (2, 1) and line2 == line3 == "B":
-            return "line cut down the far column"
+    ends = int((s1 == s2) != (t1 == s2))
+    ends += int(s2 not in _L10_LINES[line2]) + int(s2 not in _L10_LINES[line3])
+    if ends > _local_degree(s2):
+        return f"degree overload at {tuple(s2)}"
+    if {s1, t1} == {Vertex(1, 1), Vertex(1, 3)} and s2 == (1, 2) and line2 == line3 == "A":
+        return "line cut across the far row"
+    if {s1, t1} == {Vertex(1, 1), Vertex(3, 1)} and s2 == (2, 1) and line2 == line3 == "B":
+        return "line cut down the far column"
     return None
 
 

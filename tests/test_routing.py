@@ -11,6 +11,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import FrozenInstanceError
 from functools import partial
+from itertools import islice
 from math import comb
 from random import Random
 
@@ -389,6 +390,27 @@ def test_instance_keeps_a_tuple_and_makes_an_empty_forbidden_set_hashable():
     inst = Instance(g, [d], [((1, 2), (1, 1))])
     assert inst.forbidden_edges == frozenset({edge((1, 1), (1, 2))})
     assert verify(inst, solve(inst))
+
+
+def test_a_forbidden_frozenset_is_made_canonical_once(monkeypatch):
+    # Every instance naming one frozenset shares one canonical twin, and so
+    # does every instance naming the twin; only the first builds it.
+    g = make_grid(2, 3)
+    d = Demand.pair((1, 1), (2, 3))
+    given = frozenset({((1, 2), (1, 1)), ((2, 2), (1, 2))})
+    canon = Instance(g, [d], given).forbidden_edges
+    assert canon == {edge((1, 1), (1, 2)), edge((1, 2), (2, 2))}
+    assert all(type(u) is Vertex and u < v for u, v in canon)
+    calls = []
+    monkeypatch.setattr(routing, "edge", lambda *e: calls.append(e))
+    for _ in range(3):
+        assert Instance(g, [d], given).forbidden_edges is canon
+        assert Instance(g, [d], canon).forbidden_edges is canon
+        assert Instance(g, [d], frozenset(canon)).forbidden_edges is canon
+    assert calls == []
+    # a set that is not frozen is built afresh every time
+    Instance(g, [d], set(given))
+    assert len(calls) == 2
 
 
 # -------------------------------------------------------------- escape_flow
@@ -846,8 +868,9 @@ def test_compiled_form_dies_with_its_graph():
 # have no goal before their last vertex; sorted by vertex index, that is the
 # order of a depth-first walk with neighbours in (row, col) order.  The
 # vertices a searching walk expands are checked too: every prefix it may
-# continue, which no pruning rule excludes, in the same order.  At the
-# shortest length the walk filters the demand's table and reads nothing.
+# continue, which no pruning rule excludes, in the same order.  A walk that
+# filters a table (the shortest length's, or a longer length's once it has
+# been walked twice) reads nothing.
 
 
 class _CountingAdj(list):
@@ -907,8 +930,8 @@ def _as_masks(comp, paths):
 
 
 def _rebuilt(cd, table, adj):
-    """``cd`` with another table (None: its walk searches the shortest length too)
-    and adjacency list."""
+    """``cd`` with another table (None: its walk searches the shortest length too),
+    another adjacency list and no length table yet."""
     return _CDemand(cd.src, cd.goal, cd.dist, cd.step, cd.max_len, table, adj, cd.eshift)
 
 
@@ -933,30 +956,47 @@ def _walk_demands(verts, exits, rng):
 
 @pytest.mark.parametrize("name,graph,exits", list(_walk_graphs()))
 def test_walk_yields_the_brute_force_paths_in_order(name, graph, exits):
+    # Each demand walks every length three times, under three draws of used
+    # edges and taken exits.  The first walk of a longer length searches;
+    # the second builds the length's table from a search with nothing used
+    # and filters it; the third only filters, and reads no adjacency.  The
+    # shortest length filters the demand's table from the first walk, and is
+    # searched every time when the demand has none.
     comp = _compiled(graph, frozenset())
     verts = sorted(graph.present_vertices)
     ebits = sorted({ebit for a in comp.adj for _, ebit, _ in a})
     rng = Random(name)
-    yielded = 0
+    yielded = tabled = 0
     for d, gi in _walk_demands(verts, exits, rng):
         cd = comp.demand(d)
         assert cd.table is not None
-        for _ in range(3):
+        grouped = gi >= 0
+        walkers = [(table, _rebuilt(cd, table, _CountingAdj(comp.adj))) for table in (cd.table, None)]
+        for rep in range(3):
             used = 0
             for ebit in rng.sample(ebits, rng.randrange(len(ebits) // 3 + 1)):
                 used |= ebit
             gused = tuple(rng.getrandbits(comp.nv) & cd.goal for _ in range(2))
+            taken = gused[gi] if grouped else 0
             for limit in range(min(comp.nv, 12)):
                 want, order = _walk_reference(comp, cd, gi, used, gused, limit)
-                taken = gused[gi] if gi >= 0 else 0
-                for table in (cd.table, None):
-                    adj = _CountingAdj(comp.adj)
-                    got = list(_rebuilt(cd, table, adj).walk(used, taken, gi >= 0, limit))
-                    assert got == _as_masks(comp, want), (d, gi, limit)
-                    tabled = table is not None and limit == cd.lb
-                    assert adj.read == ([] if tabled else order), (d, gi, limit)
+                for table, walker in walkers:
+                    adj = walker.adj
+                    adj.read.clear()
+                    got = list(walker.walk(used, taken, grouped, limit))
+                    assert got == _as_masks(comp, want), (d, gi, limit, rep)
+                    if limit == cd.lb:
+                        reads = [] if table is not None else order
+                    elif rep == 0:
+                        reads = order
+                    elif rep == 1:
+                        reads = _walk_reference(comp, cd, gi, 0, gused, limit)[1]
+                    else:
+                        reads = []
+                        tabled += 1
+                    assert adj.read == reads, (d, gi, limit, rep)
                     yielded += len(got)
-    assert yielded > 100
+    assert yielded > 100 and tabled > 100
 
 
 def _trace_reference(comp, src, mask):
@@ -1059,13 +1099,23 @@ def test_a_demand_beyond_the_table_cap_is_searched():
     )
     inst = Instance(g, demands)
     assert verify(inst, solve(inst))
+    # Its longer lengths are beyond the cap too: the second walk of one
+    # gives up building its table after _TABLE_CAP + 1 paths, and every
+    # later walk searches again.
+    walker = _rebuilt(cd, None, _CountingAdj(cd.adj))
+    key = cd.lb + 2 << 1
+    for rep in range(4):
+        walker.adj.read.clear()
+        first = list(islice(walker.walk(0, 0, False, cd.lb + 2), 3))
+        assert len(first) == 3 and walker.adj.read
+        assert walker.tables[key] == (routing._ASKED_ONCE if rep == 0 else routing._BEYOND_CAP)
 
 
 def test_certificates_do_not_depend_on_the_tables(monkeypatch):
-    # With no table every walk searches and the prune floods; the search
-    # must find the same certificates.
-    def instances(rng):
-        g = make_grid(6, 6)
+    # With no table, of the shortest length or of any longer one, every walk
+    # searches and the prune floods; the search must find the same
+    # certificates.  (A cap of 0 still tables a length with no path.)
+    def instances(rng, g):
         verts = sorted(g.present_vertices)
         for _ in range(150):
             pairs = sample_pairability(rng)
@@ -1076,11 +1126,22 @@ def test_certificates_do_not_depend_on_the_tables(monkeypatch):
                 demands.append(Demand.escape(rng.choice(verts), exits, group))
             yield Instance(g, tuple(demands))
 
-    tabled = [serialize_certificate(solve(inst)) for inst in instances(Random(6))]
+    def longer_tables(g):
+        """The length tables above the shortest length that hold a path."""
+        return [
+            table
+            for cd in _compiled(g, frozenset())._demands.values()
+            for table in (cd.tables or {}).values()
+            if type(table) is tuple and table
+        ]
+
+    grids = make_grid(6, 6), make_grid(6, 6)
+    tabled = [serialize_certificate(solve(inst)) for inst in instances(Random(6), grids[0])]
     monkeypatch.setattr(routing, "_TABLE_CAP", 0)
-    bare = [serialize_certificate(solve(inst)) for inst in instances(Random(6))]
+    bare = [serialize_certificate(solve(inst)) for inst in instances(Random(6), grids[1])]
     assert bare == tabled
     assert sum(c.startswith("infeasible") for c in tabled) < len(tabled)
+    assert len(longer_tables(grids[0])) > 10 and longer_tables(grids[1]) == []
 
 
 def test_ladder_asks_only_for_lengths_of_the_shortest_paths_parity(monkeypatch):
@@ -1119,7 +1180,7 @@ def test_ladder_asks_only_for_lengths_of_the_shortest_paths_parity(monkeypatch):
     assert {comp.demand(Demand.pair(verts[0], v)).step for v in verts[1:]} == {1}
 
 
-def test_prune_needs_distinct_exits_within_a_group():
+def test_prune_needs_distinct_exits_within_a_group(monkeypatch):
     g = make_grid(3, 3)
 
     def prune(sources, exits, group=0):
@@ -1131,6 +1192,21 @@ def test_prune_needs_distinct_exits_within_a_group():
     assert prune([(1, 1), (2, 2)], [(3, 3), (1, 3)])
     assert not prune([(1, 1), (2, 2), (2, 1)], [(3, 3), (1, 3)])
     assert prune([(1, 1), (2, 2), (2, 1)], [(3, 3), (1, 3), (3, 1)])
+    # Escapes of two groups may share an exit: each group is matched alone,
+    # on its witness rows, so a group of one row floods nothing.
+    floods = []
+    flood = routing._flood
+    monkeypatch.setattr(routing, "_flood", lambda *a: floods.append(a) or flood(*a))
+
+    def two_groups(*escapes):
+        search = _Search(Instance(g, tuple(Demand.escape(s, [(3, 3)], k) for s, k in escapes)))
+        return search._prune_ok(0, 0, (0,) * search.ngroups)
+
+    assert two_groups(((1, 1), 0), ((2, 2), 1))
+    assert two_groups(((1, 1), 0), ((2, 2), 1), ((2, 1), 2))
+    assert floods == []
+    assert not two_groups(((1, 1), 0), ((2, 2), 1), ((2, 1), 0))
+    assert not two_groups(((1, 1), 1), ((2, 2), 0), ((2, 1), 0))
     # Two escapes from (1,1) to {(1,2), (3,3)}: the shortest paths of both
     # end at (1,2), so their witness rows are both {(1,2)} and fail Hall's
     # check; flooded, both rows are {(1,2), (3,3)} and pass.
@@ -1492,3 +1568,49 @@ def test_edge_budget_proves_infeasibility_at_slack_zero():
     assert _root_levels(search) == (Infeasible, [0])
     assert search.slack == 0
     assert not _oracle_routable(inst)
+
+
+# ------------------------------------------------------ work-count tripwire
+#
+# The exact work the solver does on fixed slices of two sweeps.  The counts
+# are deterministic: each run compiles its graphs afresh, so no table built
+# by an earlier solve in the process carries over.  A change that stops
+# tabling the lengths a search walks again, or stops settling the last
+# demand from its table, moves them.
+
+# every 10th instance of each sweep: (searching walks, _prune_ok calls)
+_PINNED_WORK = {"L10": (118, 10202), "L1": (82, 3954), "L2": (61, 3372), "L3": (2, 867)}
+
+
+def test_solver_work_counts_are_pinned(monkeypatch):
+    forms = {}
+
+    def fresh_compiled(graph, forbidden):
+        key = (id(graph), forbidden)
+        if key not in forms:
+            forms[key] = graph, routing._Compiled(graph, forbidden)
+        return forms[key][1]
+
+    work = [0, 0]
+    search, prune = _CDemand._search, _Search._prune_ok
+
+    def counting_search(cd, *args):
+        work[0] += 1
+        return search(cd, *args)
+
+    def counting_prune(s, *args):
+        work[1] += 1
+        return prune(s, *args)
+
+    monkeypatch.setattr(routing, "_compiled", fresh_compiled)
+    monkeypatch.setattr(_CDemand, "_search", counting_search)
+    monkeypatch.setattr(_Search, "_prune_ok", counting_prune)
+    got = {}
+    for lemma_id in _PINNED_WORK:
+        work[:] = 0, 0
+        iterate, runner = verifier._CAMPAIGNS[lemma_id]
+        for inst in islice(iterate(), 0, None, 10):
+            rec = runner(inst)
+            assert rec is None or rec[0] == "degenerate", rec
+        got[lemma_id] = tuple(work)
+    assert got == _PINNED_WORK

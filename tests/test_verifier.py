@@ -176,6 +176,42 @@ def test_degenerate_reason_flags_the_two_line_cuts():
     ) is None
 
 
+def _full_laws(s1, t1, s2, s3, psi):
+    """The two degeneracy laws as stated: every terminal is tested for an
+    overload, whether or not the escorts share a start."""
+    lines = {
+        "A": {Vertex(3, j) for j in (1, 2, 3)},
+        "B": {Vertex(i, 3) for i in (1, 2, 3)},
+    }
+    line2, line3 = psi
+    for v in {s1, t1, s2, s3}:
+        ends = int((s1 == v) != (t1 == v))
+        ends += int(s2 == v and v not in lines[line2])
+        ends += int(s3 == v and v not in lines[line3])
+        if ends > 2 + (1 < v.row < 3) + (1 < v.col < 3):
+            return f"degree overload at {tuple(v)}"
+    if s2 == s3:
+        if {s1, t1} == {Vertex(1, 1), Vertex(1, 3)} and s2 == (1, 2) and line2 == line3 == "A":
+            return "line cut across the far row"
+        if {s1, t1} == {Vertex(1, 1), Vertex(3, 1)} and s2 == (2, 1) and line2 == line3 == "B":
+            return "line cut down the far column"
+    return None
+
+
+def test_degenerate_reason_equals_the_full_laws_on_the_whole_l10_domain():
+    # degenerate_reason answers None at once when the escorts start apart;
+    # over all 26,244 placements it must name what the full laws name.
+    reasons = Counter()
+    for s1, t1, s2, s3, psi in verifier._iter_l10():
+        want = _full_laws(s1, t1, s2, s3, psi)
+        assert degenerate_reason(s1, t1, s2, s3, psi) == want, (s1, t1, s2, s3, psi)
+        if want is not None:
+            assert s2 == s3
+            reasons[want.split(" at ")[0]] += 1
+    assert reasons == {"degree overload": 96, "line cut across the far row": 2,
+                       "line cut down the far column": 2}
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     idx=st.tuples(*(st.integers(min_value=0, max_value=8),) * 4),
