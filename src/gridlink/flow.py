@@ -1,11 +1,22 @@
 """Escape feasibility by maximum flow, independent of the backtracking solver.
 
-All-escape instances are a unit-capacity flow problem: a super-source feeds
-each source vertex its multiplicity, every grid edge becomes two opposite
-arcs of capacity one, and exits drain into a super-sink (capacity one per
-exit when endpoints must be distinct, effectively unbounded otherwise).
-The instance is feasible iff the max flow equals the number of sources;
-the flow is then decomposed into one path per source occurrence.
+All-escape instances are a unit-capacity flow problem: each source vertex
+supplies its multiplicity, every grid edge carries one unit in either
+direction, and each exit takes one unit when endpoints must be distinct
+(as many as there are sources otherwise).  The instance is feasible iff
+the max flow equals the number of sources.
+
+The flow is found by augmenting paths.  Each augmentation is one
+breadth-first search over ``graph.adjacency``, forbidden edges left out,
+from the sources with supply left to the first exit with room left; a
+vertex pair (u, w) can carry one more unit while the net flow from u to w
+is below 1, that is, unless u already sends w a unit.  There is one
+augmentation per source occurrence, and a search that finds no exit
+proves the instance infeasible.  The flow is then decomposed into one path
+per source occurrence, in input order: each walk follows positive net flow
+from its source, taking the smallest neighbour in (row, col) order, and
+stops at the first exit the flow still drains into.  Every step is a
+loop, so a path of any length costs no recursion.
 
 This module deliberately shares no search code with ``routing.solve`` --
 the two are cross-checked against each other by the test campaigns.
@@ -14,71 +25,10 @@ the two are cross-checked against each other by the test campaigns.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .grid import Edge, GridGraph, Vertex, edge, vertex
+from .grid import Edge, GridGraph, edge, vertex
 from .routing import Infeasible, PathSystem, SolveResult
-
-
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add(self, u: int, v: int, c: int) -> int:
-        i = len(self.to)
-        self.head[u].append(i)
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(i + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return i
-
-    def _levels(self, s: int, t: int) -> Optional[list[int]]:
-        level = [-1] * self.n
-        level[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for i in self.head[u]:
-                    v = self.to[i]
-                    if self.cap[i] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return level if level[t] >= 0 else None
-
-    def _push(self, u: int, t: int, f: int, level, it) -> int:
-        if u == t:
-            return f
-        while it[u] < len(self.head[u]):
-            i = self.head[u][it[u]]
-            v = self.to[i]
-            if self.cap[i] > 0 and level[v] == level[u] + 1:
-                got = self._push(v, t, min(f, self.cap[i]), level, it)
-                if got:
-                    self.cap[i] -= got
-                    self.cap[i ^ 1] += got
-                    return got
-            it[u] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        while True:
-            level = self._levels(s, t)
-            if level is None:
-                return total
-            it = [0] * self.n
-            while True:
-                f = self._push(s, t, 1 << 30, level, it)
-                if not f:
-                    break
-                total += f
 
 
 def escape_flow(
@@ -106,66 +56,48 @@ def escape_flow(
     if forb - graph.present_edges:
         raise ValueError(f"forbidden edges not in graph: {sorted(forb - graph.present_edges)}")
 
-    verts = sorted(present)
-    vidx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    S, T = n, n + 1
-    net = _Dinic(n + 2)
-
-    edges = sorted(graph.present_edges - forb)
-    fwd_arcs: list[tuple[int, int, int]] = []  # (arc id, u index, v index)
-    for u, v in edges:
-        ui, vi = vidx[u], vidx[v]
-        fwd_arcs.append((net.add(ui, vi, 1), ui, vi))
-        fwd_arcs.append((net.add(vi, ui, 1), vi, ui))
-
-    need = len(src_list)
+    adj = graph.adjacency
+    if forb:
+        adj = {u: tuple(w for w in ws if edge(u, w) not in forb) for u, ws in adj.items()}
     supply = Counter(src_list)
-    for v, mult in sorted(supply.items()):
-        net.add(S, vidx[v], mult)
-    drain_cap = 1 if distinct else need
-    drain_arcs = [(net.add(vidx[v], T, drain_cap), vidx[v]) for v in sorted(exit_set)]
+    cap = 1 if distinct else len(src_list)
+    room = dict.fromkeys(exit_set, cap)
+    carry: set = set()  # the vertex pairs (u, w) with a net flow of one unit from u to w
 
-    if net.max_flow(S, T) < need:
-        return Infeasible
-
-    # Integral support of the flow, with opposite edge arcs netted out so no
-    # undirected edge carries more than one unit.
-    sent: Counter = Counter()
-    for arc, ui, vi in fwd_arcs:
-        if net.cap[arc] == 0:
-            sent[(ui, vi)] += 1
-    out: dict[int, Counter] = {}
-    for (ui, vi), units in sent.items():
-        units -= sent.get((vi, ui), 0)
-        if units > 0:
-            out.setdefault(ui, Counter())[vi] = units
-    for v, mult in supply.items():
-        out.setdefault(S, Counter())[vidx[v]] = mult
-    for arc, ei in drain_arcs:
-        drained = drain_cap - net.cap[arc]
-        if drained > 0:
-            out.setdefault(ei, Counter())[T] = drained
-
-    # Peel off one source-to-exit walk per unit.  Every vertex except S and T
-    # conserves flow, so a walk from S can only terminate at T; taking the
-    # smallest-index arc each step keeps the decomposition deterministic.
-    def take(u: int) -> int:
-        arcs = out[u]
-        w = min(w for w, k in arcs.items() if k > 0)
-        arcs[w] -= 1
-        return w
-
-    by_start: dict[Vertex, list[tuple[Vertex, ...]]] = {}
-    for _ in range(need):
-        walk = [take(S)]
-        while True:
-            w = take(walk[-1])
-            if w == T:
+    for _ in src_list:
+        queue = [s for s, k in supply.items() if k]
+        prev = dict.fromkeys(queue)
+        for u in queue:  # the queue grows as it is read
+            if room.get(u):
                 break
-            walk.append(w)
-        path = tuple(verts[i] for i in walk)
-        by_start.setdefault(path[0], []).append(path)
+            for w in adj[u]:
+                if w not in prev and (u, w) not in carry:
+                    prev[w] = u
+                    queue.append(w)
+        else:
+            return Infeasible
+        room[u] -= 1
+        while prev[u] is not None:
+            p = prev[u]
+            if (u, p) in carry:
+                carry.remove((u, p))  # cancels the unit sent the other way
+            else:
+                carry.add((p, u))
+            u = p
+        supply[u] -= 1
 
-    ordered = [by_start[s].pop(0) for s in src_list]
-    return PathSystem(tuple(ordered))
+    # Every vertex conserves the flow except where it is supplied or
+    # drained, so a walk that has not reached a draining exit can go on.
+    drained = {x: cap - k for x, k in room.items()}
+    paths = []
+    for s in src_list:
+        path = [s]
+        u = s
+        while not drained.get(u):
+            w = next(w for w in adj[u] if (u, w) in carry)
+            carry.remove((u, w))
+            path.append(w)
+            u = w
+        drained[u] -= 1
+        paths.append(tuple(path))
+    return PathSystem(tuple(paths))

@@ -67,7 +67,8 @@ class GridGraph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         # Neighbour order is (row, col) lexicographic.  The routing solver
-        # sorts its own compiled adjacency; only adjusted_quadrant reads this.
+        # sorts its own compiled adjacency; adjusted_quadrant and the flow
+        # oracle (flow.escape_flow) read this.
         return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
 
     @cached_property

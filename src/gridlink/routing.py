@@ -42,11 +42,12 @@ the one a plain one-level-at-a-time search finds.
 Each graph is compiled once per forbidden edge set to vertex indices and
 edge bitmasks, and each demand once per compiled graph, to its goal mask,
 distance table and *shortest-path table*: every shortest path from the
-source to a goal, in the order the depth-first walk would find them, each
-one int holding the path's edge mask with its end vertex's bit above the
-edge bits.  Most levels of the search run at a demand's shortest length,
-where its candidates are this table filtered by the edges already used, and
-the prune asks the same table whether a shortest path is still free.  A
+source to a goal, found by the depth-first walk's own search with no edge
+used, each one int holding the path's edge mask with its end vertex's bit
+above the edge bits.  Most levels of the search run at a demand's
+shortest length, where its candidates are this table filtered by the
+edges already used, and the prune asks the same table whether a shortest
+path is still free.  A
 longer length is searched the first time a demand is walked at it; the
 second time, the compiled demand tables it too (its *length table*, built by
 one search with no edge used), and from then on filters that table.  A
@@ -60,7 +61,10 @@ solve adds only each demand's group slot.
 The last demand is settled from its table: once the demand before it has
 committed a path, a free shortest path of the last demand (for a grouped
 escape, one to an exit not yet taken) completes the certificate, since it
-is the path the prune would pass and the walk would yield first.
+is the path the prune would pass and the walk would yield first.  With no
+such path the last demand grows once to its free distance, as the prune
+would, and the first path its walk yields at that length completes the
+certificate, unless the length lies beyond the slack.
 
 The search itself carries edge masks and end bits, never vertex paths;
 ``run`` traces each demand's path from its source along its edge mask once
@@ -257,8 +261,9 @@ class _CDemand:
     simple path length worth trying.  ``table`` holds every shortest path
     from the source to a goal, in the walk's order, as its edge mask with
     its end vertex's bit stored ``eshift`` bits up (None beyond
-    ``_TABLE_CAP`` paths).  ``short`` is the union of their edge masks and
-    ``near`` of their end bits (both 0 without a table).  ``adj`` and
+    ``_TABLE_CAP`` paths, empty when no goal is reachable); it is built as
+    the length table of ``lb``.  ``short`` is the union of their edge masks
+    and ``near`` of their end bits (both 0 without a table).  ``adj`` and
     ``eshift`` are the graph's (see ``_Compiled``), for ``walk``.  ``row``
     is the demand's part of a prune row, ``(source bit, goal, lb, short,
     near, table)``; a solve adds the group slot.
@@ -279,16 +284,19 @@ class _CDemand:
     __slots__ = ("src", "goal", "dist", "lb", "step", "max_len", "table", "short", "near", "adj",
                  "eshift", "row", "tables")
 
-    def __init__(self, src, goal, dist, step, max_len, table, adj, eshift):
+    def __init__(self, src, goal, dist, step, max_len, adj, eshift):
         self.src = src
         self.goal = goal
         self.dist = dist
         self.lb = dist[src]
         self.step = step
         self.max_len = max_len
-        self.table = table
         self.adj = adj
         self.eshift = eshift
+        # the shortest length's table, from the walk's own search; a goal out
+        # of reach has no shortest path, and no search is started for it
+        table = self._length_table(False, self.lb) if self.lb < _INF else ()
+        self.table = table = None if table is _BEYOND_CAP else table
         union = 0
         for m in table or ():
             union |= m
@@ -523,30 +531,7 @@ class _Compiled:
         # the only simple s,s-path is the trivial one
         max_len = 0 if d.kind == PAIR and goals == (src,) else self.nv - 1
         dist = self.distances(goals)
-        table = self.shortest_paths(src, dist)
-        return _CDemand(src, goal, dist, step, max_len, table, self.adj, self.eshift)
-
-    def shortest_paths(self, src: int, dist: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        """Every shortest path from ``src`` to a goal of ``dist``, depth first.
-
-        Each path is its edge mask with its end vertex's bit ``eshift`` bits
-        up; neighbours are taken in (row, col) order, so the paths come in
-        the order ``_CDemand.walk`` finds them.  Empty when no goal is reachable,
-        None beyond ``_TABLE_CAP`` paths.
-        """
-        table: list[int] = []
-        stack = [(src, 0)]
-        while stack:
-            u, mask = stack.pop()
-            d = dist[u] - 1
-            if d < 0:
-                if len(table) == _TABLE_CAP:
-                    return None
-                table.append(mask | 1 << u << self.eshift)
-                continue
-            # each step of a shortest path is one closer to the goals
-            stack.extend((w, mask | ebit) for w, ebit, _ in reversed(self.adj[u]) if dist[w] == d)
-        return tuple(table)
+        return _CDemand(src, goal, dist, step, max_len, self.adj, self.eshift)
 
 
 def _trace(comp: "_Compiled", src: int, mask: int) -> Path:
@@ -695,15 +680,10 @@ class _Search:
                 if free is None:
                     free, flooded = self.comp.free_lanes(used), []
                 if slack is not None:
-                    # reach: the vertices within lb + slack - left edges of the source
-                    reach, left = sbit, lb + slack
-                    while not reach & goal:
-                        grown = reach
-                        for k, low in free:
-                            grown |= (reach & low) << k | (reach >> k) & low
-                        if grown == reach:
-                            return False
-                        reach, left = grown, left - 1
+                    reach, far = _grow(sbit, goal, free)
+                    if not reach:
+                        return False
+                    left = lb + slack - far
                     if left >= 0:
                         # free distance lb + slack - left: left is the slack unspent
                         slack = left
@@ -768,21 +748,26 @@ class _Search:
         the last demand's table for a free shortest path (for a grouped
         escape, one to an exit its group has not taken).  One completes the
         certificate: it is the path the prune would pass and the last
-        demand's walk would yield first, so neither is run.
+        demand's walk would yield first, so neither is run.  Without one,
+        the last demand grows over the free edges to its free distance f
+        (``_grow``, the prune's growth).  No goal within reach rejects the
+        path; f beyond ``lb + slack`` of the last demand rejects it with the
+        gap f - (lb + slack); otherwise no shorter path is free, and the
+        first path its walk yields at length f completes the certificate.
 
         On failure ``self.gap`` has been lowered to the least rise in the
         slack at which some branch of this subtree would try something new,
         and is left alone if none would.  Two things cut a branch off:
         demand di's next length of its parity above ``lb + slack``, if it is
         within ``max_len`` (gap: that length less ``lb + slack``), and a
-        ``_prune_ok`` rejection the slack alone caused.  A rise in the
-        root's slack raises every node's slack by as much, so below the
-        least gap a level searches the same branches and fails the same way
-        (Korf's rule); at the root a failure with no gap proves
-        infeasibility.  The prune is given the slack this path leaves, the
-        same value the recursion gets, so it skips only subtrees that hold
-        no solution within it, and the first certificate found is the one a
-        search without the bound would find.
+        rejection the slack alone caused, by ``_prune_ok`` or by the last
+        demand's growth.  A rise in the root's slack raises every node's
+        slack by as much, so below the least gap a level searches the same
+        branches and fails the same way (Korf's rule); at the root a
+        failure with no gap proves infeasibility.  The prune is given the
+        slack this path leaves, the same value the recursion gets, so it
+        skips only subtrees that hold no solution within it, and the first
+        certificate found is the one a search without the bound would find.
         """
         d = self.demands[di]
         gi = self.gi[di]
@@ -798,7 +783,7 @@ class _Search:
         settle = self.demands[di + 1].table if di + 2 == self.nd else None
         if settle is not None:
             eshift = self.eshift
-            sgi = self.gi[di + 1]
+            sd, sgi = self.demands[di + 1], self.gi[di + 1]
         for limit in range(lb, top + 1, step):
             for pmask, end in walk(used, taken, grouped, limit):
                 if last:
@@ -808,11 +793,23 @@ class _Search:
                 ngused = gused
                 if grouped:
                     ngused = gused[:gi] + (taken | end,) + gused[gi + 1 :]
+                left = slack - (limit - lb)
                 if settle is not None:
-                    m = _first_free(settle, nused | ngused[sgi] << eshift if sgi >= 0 else nused)
+                    staken = ngused[sgi] if sgi >= 0 else 0
+                    m = _first_free(settle, nused | staken << eshift)
                     if m:
                         return [pmask, m ^ (m >> eshift) << eshift]
-                left = slack - (limit - lb)
+                    # no free shortest path: the last demand's first path
+                    # lies at its free distance, if that is within the slack
+                    reach, far = _grow(1 << sd.src, sd.goal & ~staken, self.comp.free_lanes(nused))
+                    if not reach:
+                        continue
+                    over = far - sd.lb - left
+                    if over > 0:
+                        if over < self.gap:
+                            self.gap = over
+                        continue
+                    return [pmask, next(sd.walk(nused, staken, sgi >= 0, far))[0]]
                 if not self._prune_ok(di + 1, nused, ngused, left):
                     continue
                 tail = self._route(di + 1, nused, ngused, left)
@@ -876,6 +873,22 @@ def _free_ends(table: tuple[int, ...], blocked: int, eshift: int, most: int) -> 
             if ends == most:
                 break
     return ends
+
+
+def _grow(reach: int, goal: int, free: list[tuple[int, int]]) -> tuple[int, int]:
+    """Grow the vertex mask ``reach`` over free edges a layer at a time until
+    it meets ``goal``; returns the grown mask and the number of layers, the
+    free distance.  ``(0, _INF)`` when it stops growing first: no goal is
+    within reach."""
+    far = 0
+    while not reach & goal:
+        grown = reach
+        for k, low in free:
+            grown |= (reach & low) << k | (reach >> k) & low
+        if grown == reach:
+            return 0, _INF
+        reach, far = grown, far + 1
+    return reach, far
 
 
 def _component(sbit: int, flooded: list[int], free: list[tuple[int, int]]) -> int:

@@ -277,6 +277,17 @@ def test_verify_confirms_infeasible_escapes_by_max_flow(tmp_path, capsys):
     assert "solvable (re-solved)" in capsys.readouterr().out
 
 
+def test_verify_decides_a_long_escape_by_max_flow(tmp_path, capsys):
+    # the flow oracle's path is 2,000 vertices long: deciding it must not
+    # recurse once per step
+    inst = _write(tmp_path, "long.inst", "grid 1 2000\ndemand escape (1,1) -> {(1,2000)}\n")
+    cert = _write(tmp_path, "claim.cert", "infeasible\n")
+    assert main(["verify", inst, cert]) == 1
+    assert capsys.readouterr().out == (
+        "invalid: certificate claims infeasible, but the instance is solvable (max-flow)\n"
+    )
+
+
 def _usage_error(capsys, argv):
     """Run ``argv``, which argparse must refuse, and return its stderr."""
     with pytest.raises(SystemExit) as exc:

@@ -457,6 +457,22 @@ def test_flow_rejects_malformed():
         escape_flow(g, [(1, 1)], [], distinct=False)
     with pytest.raises(ValueError):
         escape_flow(g, [(7, 7)], [(1, 1)], distinct=False)
+    with pytest.raises(ValueError, match="forbidden edges not in graph"):
+        escape_flow(g, [(1, 1)], [(2, 2)], distinct=False, forbidden=[((1, 1), (2, 2))])
+
+
+def test_flow_routes_a_path_longer_than_the_recursion_limit():
+    g = make_grid(1, 2000)
+    got = escape_flow(g, [(1, 1)], [(1, 2000)], distinct=True)
+    assert got == PathSystem((tuple(Vertex(1, c) for c in range(1, 2001)),))
+
+
+def test_flow_avoids_forbidden_edges():
+    g = make_grid(2, 2)
+    got = escape_flow(g, [(1, 1)], [(1, 2)], distinct=True, forbidden=[((1, 1), (1, 2))])
+    assert got == PathSystem(((Vertex(1, 1), Vertex(2, 1), Vertex(2, 2), Vertex(1, 2)),))
+    cut = [((1, 1), (1, 2)), ((1, 1), (2, 1))]
+    assert escape_flow(g, [(1, 1)], [(1, 2)], distinct=True, forbidden=cut) is Infeasible
 
 
 # ------------------------------------------------- dual-oracle cross checks
@@ -932,7 +948,9 @@ def _as_masks(comp, paths):
 def _rebuilt(cd, table, adj):
     """``cd`` with another table (None: its walk searches the shortest length too),
     another adjacency list and no length table yet."""
-    return _CDemand(cd.src, cd.goal, cd.dist, cd.step, cd.max_len, table, adj, cd.eshift)
+    walker = _CDemand(cd.src, cd.goal, cd.dist, cd.step, cd.max_len, adj, cd.eshift)
+    walker.table = table
+    return walker
 
 
 def _walk_graphs():
@@ -1578,8 +1596,10 @@ def test_edge_budget_proves_infeasibility_at_slack_zero():
 # tabling the lengths a search walks again, or stops settling the last
 # demand from its table, moves them.
 
-# every 10th instance of each sweep: (searching walks, _prune_ok calls)
-_PINNED_WORK = {"L10": (118, 10202), "L1": (82, 3954), "L2": (61, 3372), "L3": (2, 867)}
+# every 10th instance of each sweep: (searching walks, _prune_ok calls).
+# The searching walks include the one that builds each compiled demand's
+# shortest-path table: L10 99 of them, L1 9, L2 13 and L3 none.
+_PINNED_WORK = {"L10": (216, 7642), "L1": (91, 3827), "L2": (72, 2916), "L3": (2, 782)}
 
 
 def test_solver_work_counts_are_pinned(monkeypatch):

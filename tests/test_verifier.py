@@ -33,6 +33,7 @@ import gridlink.lemmas.crowded as crowded
 import gridlink.lemmas.escapes as escapes
 from gridlink.lemmas import Frame, catalog_configurations
 from gridlink.cli import main
+from gridlink.flow import escape_flow
 from gridlink.routing import Demand, Infeasible, Instance, PathSystem, solve
 from gridlink.verifier import (
     T1,
@@ -399,11 +400,16 @@ def test_a_lemma_operation_answering_infeasible_is_a_defect(monkeypatch, lemma_i
     assert "status: defective" in format_report(report).splitlines()
 
 
-def _reused_edge(inst):
-    # the first path walks back over its last edge and returns: one edge twice
-    sol = solve(inst)
-    first = sol.paths[0]
-    return PathSystem((first + first[-2:],) + sol.paths[1:])
+def _reusing_an_edge(answer):
+    """``answer`` with its first path walking back over its last edge and
+    returning: one edge twice."""
+
+    def mutant(*args):
+        got = answer(*args)
+        first = got.paths[0]
+        return PathSystem((first + first[-2:],) + got.paths[1:])
+
+    return mutant
 
 
 @pytest.mark.parametrize(
@@ -419,11 +425,19 @@ def _reused_edge(inst):
             485,
             "solver and flow oracle disagree",
         ),
+        (
+            "escape-agreement",
+            "escape_flow",
+            _reusing_an_edge(escape_flow),
+            "defect",
+            485,
+            "certificate failed the independent check",
+        ),
         ("pairability", "solve", lambda inst: Infeasible, "counterexample", 20, "no 4-pair linkage"),
-        ("pairability", "solve", _reused_edge, "defect", 20, "certificate failed"),
+        ("pairability", "solve", _reusing_an_edge(solve), "defect", 20, "certificate failed"),
     ],
-    ids=["L4-never linked", "P1-no match", "escape-flow infeasible", "pairability-infeasible",
-         "pairability-reused edge"],
+    ids=["L4-never linked", "P1-no match", "escape-flow infeasible", "escape-flow reused edge",
+         "pairability-infeasible", "pairability-reused edge"],
 )
 def test_every_runner_reads_defective_under_its_mutant(
     monkeypatch, capsys, campaign, name, mutant, tag, count, detail
