@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .fileio import ParseError, parse_certificate, parse_instance, serialize_certificate
 from .flow import escape_flow
-from .routing import ESCAPE, Infeasible, Instance, solve, verify
+from .routing import Infeasible, Instance, solve, verify
 from .verifier import (
     LEMMA_IDS,
     PAIRABILITY_SAMPLES,
@@ -107,14 +107,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _decide_infeasible(inst: Instance) -> tuple[bool, str]:
     """Is the instance infeasible?  Also names the route that decided it.
 
-    Escapes that share one exit set and one distinct group (or all have
+    Demands that share one exit set and one distinct group (or all have
     none) are a max-flow problem, decided by ``escape_flow`` independently
-    of the solver.  Any other instance is re-solved.
+    of the solver; a pair's exit set is its target.  Any other instance is
+    re-solved.
     """
     ds = inst.demands
     if (
         ds
-        and all(d.kind == ESCAPE and d.exits == ds[0].exits for d in ds)
+        and all(d.exits == ds[0].exits for d in ds)
         and len({d.distinct_group for d in ds}) == 1
     ):
         got = escape_flow(

@@ -148,8 +148,7 @@ def parse_instance(text: str, name: str = "<instance>") -> Instance:
         raise ParseError(name, max(1, text.count("\n") + 1), "no demands")
     # a later contract may have removed a vertex or edge mentioned earlier
     for lineno, d in demands:
-        terminals = [d.source] + ([d.target] if d.target else []) + sorted(d.exits or ())
-        check_present(lineno, terminals)
+        check_present(lineno, [d.source] + sorted(d.exits))
     for e, lineno in sorted(forbidden.items()):
         if e not in graph.present_edges:
             raise ParseError(name, lineno, "forbidden edge is no longer in the grid")

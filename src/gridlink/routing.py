@@ -1,11 +1,10 @@
 """Exact solver for edge-disjoint routing instances on small graphs.
 
-Demands are either *pair* demands (route source to target) or *escape*
-demands (route source to any vertex of an exit set).  Paths of different
-demands may share vertices but never edges; ``forbidden_edges`` are off
-limits to everyone.  Escape demands carrying the same ``distinct_group``
-id must end at pairwise distinct exits; escape demands without a group
-may pile onto one exit freely.
+A demand routes its source to any vertex of its exit set; a *pair* is the
+demand whose one exit is its target.  Paths of different demands may share
+vertices but never edges; ``forbidden_edges`` are off limits to everyone.
+Demands carrying the same ``distinct_group`` id must end at pairwise
+distinct exits; demands without a group may pile onto one exit freely.
 
 The solver is complete: it returns ``Infeasible`` only when no path system
 exists.  It is also deterministic -- demands are routed in input order,
@@ -21,7 +20,7 @@ lower bounds sums to more than the slack left, since no path is shorter
 than its free distance.  A demand with a free shortest path is settled by
 its table; one without grows from its source a layer at a time until it
 meets a goal, and only once the slack is spent is a demand's component of
-the free graph flooded to see whether it reaches a goal at all.  Escapes
+the free graph flooded to see whether it reaches a goal at all.  Demands
 that need distinct exits are matched to the exits they are known to reach
 (the ends of their free shortest paths, or the goals their growth met),
 and their components are flooded only when that matching fails.  The paths
@@ -60,7 +59,7 @@ solve adds only each demand's group slot.
 
 The last demand is settled from its table: once the demand before it has
 committed a path, a free shortest path of the last demand (for a grouped
-escape, one to an exit not yet taken) completes the certificate, since it
+demand, one to an exit not yet taken) completes the certificate, since it
 is the path the prune would pass and the walk would yield first.  With no
 such path the last demand grows once to its free distance, as the prune
 would, and the first path its walk yields at that length completes the
@@ -80,9 +79,6 @@ from typing import Iterable, Optional, Union
 
 from .grid import Edge, GridGraph, Path, Vertex, edge, vertex
 
-PAIR = "pair"
-ESCAPE = "escape"
-
 _INF = 10 ** 9
 
 # A demand with more shortest paths than this gets no table: its walk at
@@ -98,7 +94,10 @@ _BEYOND_CAP = "beyond the cap"
 
 @dataclass(frozen=True)
 class Demand:
-    """One routing demand; build with ``Demand.pair`` / ``Demand.escape``.
+    """One routing demand: a path from ``source`` to any vertex of ``exits``,
+    ending at an exit no other demand of its ``distinct_group`` ends at.
+    Build with ``Demand.pair`` / ``Demand.escape``.  A pair is the demand
+    with one exit, its target: ``Demand.pair(s, t) is Demand.escape(s, [t])``.
 
     Those two hand out one shared object per demand value, kept for the life
     of the process, so a demand is built (and its exit set hashed) once
@@ -106,21 +105,19 @@ class Demand:
     A ``Demand(...)`` built directly is equal to the shared one, not it.
     """
 
-    kind: str
     source: Vertex
-    target: Optional[Vertex] = None
-    exits: Optional[frozenset[Vertex]] = None
+    exits: frozenset[Vertex]
     distinct_group: Optional[int] = None
 
     @staticmethod
     def pair(source: Iterable[int], target: Iterable[int]) -> "Demand":
-        key = (PAIR, source, target)
+        key = (source, target)
         try:
             d = _SHARED.get(key)
         except TypeError:  # a coordinate given as a list
             d = None
         if d is None:
-            d = _share(key, (PAIR, vertex(source), vertex(target)))
+            d = _share(key, (vertex(source), frozenset((vertex(target),)), None))
         return d
 
     @staticmethod
@@ -132,22 +129,21 @@ class Demand:
         # an iterator hashes by identity: key any other iterable by its value
         if type(exits) is not tuple and type(exits) is not frozenset:
             exits = frozenset(map(vertex, exits))
-        key = (ESCAPE, source, None, exits, distinct_group)
+        key = (source, exits, distinct_group)
         try:
             d = _SHARED.get(key)
         except TypeError:
             d = None
         if d is None:
             xs = frozenset(map(vertex, exits))
-            d = _share(key, (ESCAPE, vertex(source), None, xs, distinct_group))
+            d = _share(key, (vertex(source), xs, distinct_group))
         return d
 
 
 # The shared demands, each keyed by its fields in ``Demand``'s order, both
-# as given to ``Demand.pair`` or ``Demand.escape`` and normalised, so that
-# every spelling of one value finds the same object.  The kind leads and
-# the group ends an escape's key, so a pair, an ungrouped escape and a
-# group-0 escape never meet.
+# as given to ``Demand.escape`` and normalised, and a pair also by its
+# ``(source, target)`` as given, so that every spelling of one value finds
+# the same object.  A pair's key has two fields and every other key three.
 _SHARED: dict[tuple, Demand] = {}
 
 
@@ -309,7 +305,7 @@ class _CDemand:
         """Iterate ``(edge_mask, end_bit)`` over every simple path of exactly
         ``limit`` edges from the source to a goal over edges not in ``used``,
         depth first with neighbours in (row, col) order.  A ``grouped``
-        escape may not end at an exit in ``taken``.
+        demand may not end at an exit in ``taken``.
 
         A length with a table filters it: a path is free when its mask meets
         neither ``used`` nor, above ``eshift``, the taken exits, and no
@@ -352,13 +348,13 @@ class _CDemand:
     def _search(self, used: int, taken: int, grouped: bool, limit: int):
         """``walk``'s paths, found by a depth-first search of the adjacency.
 
-        A pair path meets its target only at its end, and an ungrouped
-        escape may be cut at its first exit, so neither is continued past
-        one.  A vertex farther from the goals than the length left is not
-        entered, so a vertex at the last step is a goal.  An edge to an
-        unvisited vertex cannot be one of the path's own.  In a bipartite
-        graph with goals of one colour the length left and that distance
-        always have one parity, so ``step`` is the only parity test.
+        An ungrouped demand's path may be cut at its first exit, so it is
+        not continued past one.  A vertex farther from the goals than the
+        length left is not entered, so a vertex at the last step is a goal.
+        An edge to an unvisited vertex cannot be one of the path's own.  In
+        a bipartite graph with goals of one colour the length left and that
+        distance always have one parity, so ``step`` is the only parity
+        test.
         """
         src, goal, dist, adj = self.src, self.goal, self.dist, self.adj
         sbit = 1 << src
@@ -498,7 +494,7 @@ class _Compiled:
 
     def demand(self, d: Demand) -> _CDemand:
         """``d`` compiled against this graph, cached; a malformed one raises every time."""
-        key = (d.kind, d.source, d.target, d.exits)
+        key = (d.source, d.exits)
         cd = self._demands.get(key)
         if cd is None:
             cd = self._demands[key] = self.compile_demand(d)
@@ -509,19 +505,12 @@ class _Compiled:
         if d.source not in vindex:
             raise ValueError(f"demand source {d.source} not in graph")
         src = vindex[d.source]
-        if d.kind == PAIR:
-            if d.target is None or d.target not in vindex:
-                raise ValueError(f"pair target {d.target} not in graph")
-            goals = (vindex[d.target],)
-        elif d.kind == ESCAPE:
-            if not d.exits:
-                raise ValueError("escape demand with empty exit set")
-            bad = [x for x in d.exits if x not in vindex]
-            if bad:
-                raise ValueError(f"escape exits not in graph: {sorted(bad)}")
-            goals = tuple(sorted(vindex[x] for x in d.exits))
-        else:
-            raise ValueError(f"unknown demand kind: {d.kind!r}")
+        if not d.exits:
+            raise ValueError("demand with empty exit set")
+        bad = [x for x in d.exits if x not in vindex]
+        if bad:
+            raise ValueError(f"demand exits not in graph: {sorted(bad)}")
+        goals = tuple(sorted(vindex[x] for x in d.exits))
         goal = 0
         for g in goals:
             goal |= 1 << g
@@ -529,7 +518,7 @@ class _Compiled:
         if self.coloring is not None and len({self.coloring[g] for g in goals}) == 1:
             step = 2
         # the only simple s,s-path is the trivial one
-        max_len = 0 if d.kind == PAIR and goals == (src,) else self.nv - 1
+        max_len = 0 if goals == (src,) else self.nv - 1
         dist = self.distances(goals)
         return _CDemand(src, goal, dist, step, max_len, self.adj, self.eshift)
 
@@ -576,8 +565,8 @@ class _Search:
         self.comp = comp = _compiled(inst.graph, inst.forbidden_edges)
         self.eshift = comp.eshift
         demand = comp.demand
-        # per demand: the compiled demand, its group slot (-1 for pairs and
-        # ungrouped escapes) and (the compiled demand's row, group slot) for
+        # per demand: the compiled demand, its group slot (-1 without a
+        # group) and (the compiled demand's row, group slot) for
         # _prune_ok
         self.demands = cds = []
         self.gi = gi = []
@@ -587,7 +576,7 @@ class _Search:
         for d in inst.demands:
             cd = demand(d)
             g = -1
-            if d.distinct_group is not None and d.kind == ESCAPE:
+            if d.distinct_group is not None:
                 g = slots.setdefault(d.distinct_group, len(slots))
             cds.append(cd)
             gi.append(g)
@@ -616,7 +605,7 @@ class _Search:
         """Can demands j0.. still be routed over unused edges within ``slack``?
 
         A demand's free distance is the length of its shortest path over the
-        free edges to an open goal (for a grouped escape, an exit not in
+        free edges to an open goal (for a grouped demand, an exit not in
         ``gused``).  A path is never shorter than that, so when the free
         distances exceed the ``lb`` of their demands by more than ``slack``
         in sum, no solution inside the slack remains and the branch is
@@ -746,7 +735,7 @@ class _Search:
 
         When demand di + 1 is the last, each path of demand di first asks
         the last demand's table for a free shortest path (for a grouped
-        escape, one to an exit its group has not taken).  One completes the
+        demand, one to an exit its group has not taken).  One completes the
         certificate: it is the path the prune would pass and the last
         demand's walk would yield first, so neither is run.  Without one,
         the last demand grows over the free edges to its free distance f
@@ -994,19 +983,13 @@ def verify(inst: Instance, cert: PathSystem) -> VerifyResult:
             if p[0] != d.source:
                 return _bad(f"path {i}: endpoint mismatch, starts at {vertex(p[0])} not {d.source}")
             last = p[-1]
-            if d.kind == PAIR:
-                if last != d.target:
-                    return _bad(f"path {i}: endpoint mismatch, ends at {vertex(last)} not {d.target}")
-            elif d.kind == ESCAPE:
-                if d.exits is None or last not in d.exits:
-                    return _bad(f"path {i}: exit mismatch, ends at {vertex(last)} outside exits")
-                if d.distinct_group is not None:
-                    ends = group_ends.setdefault(d.distinct_group, set())
-                    if last in ends:
-                        return _bad(f"path {i}: exit collision at {vertex(last)}")
-                    ends.add(last)
-            else:
-                return _bad(f"demand {i}: unknown kind {d.kind!r}")
+            if last not in d.exits:
+                return _bad(f"path {i}: exit mismatch, ends at {vertex(last)} outside exits")
+            if d.distinct_group is not None:
+                ends = group_ends.setdefault(d.distinct_group, set())
+                if last in ends:
+                    return _bad(f"path {i}: exit collision at {vertex(last)}")
+                ends.add(last)
     except (TypeError, ValueError) as exc:
         # a vertex that is not a hashable (row, col) pair, e.g. a list
         return _bad(f"path {i}: malformed vertex ({exc})")

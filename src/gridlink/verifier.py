@@ -20,7 +20,7 @@ import time
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice, product
+from itertools import combinations, islice, product, starmap
 from random import Random
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -80,25 +80,17 @@ _RING_IN_Q = {
 }
 
 # The lemmas' statements in their own terms (UL-local): the line A is the
-# quadrant's row 3 and B its column 3.  Every demand an L1-L3 or L10
-# instance can name is built once from these, so that each certificate is
-# checked against the statement rather than against the lemma's output.
+# quadrant's row 3 and B its column 3.  The L1-L3 and L10 runners build
+# their demands from these, so that each certificate is checked against
+# the statement rather than against the lemma's output.
 _L10_LINES = {
     "A": frozenset(Vertex(3, j) for j in (1, 2, 3)),
     "B": frozenset(Vertex(i, 3) for i in (1, 2, 3)),
 }
 _A_SET = _L10_LINES["A"]
 _B_OFF_A = _L10_LINES["B"] - _A_SET
-_L10_PAIRS = {(s, t): Demand.pair(s, t) for s in _LOCAL for t in _LOCAL}
-_L10_ESCORTS = {
-    (s, line): Demand.escape(s, exits, distinct_group=0)
-    for s in _LOCAL
-    for line, exits in _L10_LINES.items()
-}
 # L1-L3: every terminal not linked escapes to a distinct exit on A or B
-_CROWDED_ESCAPES = {
-    s: Demand.escape(s, _L10_LINES["A"] | _L10_LINES["B"], distinct_group=0) for s in _LOCAL
-}
+_A_OR_B = _A_SET | _L10_LINES["B"]
 
 # Lemma 9's two exceptional terminal sets and their admissible linked
 # terminals, in quadrant-local coordinates (frozen by the exhaustive run).
@@ -342,7 +334,9 @@ def _run_crowded(inst, variant):
     if len(linked) < (2 if variant == 1 else 1):
         return ("defect", inst, "too few pairs linked")
     rest = [v for i, pair in enumerate(pairs) if i not in linked for v in pair] + list(singles)
-    demands = [_L10_PAIRS[pairs[i]] for i in linked] + [_CROWDED_ESCAPES[v] for v in rest]
+    demands = [Demand.pair(*pairs[i]) for i in linked] + [
+        Demand.escape(v, _A_OR_B, distinct_group=0) for v in rest
+    ]
     found = _check(inst, _UL.graph, demands, res.paths)
     if found or variant == 1:
         return found
@@ -452,7 +446,11 @@ def _run_l10(inst):
         return ("defect", inst, "infeasible with no certifying law")
     if reason:
         return ("defect", inst, f"feasible although a law predicts otherwise: {reason}")
-    demands = (_L10_PAIRS[s1, t1], _L10_ESCORTS[s2, psi[0]], _L10_ESCORTS[s3, psi[1]])
+    demands = (
+        Demand.pair(s1, t1),
+        Demand.escape(s2, _L10_LINES[psi[0]], distinct_group=0),
+        Demand.escape(s3, _L10_LINES[psi[1]], distinct_group=0),
+    )
     return _check(inst, _UL.graph, demands, got)
 
 
@@ -752,20 +750,8 @@ def iter_pairability_reduced() -> Iterator[tuple[tuple[Vertex, Vertex], ...]]:
         yield from _matchings(list(combo))
 
 
-# Ordered pair demands on the full grid, built the first time a placement
-# names them (at most 36 x 35), so that placements share them.
-_GRID_PAIRS: dict[tuple[Vertex, Vertex], Demand] = {}
-
-
-def _grid_pair(st: tuple[Vertex, Vertex]) -> Demand:
-    d = _GRID_PAIRS.get(st)
-    if d is None:
-        d = _GRID_PAIRS[st] = Demand.pair(*st)
-    return d
-
-
 def _run_pairability(pairs):
-    inst = Instance(_GRID, tuple(map(_grid_pair, pairs)))
+    inst = Instance(_GRID, tuple(starmap(Demand.pair, pairs)))
     sol = solve(inst)
     if sol is Infeasible:
         return ("counterexample", pairs, "no 4-pair linkage")

@@ -60,7 +60,8 @@ def test_parse_instance_full_grammar():
     assert edge((1, 1), (1, 2)) not in inst.graph.present_edges
     assert inst.forbidden_edges == {edge((2, 2), (2, 3))}
     assert Vertex(4, 4) not in inst.graph.present_vertices
-    assert inst.demands[0].target == (3, 4)
+    assert inst.demands[0].exits == {Vertex(3, 4)}
+    assert inst.demands[0].distinct_group is None
     assert inst.demands[1].exits == {Vertex(4, 1), Vertex(4, 2)}
     assert inst.demands[1].distinct_group == 0
 
@@ -275,6 +276,24 @@ def test_verify_confirms_infeasible_escapes_by_max_flow(tmp_path, capsys):
     mixed = _write(tmp_path, "mixed.inst", two_groups)
     assert main(["verify", mixed, cert]) == 1
     assert "solvable (re-solved)" in capsys.readouterr().out
+
+
+def test_verify_decides_pairs_with_one_target_by_max_flow(tmp_path, capsys):
+    # a pair's exit set is its target: pairs sharing one target are one
+    # flow problem, and two of them cannot both enter the end of a path
+    cert = _write(tmp_path, "claim.cert", "infeasible\n")
+    shared = _write(
+        tmp_path,
+        "shared.inst",
+        "grid 1 3\ndemand pair (1,1) (1,3)\ndemand pair (1,2) (1,3)\n",
+    )
+    assert main(["verify", shared, cert]) == 0
+    assert capsys.readouterr().out == "ok: instance is infeasible (max-flow)\n"
+    one = _write(tmp_path, "one.inst", "grid 2 2\ndemand pair (1,1) (2,2)\n")
+    assert main(["verify", one, cert]) == 1
+    assert capsys.readouterr().out == (
+        "invalid: certificate claims infeasible, but the instance is solvable (max-flow)\n"
+    )
 
 
 def test_verify_decides_a_long_escape_by_max_flow(tmp_path, capsys):

@@ -472,8 +472,8 @@ def test_crowded_four_pairs_links_at_least_two():
     exits = set(_LM.A) | set(_LM.B)
     seen = set()
     for p, d in zip(res.paths.paths, _crowded_demands(_UL, pairs, (), res)):
-        if d.kind == "pair":
-            assert p[0] == d.source and p[-1] == d.target
+        if d.distinct_group is None:
+            assert p[0] == d.source and {p[-1]} == d.exits
         else:
             assert p[0] == d.source and p[-1] in exits
             assert p[-1] not in seen
@@ -485,7 +485,7 @@ def _b_side_exits(pairs, singles, res):
     return [
         p[-1]
         for p, d in zip(res.paths.paths, _crowded_demands(_UL, pairs, singles, res))
-        if d.kind == "escape" and p[-1] in off_a
+        if d.distinct_group is not None and p[-1] in off_a
     ]
 
 
@@ -513,7 +513,7 @@ def test_crowded_second_full_pair_escapes_unlinked():
     res = crowded_escape(_UL, pairs, (Vertex(2, 2),), variant=3)
     assert res.linked == (0,)
     demands = _crowded_demands(_UL, pairs, (Vertex(2, 2),), res)
-    assert [d.kind for d in demands] == ["pair", "escape", "escape", "escape"]
+    assert [(d.distinct_group, len(d.exits)) for d in demands] == [(None, 1)] + [(0, 5)] * 3
     assert verify(Instance(_UL.graph, demands), res.paths)
     # the second pair's terminals escape from where they stand
     assert res.paths.paths[1][0] == (1, 3) and res.paths.paths[2][0] == (3, 1)
@@ -540,7 +540,7 @@ def test_crowded_certificates_obey_side_conditions(q, data):
     exits = set(lm.A) | set(lm.B)
     ends = []
     for p, d in zip(res.paths.paths, demands):
-        if d.kind == "escape":
+        if d.distinct_group is not None:
             assert p[-1] in exits
             ends.append(p[-1])
     assert len(ends) == len(set(ends))
@@ -548,5 +548,5 @@ def test_crowded_certificates_obey_side_conditions(q, data):
         assert len([v for v in ends if v in set(lm.B) - set(lm.A)]) <= 1
     for i in res.linked:
         s, t = pairs[i]
-        matching = [p for p, d in zip(res.paths.paths, demands) if d.kind == "pair"]
+        matching = [p for p, d in zip(res.paths.paths, demands) if d.distinct_group is None]
         assert any(p[0] == s and p[-1] == t for p in matching)

@@ -34,7 +34,6 @@ from gridlink.grid import (
 import gridlink.lemmas.crowded as crowded
 import gridlink.routing as routing
 from gridlink.routing import (
-    PAIR,
     _INF,
     _CDemand,
     _compiled,
@@ -137,7 +136,6 @@ def test_malformed_instances_raise():
         Instance(g, (Demand.pair((1, 1), (5, 5)),)),
         Instance(g, (Demand.escape((1, 1), []),)),
         Instance(g, (Demand.escape((1, 1), [(1, 2), (4, 4)]),)),
-        Instance(g, (Demand("detour", Vertex(1, 1)),)),
         Instance(
             g,
             (Demand.pair((1, 1), (2, 2)),),
@@ -181,7 +179,6 @@ def test_sampled_placements_share_their_demands(monkeypatch):
     built = _count_demands_built(monkeypatch)
     for p in placements:
         for st in p:
-            assert verifier._grid_pair(st) is shared[st]
             assert Demand.pair(*st) is shared[st]
         assert verifier._run_pairability(p) is None
     assert not built
@@ -206,15 +203,30 @@ def test_equal_demands_are_one_shared_object():
             assert Demand.escape(source, xs) is escape
     assert escape.exits == frozenset({Vertex(6, 1), Vertex(6, 2), Vertex(6, 3)})
     assert type(escape.source) is Vertex and all(type(x) is Vertex for x in escape.exits)
-    # the kind and the group are part of the value
+    # the group is part of the value
     grouped = Demand.escape((5, 2), exits, distinct_group=0)
     assert grouped is not escape and grouped != escape
     assert Demand.escape((5, 2), list(exits), 0) is grouped
-    assert Demand.escape((5, 2), [(6, 2)]) is not Demand.pair((5, 2), (6, 2))
+    # a pair is the escape to its one exit, its target
+    assert Demand.escape((5, 2), [(6, 2)]) is Demand.pair((5, 2), (6, 2))
+    assert Demand.escape((5, 2), [(6, 2)], distinct_group=0) != Demand.pair((5, 2), (6, 2))
     # built directly: equal, not shared
-    direct = Demand(PAIR, Vertex(5, 1), Vertex(6, 2))
+    direct = Demand(Vertex(5, 1), frozenset({Vertex(6, 2)}))
     assert direct == pair and direct is not pair
     assert Demand.pair((5, 1), (6, 2)) is pair
+
+
+def test_a_pair_is_the_escape_to_its_target_and_compiles_once():
+    pair = Demand.pair((5, 2), (6, 2))
+    assert pair is Demand.escape((5, 2), [(6, 2)])
+    assert (pair.source, pair.exits, pair.distinct_group) == ((5, 2), {Vertex(6, 2)}, None)
+    # the group is no part of the compiled demand
+    comp = _compiled(make_grid(6, 6), frozenset())
+    cd = comp.demand(pair)
+    assert comp.demand(Demand.escape((5, 2), [(6, 2)], distinct_group=0)) is cd
+    assert (cd.lb, cd.max_len, len(cd.table)) == (1, 35, 1)
+    # a simple path cannot return to its source, for any demand
+    assert comp.demand(Demand.escape((5, 2), [(5, 2)], distinct_group=0)).max_len == 0
 
 
 def test_a_shared_demand_is_frozen_and_pickles_to_an_equal_copy():
@@ -229,8 +241,9 @@ def test_a_shared_demand_is_frozen_and_pickles_to_an_equal_copy():
 
 
 def _shared_in_worker(d: Demand) -> tuple[bool, bool, bool]:
-    own = Demand.pair(d.source, d.target)
-    return d == own, d is own, own is Demand.pair(tuple(d.source), tuple(d.target))
+    own = Demand.escape(d.source, d.exits, d.distinct_group)
+    (target,) = d.exits
+    return d == own, d is own, own is Demand.pair(tuple(d.source), tuple(target))
 
 
 def test_a_spawned_worker_unpickles_its_own_copy():
@@ -300,9 +313,8 @@ def test_verify_other_clauses():
         "non-adjacent step"
         in verify(inst, PathSystem((((1, 1), (2, 2)),))).violation
     )
-    assert (
-        "endpoint mismatch"
-        in verify(inst, PathSystem((((1, 1), (1, 2)),))).violation
+    assert verify(inst, PathSystem((((1, 1), (1, 2)),))).violation == (
+        "path 0: exit mismatch, ends at Vertex(row=1, col=2) outside exits"
     )
     forb = Instance(
         g,
@@ -326,7 +338,7 @@ def test_verify_reports_the_earliest_clause_a_path_breaks():
     cases = [
         # absent vertex before the non-adjacent step that leads to it
         (Instance(g, pair), ((1, 1), (3, 3)), "absent vertex Vertex(row=3, col=3)"),
-        # non-adjacent step before the endpoint mismatch
+        # non-adjacent step before the exit mismatch
         (
             Instance(g, pair),
             ((1, 1), (2, 2), (2, 1)),
@@ -344,7 +356,7 @@ def test_verify_reports_the_earliest_clause_a_path_breaks():
             ((1, 1), (1, 2), (1, 1), (2, 1), (2, 2)),
             "forbidden edge (Vertex(row=1, col=1), Vertex(row=1, col=2))",
         ),
-        # edge reuse before the endpoint mismatch
+        # edge reuse before the exit mismatch
         (
             Instance(g, pair),
             ((1, 1), (1, 2), (1, 1)),
@@ -580,10 +592,7 @@ def _path_options(inst: Instance):
         adj[b].append(a)
     options = []
     for d in inst.demands:
-        if d.kind == PAIR:
-            paths = _simple_paths(adj, d.source, lambda v, t=d.target: v == t)
-        else:
-            paths = _simple_paths(adj, d.source, lambda v, xs=d.exits: v in xs)
+        paths = _simple_paths(adj, d.source, lambda v, xs=d.exits: v in xs)
         options.append([(p, frozenset(path_edges(p))) for p in paths])
     return options
 
@@ -1073,14 +1082,14 @@ def test_trace_equals_the_adjacency_scan_on_walk_yields(name, graph, exits):
 @pytest.mark.parametrize("name,graph,exits", list(_walk_graphs()))
 def test_shortest_path_masks_are_the_union_of_the_shortest_paths(name, graph, exits):
     # The prune takes a demand's free distance to be lb while no edge of
-    # ``short`` is used and a goal of ``near`` is open; a searching walk at
-    # length lb finds every shortest path, in the table's order, so the
-    # masks must be exactly theirs.
+    # ``short`` is used and a goal of ``near`` is open, and the walk filters
+    # the table at length lb; so the table must hold every shortest path,
+    # in the brute-force walk's order, and the masks must be exactly theirs.
     comp = _compiled(graph, frozenset())
     verts = sorted(graph.present_vertices)
     for d, _ in _walk_demands(verts, exits, Random(name)):
         cd = comp.demand(d)
-        found = list(_rebuilt(cd, None, comp.adj).walk(0, 0, False, cd.lb))
+        found = _as_masks(comp, _walk_reference(comp, cd, -1, 0, (), cd.lb)[0])
         assert cd.table == tuple(mask | end << comp.eshift for mask, end in found), d
         short = near = 0
         for mask, end in found:
