@@ -3,8 +3,10 @@
 Four subcommands: ``solve`` routes an instance file and prints a
 certificate; ``verify`` checks a certificate against its instance (an
 ``infeasible`` claim by max flow where the instance is one flow problem,
-else by re-solving); ``lemma`` runs one lemma's verification campaign;
-``pairability`` runs the 4-pair campaign on the full grid.  Exit codes:
+else by re-solving); ``lemma`` runs one exhaustive campaign of the
+verifier's table (a lemma, P1-matching or escape-agreement);
+``pairability`` runs the 4-pair campaign on the full grid.  A report is
+conforming when it reproduces its campaign's documented census.  Exit codes:
 0 feasible/conforming, 1 infeasible or defective, 2 usage or parse errors
 (a ``--report`` path that cannot be opened among them, caught before the
 campaign runs, and one that cannot be written once it has run), 3 a worker
@@ -177,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("certificate", help="certificate file path")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_lemma = sub.add_parser("lemma", help="run one lemma's verification campaign")
+    p_lemma = sub.add_parser("lemma", help="run one exhaustive verification campaign")
     p_lemma.add_argument("lemma_id", choices=list(LEMMA_IDS), metavar="lemma_id")
     p_lemma.add_argument("--workers", type=int, default=1)
     p_lemma.add_argument("--report", metavar="PATH", help="also write the report here")

@@ -1,16 +1,19 @@
-"""Campaign driver: exhaustive lemma sweeps and the 4-path-pairability check.
+"""Campaign driver: one table of campaigns, each with its domain, runner and census.
 
-Every lemma's quantified domain is enumerated in a fixed order, each
-instance is handed to its lemma operation, and every returned certificate
-is re-checked with the independent routing verifier.  Reports aggregate in
-enumeration order regardless of worker count, so a report is a pure
-function of the campaign (a lemma id, or pairability's sample count and
-seed); wall-clock time lives in the ``elapsed`` field, which consumers
-must exclude from comparisons.
+``_CAMPAIGNS`` holds every campaign: the lemmas L1-L10, P1-matching, the
+solver/flow escape agreement and 4-path-pairability.  A campaign enumerates
+its domain in a fixed order, hands each instance to its runner, and
+re-checks every returned certificate with the independent routing
+verifier.  Its row also gives its census, the domain's size and the count
+of each documented exceptional tag, and a report conforms only if it
+reproduces that census.  Reports aggregate in enumeration order regardless
+of worker count, so a report is a pure function of the campaign (an id, or
+pairability's sample count and seed); wall-clock time lives in the
+``elapsed`` field, which consumers must exclude from comparisons.
 
-Campaigns run in the upper-left quadrant (its local and global coordinate
-systems coincide); the grid's symmetries carry every result to the other
-three corners.
+The lemma campaigns run in the upper-left quadrant (its local and global
+coordinate systems coincide); the grid's symmetries carry every result to
+the other three corners.
 """
 
 from __future__ import annotations
@@ -102,11 +105,12 @@ T2_ADMISSIBLE = frozenset({Vertex(1, 3), Vertex(2, 3)})
 
 @dataclass(frozen=True)
 class Campaign:
-    """A verification run: which lemma, which slice of its domain, how wide.
+    """A verification run: which campaign, which slice of its domain, how wide.
 
-    A lemma campaign sweeps its whole domain.  Pairability draws ``samples``
-    seeded placements, or without a sample count sweeps the reduced domain.
-    Every rule on these fields is checked here and nowhere else."""
+    Every campaign but pairability sweeps its whole domain.  Pairability
+    draws ``samples`` seeded placements, or without a sample count sweeps
+    the reduced domain.  Every rule on these fields is checked here and
+    nowhere else."""
 
     lemma_id: str
     samples: Optional[int] = None
@@ -121,8 +125,8 @@ class Campaign:
         return "reduced" if self.samples is None else "random"
 
     def __post_init__(self) -> None:
-        if self.lemma_id not in LEMMA_IDS and self.lemma_id != "pairability":
-            raise ValueError(f"unknown lemma id {self.lemma_id!r}")
+        if self.lemma_id not in _CAMPAIGNS:
+            raise ValueError(f"unknown campaign id {self.lemma_id!r}")
         if self.strategy == "random":
             if self.seed is None:
                 raise ValueError("the random strategy requires an explicit seed")
@@ -136,14 +140,9 @@ class Campaign:
             raise ValueError(
                 f"the {self.strategy} strategy draws nothing, so it takes no sample count"
             )
-        _check_workers(self.workers)
-
-
-def _check_workers(workers: int) -> None:
-    """Reject a worker count outside 1..cpu_count before any process starts."""
-    limit = os.cpu_count() or 1
-    if not 1 <= workers <= limit:
-        raise ValueError(f"workers must be between 1 and {limit}, got {workers}")
+        limit = os.cpu_count() or 1  # checked before any process starts
+        if not 1 <= self.workers <= limit:
+            raise ValueError(f"workers must be between 1 and {limit}, got {self.workers}")
 
 
 # ----------------------------------------------------------- degenerate laws
@@ -287,19 +286,55 @@ def _iter_p1_matching() -> Iterator:
             yield (inst, config)
 
 
+def _iter_escape_family() -> Iterator:
+    """All-escape instances implied by the L8 and L9 domains: the Fig. 4
+    shared-escape triples, the distinct-exit multisets, and every escape
+    remainder T - {s} from the projection lemma."""
+    for inst in _iter_l8():
+        if inst[0] == "i":
+            yield (inst[1], inst[2:], False)
+        elif inst[0] == "iii":
+            yield ("Q0", inst[1:], True)
+    seen = set()
+    for T, s in _iter_l9():
+        rest = tuple(sorted(set(T) - {s}))
+        if rest and rest not in seen:
+            seen.add(rest)
+            yield ("Q0", rest, False)
+
+
+def sample_pairability(rng: Random) -> tuple[tuple[Vertex, Vertex], ...]:
+    """Draw eight distinct vertices (partial Fisher-Yates over the grid)
+    and pair them consecutively."""
+    pool = list(_FULL)
+    for i in range(8):
+        j = rng.randrange(i, len(pool))
+        pool[i], pool[j] = pool[j], pool[i]
+    return tuple(zip(pool[0:8:2], pool[1:8:2]))
+
+
+def iter_pairability_reduced() -> Iterator[tuple[tuple[Vertex, Vertex], ...]]:
+    """All four-pair placements whose vertex set is minimal in its orbit
+    under the grid's eight symmetries.  This stream has on the order of
+    4 x 10^8 members; it exists for the opt-in exhaustive run only."""
+    for combo in combinations(_FULL, 8):
+        if any(tuple(sorted(t(v) for v in combo)) < combo for t in SYMMETRIES[1:]):
+            continue
+        yield from _matchings(list(combo))
+
+
 def enumerate_instances(
     lemma_id: str, samples: Optional[int] = None, seed: Optional[int] = None
 ) -> Iterable:
-    """The campaign's instances: a lemma's whole domain, as a list, or
+    """The campaign's instances: its whole domain, as a list, or
     pairability's ``samples`` seeded uniform draws (a list), or without a
     sample count its lazy reduced sweep ``iter_pairability_reduced()``."""
-    Campaign(lemma_id, samples, seed)  # validates the arguments
-    if lemma_id != "pairability":
-        return list(_CAMPAIGNS[lemma_id][0]())
-    if samples is None:
-        return iter_pairability_reduced()
-    rng = Random(seed)
-    return [sample_pairability(rng) for _ in range(samples)]
+    strategy = Campaign(lemma_id, samples, seed).strategy  # validates the arguments
+    if strategy == "random":
+        rng = Random(seed)
+        return [sample_pairability(rng) for _ in range(samples)]
+    instances = _CAMPAIGNS[lemma_id][0]()
+    return instances if strategy == "reduced" else list(instances)
 
 
 # ------------------------------------------------------------------ runners
@@ -309,11 +344,11 @@ def enumerate_instances(
 # record otherwise.  A lemma operation returns a certificate or the falsy
 # ``Infeasible``, and the runner's ``if not`` says what a missing one is: a
 # "defect", an L9 "refusal" or an L10 "degenerate" placement (the last two
-# are documented).  ``_check`` verifies certificates against demands built
-# from the instance and the statement, never from the lemma's output, and
-# fails ``Infeasible`` itself (so L8, reading nothing first, needs no ``if``).
+# are documented in the campaign table).  ``_check`` verifies certificates
+# against demands built from the instance and the statement, never from the
+# lemma's output, and fails ``Infeasible`` itself (so L8, reading nothing
+# first, needs no ``if``).
 
-_DOCUMENTED_TAGS = ("refusal", "degenerate")
 _NO_CERTIFICATE = "no certificate"
 
 
@@ -474,27 +509,60 @@ def _run_p1_matching(item):
     return None
 
 
-_CAMPAIGNS: dict[str, tuple[Callable[[], Iterator], Callable]] = {
-    "L1": (_iter_l1, partial(_run_crowded, variant=1)),
-    "L2": (_iter_l2, partial(_run_crowded, variant=2)),
-    "L3": (_iter_l3, partial(_run_crowded, variant=3)),
-    "L4": (_iter_l4, _run_l4),
-    "L5": (_iter_l5, _run_l5),
-    "L6": (_iter_l6, _run_l6),
-    "L7": (_iter_l7, _run_l7),
-    "L8": (_iter_l8, _run_l8),
-    "L9": (_iter_l9, _run_l9),
-    "L10": (_iter_l10, _run_l10),
-    "P1-matching": (_iter_p1_matching, _run_p1_matching),
+def _run_escape_agreement(item):
+    kind, terms, distinct = item
+    adj = _Q0 if kind == "Q0" else _ADJUSTED[kind]
+    group = 0 if distinct else None
+    inst = Instance(
+        adj.graph,
+        tuple(Demand.escape(t, adj.A, distinct_group=group) for t in terms),
+    )
+    by_search = solve(inst)
+    by_flow = escape_flow(adj.graph, terms, adj.A, distinct)
+    if (by_search is Infeasible) != (by_flow is Infeasible):
+        return ("defect", item, "solver and flow oracle disagree")
+    if by_search is not Infeasible:
+        if not verify(inst, by_search) or not verify(inst, by_flow):
+            return ("defect", item, "certificate failed the independent check")
+    return None
+
+
+def _run_pairability(pairs):
+    inst = Instance(_GRID, tuple(starmap(Demand.pair, pairs)))
+    sol = solve(inst)
+    if sol is Infeasible:
+        return ("counterexample", pairs, "no 4-pair linkage")
+    if not verify(inst, sol):
+        return ("defect", pairs, "certificate failed the independent check")
+    return None
+
+
+# Every campaign: (enumerate its domain, run one instance, the domain's size,
+# each documented exceptional tag -> its count).  Pairability's size is None:
+# it draws samples, or sweeps its reduced domain lazily.
+_CAMPAIGNS: dict[str, tuple[Callable[[], Iterator], Callable, Optional[int], dict[str, int]]] = {
+    "L1": (_iter_l1, partial(_run_crowded, variant=1), 4725, {}),
+    "L2": (_iter_l2, partial(_run_crowded, variant=2), 5040, {}),
+    "L3": (_iter_l3, partial(_run_crowded, variant=3), 1260, {}),
+    "L4": (_iter_l4, _run_l4, 8, {}),
+    "L5": (_iter_l5, _run_l5, 162, {}),
+    "L6": (_iter_l6, _run_l6, 252, {}),
+    "L7": (_iter_l7, _run_l7, 252, {}),
+    "L8": (_iter_l8, _run_l8, 1085, {}),
+    "L9": (_iter_l9, _run_l9, 837, {"refusal": 67}),
+    "L10": (_iter_l10, _run_l10, 26244, {"degenerate": 100}),
+    "P1-matching": (_iter_p1_matching, _run_p1_matching, 5751, {}),
+    "escape-agreement": (_iter_escape_family, _run_escape_agreement, 485, {}),
+    "pairability": (iter_pairability_reduced, _run_pairability, None, {}),
 }
-LEMMA_IDS = tuple(_CAMPAIGNS)
+LEMMA_IDS = tuple(_CAMPAIGNS)[:-1]  # every campaign but pairability
 
 
 # ----------------------------------------------------------------- campaign
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Outcome of checking one lemma over its full instance family.
+    """Outcome of checking one campaign over its instances.
 
     ``instances_checked == feasible + len(exceptional)`` always holds;
     ``elapsed`` is wall-clock seconds, excluded from report comparisons.
@@ -521,14 +589,7 @@ class LemmaReport:
         return not self.exceptional
 
 
-def drive(
-    lemma_id: str,
-    runner: Callable,
-    instances: Iterable,
-    workers: int,
-    strategy: str = "exhaustive",
-    seed: Optional[int] = None,
-) -> LemmaReport:
+def drive(campaign: Campaign, runner: Callable, instances: Iterable) -> LemmaReport:
     """Run every instance and aggregate the runner's records, in enumeration order.
 
     A record is None for a witnessed claim, else a (tag, instance, detail)
@@ -536,7 +597,7 @@ def drive(
     with one worker and from ``_pooled`` otherwise.  Only the runs are
     timed: a finite campaign builds its instance list before calling this.
     """
-    _check_workers(workers)
+    workers = campaign.workers
     checked, exceptional = 0, []
     start = time.perf_counter()
     for rec in map(runner, instances) if workers == 1 else _pooled(runner, instances, workers):
@@ -544,13 +605,13 @@ def drive(
         if rec is not None:
             exceptional.append(rec)
     return LemmaReport(
-        lemma_id=lemma_id,
+        lemma_id=campaign.lemma_id,
         instances_checked=checked,
         feasible=checked - len(exceptional),
         exceptional=tuple(exceptional),
         elapsed=time.perf_counter() - start,
-        strategy=strategy,
-        seed=seed,
+        strategy=campaign.strategy,
+        seed=campaign.seed,
     )
 
 
@@ -601,13 +662,9 @@ def _pooled(run: Callable, instances: Iterable, workers: int) -> Iterator:
 
 
 def run_campaign(campaign: Campaign) -> LemmaReport:
-    """Look up the campaign's runner, enumerate its instances, drive them."""
-    # pairability is the one campaign outside the lemma table
-    _, runner = _CAMPAIGNS.get(campaign.lemma_id, (None, _run_pairability))
+    """Enumerate the campaign's instances and drive them through its runner."""
     instances = enumerate_instances(campaign.lemma_id, campaign.samples, campaign.seed)
-    return drive(
-        campaign.lemma_id, runner, instances, campaign.workers, campaign.strategy, campaign.seed
-    )
+    return drive(campaign, _CAMPAIGNS[campaign.lemma_id][1], instances)
 
 
 def verify_lemma(lemma_id: str, strategy: str = "exhaustive", workers: int = 1) -> LemmaReport:
@@ -621,6 +678,27 @@ def verify_lemma(lemma_id: str, strategy: str = "exhaustive", workers: int = 1) 
     if lemma_id == "pairability":
         raise ValueError("pairability is not a lemma: use pairability_check")
     return run_campaign(Campaign(lemma_id, workers=workers))
+
+
+# placements a pairability run draws when no sample count is given
+PAIRABILITY_SAMPLES = 100000
+
+
+def pairability_check(
+    samples: int = PAIRABILITY_SAMPLES, seed: Optional[int] = None, workers: int = 1
+) -> LemmaReport:
+    """Solve ``samples`` seeded 4-pair placements on the full grid and
+    report counterexamples.  The reduced exhaustive sweep is the campaign
+    ``Campaign("pairability")``, with no sample count."""
+    if samples is None:
+        raise ValueError("pairability_check draws samples: give a sample count")
+    return run_campaign(Campaign("pairability", samples, seed, workers))
+
+
+def escape_agreement_check(workers: int = 1) -> LemmaReport:
+    """Cross-check the backtracking solver against the flow oracle on the
+    all-escape family; any disagreement is a defect."""
+    return run_campaign(Campaign("escape-agreement", workers=workers))
 
 
 # ------------------------------------------------------------- L9 families
@@ -643,25 +721,26 @@ def exceptional_families(report: LemmaReport):
 
 
 def report_conforms(report: LemmaReport) -> bool:
-    """Does the report match the lemma's documented truth?
+    """Does the report reproduce its campaign's documented census?
 
-    For most lemmas that means no exceptional entries at all.  L9 must
-    yield exactly the two known families (with their admissible linked
-    terminals, and no refusal on sets avoiding A and the far corner); L10
-    must classify every infeasible placement under a degeneracy law.
+    It must check exactly the domain's size, where the campaign table gives
+    one, and carry exactly the documented exceptional tags with their
+    counts: none for most campaigns, L9's 67 refusals, L10's 100 degenerate
+    placements.  L9's refusals must moreover yield exactly the two known
+    families, with their admissible linked terminals, and none may fall on
+    a set avoiding A and the far corner.
     """
-    if report.lemma_id == "L9":
-        if any(tag != "refusal" for tag, _, _ in report.exceptional):
-            return False
-        blocked = set(_A_SET) | {Vertex(1, 1)}
-        for _, (T, _s), _ in report.exceptional:
-            if not set(T) & blocked:
-                return False
-        families = dict(exceptional_families(report))
-        return families == {T1: T1_ADMISSIBLE, T2: T2_ADMISSIBLE}
-    if report.lemma_id == "L10":
-        return all(tag == "degenerate" for tag, _, _ in report.exceptional)
-    return not report.exceptional
+    _, _, size, documented = _CAMPAIGNS[report.lemma_id]
+    if size is not None and report.instances_checked != size:
+        return False
+    if Counter(tag for tag, _, _ in report.exceptional) != documented:
+        return False
+    if report.lemma_id != "L9":
+        return True
+    blocked = set(_A_SET) | {Vertex(1, 1)}
+    if any(not set(T) & blocked for _, (T, _s), _ in report.exceptional):
+        return False
+    return dict(exceptional_families(report)) == {T1: T1_ADMISSIBLE, T2: T2_ADMISSIBLE}
 
 
 # ------------------------------------------------------------------ reports
@@ -686,8 +765,9 @@ def _fmt_value(obj) -> str:
 
 def format_report(report: LemmaReport) -> str:
     """Render a campaign report; identical inputs give identical bytes."""
+    documented = _CAMPAIGNS[report.lemma_id][3]
     tags = Counter(tag for tag, _, _ in report.exceptional)
-    defects = sum(n for tag, n in tags.items() if tag not in _DOCUMENTED_TAGS)
+    defects = sum(n for tag, n in tags.items() if tag not in documented)
     lines = [
         f"campaign: {report.lemma_id}",
         f"strategy: {report.strategy}",
@@ -716,7 +796,7 @@ def format_report(report: LemmaReport) -> str:
         for reason in sorted(reasons):
             lines.append(f"degenerate[{reason}]: {reasons[reason]}")
     for tag, inst, detail in report.exceptional:
-        if tag not in _DOCUMENTED_TAGS:
+        if tag not in documented:
             lines.append(f"defect: {tag} instance={_fmt_value(inst)} detail={detail}")
     lines.append(_EXCLUDED_MARK)
     lines.append(f"elapsed_seconds: {report.elapsed:.3f}")
@@ -726,95 +806,3 @@ def format_report(report: LemmaReport) -> str:
 def report_body(text: str) -> str:
     """The comparable part of a report: everything above the timing mark."""
     return text.split(_EXCLUDED_MARK, 1)[0]
-
-
-# ------------------------------------------------------------- pairability
-
-def sample_pairability(rng: Random) -> tuple[tuple[Vertex, Vertex], ...]:
-    """Draw eight distinct vertices (partial Fisher-Yates over the grid)
-    and pair them consecutively."""
-    pool = list(_FULL)
-    for i in range(8):
-        j = rng.randrange(i, len(pool))
-        pool[i], pool[j] = pool[j], pool[i]
-    return tuple(zip(pool[0:8:2], pool[1:8:2]))
-
-
-def iter_pairability_reduced() -> Iterator[tuple[tuple[Vertex, Vertex], ...]]:
-    """All four-pair placements whose vertex set is minimal in its orbit
-    under the grid's eight symmetries.  This stream has on the order of
-    4 x 10^8 members; it exists for the opt-in exhaustive run only."""
-    for combo in combinations(_FULL, 8):
-        if any(tuple(sorted(t(v) for v in combo)) < combo for t in SYMMETRIES[1:]):
-            continue
-        yield from _matchings(list(combo))
-
-
-def _run_pairability(pairs):
-    inst = Instance(_GRID, tuple(starmap(Demand.pair, pairs)))
-    sol = solve(inst)
-    if sol is Infeasible:
-        return ("counterexample", pairs, "no 4-pair linkage")
-    if not verify(inst, sol):
-        return ("defect", pairs, "certificate failed the independent check")
-    return None
-
-
-# placements a pairability run draws when no sample count is given
-PAIRABILITY_SAMPLES = 100000
-
-
-def pairability_check(
-    samples: int = PAIRABILITY_SAMPLES, seed: Optional[int] = None, workers: int = 1
-) -> LemmaReport:
-    """Solve ``samples`` seeded 4-pair placements on the full grid and
-    report counterexamples.  The reduced exhaustive sweep is the campaign
-    ``Campaign("pairability")``, with no sample count."""
-    if samples is None:
-        raise ValueError("pairability_check draws samples: give a sample count")
-    return run_campaign(Campaign("pairability", samples, seed, workers))
-
-
-# ------------------------------------------------- solver/flow cross-check
-
-def _iter_escape_family() -> Iterator:
-    """All-escape instances implied by the L8 and L9 domains: the Fig. 4
-    shared-escape triples, the distinct-exit multisets, and every escape
-    remainder T - {s} from the projection lemma."""
-    for inst in _iter_l8():
-        if inst[0] == "i":
-            yield (inst[1], inst[2:], False)
-        elif inst[0] == "iii":
-            yield ("Q0", inst[1:], True)
-    seen = set()
-    for T, s in _iter_l9():
-        rest = tuple(sorted(set(T) - {s}))
-        if rest and rest not in seen:
-            seen.add(rest)
-            yield ("Q0", rest, False)
-
-
-def _run_escape_agreement(item):
-    kind, terms, distinct = item
-    adj = _Q0 if kind == "Q0" else _ADJUSTED[kind]
-    group = 0 if distinct else None
-    inst = Instance(
-        adj.graph,
-        tuple(Demand.escape(t, adj.A, distinct_group=group) for t in terms),
-    )
-    by_search = solve(inst)
-    by_flow = escape_flow(adj.graph, terms, adj.A, distinct)
-    if (by_search is Infeasible) != (by_flow is Infeasible):
-        return ("defect", item, "solver and flow oracle disagree")
-    if by_search is not Infeasible:
-        if not verify(inst, by_search) or not verify(inst, by_flow):
-            return ("defect", item, "certificate failed the independent check")
-    return None
-
-
-def escape_agreement_check(workers: int = 1) -> LemmaReport:
-    """Cross-check the backtracking solver against the flow oracle on the
-    all-escape family; any disagreement is a defect."""
-    return drive(
-        "escape-agreement", _run_escape_agreement, list(_iter_escape_family()), workers
-    )

@@ -491,8 +491,8 @@ def _dies(inst):
 
 def test_a_dead_worker_exits_3_without_a_hang(tmp_path, monkeypatch, capsys):
     path = tmp_path / "r.txt"
-    iterate, _ = verifier._CAMPAIGNS["L5"]
-    monkeypatch.setitem(verifier._CAMPAIGNS, "L5", (iterate, _dies))
+    iterate, _, *census = verifier._CAMPAIGNS["L5"]
+    monkeypatch.setitem(verifier._CAMPAIGNS, "L5", (iterate, _dies, *census))
     codes = []
     thread = threading.Thread(
         target=lambda: codes.append(main(["lemma", "L5", "--workers", "2", "--report", str(path)])),
@@ -538,6 +538,16 @@ def test_lemma_reports_are_stable_and_conforming(tmp_path, capsys):
     assert first != report_body(first)  # the timing tail exists and differs
 
 
+def test_a_campaign_that_loses_an_instance_reads_defective(monkeypatch, capsys):
+    # every certificate of the 161 left verifies; the census finds the lost one
+    iterate, *rest = verifier._CAMPAIGNS["L5"]
+    monkeypatch.setitem(verifier._CAMPAIGNS, "L5", (lambda: list(iterate())[:-1], *rest))
+    assert main(["lemma", "L5"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "instances: 161" in out and "defects: 0" in out
+    assert "status: defective" in out
+
+
 def test_lemma_report_names_the_projection_families(tmp_path, capsys):
     out_path = tmp_path / "l9.report"
     assert main(["lemma", "L9", "--report", str(out_path)]) == 0
@@ -560,9 +570,9 @@ def test_exhaustive_reduced_flag_drives_the_lazy_reduced_stream(monkeypatch, cap
     # stand in for the driver: the real sweep has ~4 x 10^8 placements
     seen = {}
 
-    def fake_drive(lemma_id, runner, instances, workers, strategy, seed):
-        seen.update(strategy=strategy, first=list(islice(instances, 3)))
-        return LemmaReport(lemma_id, 0, 0, strategy=strategy, seed=seed)
+    def fake_drive(campaign, runner, instances):
+        seen.update(strategy=campaign.strategy, first=list(islice(instances, 3)))
+        return LemmaReport(campaign.lemma_id, 0, 0, strategy=campaign.strategy, seed=campaign.seed)
 
     monkeypatch.setattr(verifier, "drive", fake_drive)
     assert main(["pairability", "--exhaustive-reduced"]) == 0
@@ -574,9 +584,10 @@ def test_pairability_draws_100000_samples_unless_told_otherwise(monkeypatch, cap
     # stand in for verifier.drive: only the number of placements drawn matters
     drawn = []
 
-    def fake_drive(lemma_id, runner, instances, workers, strategy, seed):
-        drawn.append(len(instances))
-        return LemmaReport(lemma_id, len(instances), len(instances), strategy=strategy, seed=seed)
+    def fake_drive(campaign, runner, instances):
+        n = len(instances)
+        drawn.append(n)
+        return LemmaReport(campaign.lemma_id, n, n, strategy=campaign.strategy, seed=campaign.seed)
 
     monkeypatch.setattr(verifier, "drive", fake_drive)
     assert main(["pairability", "--seed", "1"]) == 0

@@ -45,3 +45,15 @@ def test_the_workloads_entry_points_accept_their_arguments():
     )
     inspect.signature(verifier.escape_agreement_check).bind(workers=1)
     assert callable(cli.format_report) and callable(cli.report_body)
+
+
+def test_the_workloads_census_is_the_campaign_table():
+    # perfbench keeps its own literal census; it must not drift from gridlink's
+    checked = 0
+    for campaigns in _load("workloads").WORKLOADS.values():
+        for campaign in campaigns:
+            if campaign.label != "pairability":  # sampled: its size is the sample count
+                _, _, size, documented = verifier._CAMPAIGNS[campaign.label]
+                assert (campaign.instances, campaign.exceptional) == (size, documented), campaign
+                checked += 1
+    assert checked == 10

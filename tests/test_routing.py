@@ -1637,7 +1637,7 @@ def test_solver_work_counts_are_pinned(monkeypatch):
     got = {}
     for lemma_id in _PINNED_WORK:
         work[:] = 0, 0
-        iterate, runner = verifier._CAMPAIGNS[lemma_id]
+        iterate, runner, _, _ = verifier._CAMPAIGNS[lemma_id]
         for inst in islice(iterate(), 0, None, 10):
             rec = runner(inst)
             assert rec is None or rec[0] == "degenerate", rec

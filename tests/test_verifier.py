@@ -68,7 +68,10 @@ _EXPECTED_COUNTS = {
     "L9": 837,
     "L10": 26244,
     "P1-matching": 5751,
+    "escape-agreement": 485,
 }
+# the exceptional tags each statement predicts, where it predicts any
+_DOCUMENTED = {"L9": {"refusal": 67}, "L10": {"degenerate": 100}}
 
 
 # ------------------------------------------------------------- enumeration
@@ -142,8 +145,6 @@ def test_worker_counts_outside_the_cpu_range_are_rejected():
     for workers in (0, -1, (os.cpu_count() or 1) + 1):
         with pytest.raises(ValueError, match="workers"):
             Campaign("L5", workers=workers)
-        with pytest.raises(ValueError, match="workers"):
-            drive("L5", None, [], workers)
         with pytest.raises(ValueError, match="workers"):
             pairability_check(samples=2, seed=1, workers=workers)
 
@@ -352,7 +353,7 @@ def test_crowded_campaigns_check_the_statement(monkeypatch):
     monkeypatch.setattr(crowded, "_escape_order", lambda *args: real(*args)[:-1])
     for lemma_id in ("L1", "L2", "L3"):
         with_single = [inst for inst in enumerate_instances(lemma_id) if inst[1]][:20]
-        report = drive(lemma_id, verifier._CAMPAIGNS[lemma_id][1], with_single, 1)
+        report = drive(Campaign(lemma_id), verifier._CAMPAIGNS[lemma_id][1], with_single)
         assert report.feasible == 0
         assert {tag for tag, _, _ in report.exceptional} == {"defect"}
         assert not report_conforms(report)
@@ -447,6 +448,8 @@ def test_every_runner_reads_defective_under_its_mutant(
     monkeypatch.setattr(verifier, name, mutant)
     if campaign == "escape-agreement":
         report = escape_agreement_check()
+        assert main(["lemma", "escape-agreement"]) == 1
+        assert "status: defective" in capsys.readouterr().out.splitlines()
     elif campaign == "pairability":
         report = pairability_check(samples=20, seed=1)
         assert main(["pairability", "--samples", "20", "--seed", "1"]) == 1
@@ -469,12 +472,45 @@ def test_report_conforms_spots_bad_reports():
     assert report_conforms(clean)
     dirty = LemmaReport("L5", 162, 161, (("defect", None, "x"),))
     assert not report_conforms(dirty)
-    # an L9 refusal on a set avoiding A and the far corner breaks claim (i)
-    free_refusal = ("refusal", (((Vertex(2, 2)),), Vertex(2, 2)), "no projection")
-    assert not report_conforms(LemmaReport("L9", 837, 836, (free_refusal,)))
+    # an L9 refusal on a set avoiding A and the far corner breaks claim (i),
+    # even in place of another refusal and with the two families intact
+    real = verify_lemma("L9")
+    assert report_conforms(real)
+    free = (Vertex(1, 2), Vertex(1, 3), Vertex(2, 1), Vertex(2, 2))
+    records = list(real.exceptional)
+    i = next(i for i, (_, (T, _), _) in enumerate(records) if frozenset(T) not in (T1, T2))
+    records[i] = ("refusal", (free, Vertex(2, 2)), "no projection")
+    swapped = replace(real, exceptional=tuple(records))
+    assert dict(exceptional_families(swapped)) == {T1: T1_ADMISSIBLE, T2: T2_ADMISSIBLE}
+    assert not report_conforms(swapped)
     # an L10 entry not certified by a law is a defect, not an exception
     stray = ("defect", None, "infeasible with no certifying law")
     assert not report_conforms(LemmaReport("L10", 26244, 26243, (stray,)))
+    # and a law-certified placement short of the documented 100 is a lost one
+    degenerate = ("degenerate", None, "degree overload at (1, 1)")
+    assert not report_conforms(LemmaReport("L10", 26244, 26145, (degenerate,) * 99))
+
+
+def test_the_campaign_table_holds_the_documented_census():
+    table = verifier._CAMPAIGNS
+    assert {cid: row[2] for cid, row in table.items()} == {**_EXPECTED_COUNTS, "pairability": None}
+    assert {cid: row[3] for cid, row in table.items() if row[3]} == _DOCUMENTED
+
+
+@pytest.mark.parametrize("campaign", sorted(_EXPECTED_COUNTS))
+def test_a_report_off_the_domain_size_does_not_conform(campaign):
+    # the census, not only the tags: one instance lost or one too many
+    size = _EXPECTED_COUNTS[campaign]
+    if campaign == "L9":
+        report = verify_lemma("L9")  # its refusals must form the two families
+    else:
+        documented = _DOCUMENTED.get(campaign, {})
+        records = tuple((tag, None, "") for tag, n in documented.items() for _ in range(n))
+        report = LemmaReport(campaign, size, size - len(records), records)
+    assert report_conforms(report)
+    for off in (-1, 1):
+        moved = replace(report, instances_checked=size + off, feasible=report.feasible + off)
+        assert not report_conforms(moved)
 
 
 def test_reports_do_not_depend_on_worker_count():
@@ -487,7 +523,11 @@ def test_reports_do_not_depend_on_worker_count():
 
 def test_driver_streams_a_generator_alike_for_one_and_two_workers():
     reports = [
-        drive("pairability", _run_pairability, islice(iter_pairability_reduced(), 50), w, "reduced")
+        drive(
+            Campaign("pairability", workers=w),
+            _run_pairability,
+            islice(iter_pairability_reduced(), 50),
+        )
         for w in (1, 2)
     ]
     assert reports[0].instances_checked == 50
@@ -509,7 +549,7 @@ def test_a_dead_worker_ends_the_campaign_instead_of_hanging():
 
     def campaign():
         try:
-            drive("x", _dies_on_3, list(range(8)), 2)
+            drive(Campaign("L5", workers=2), _dies_on_3, list(range(8)))
         except verifier.WorkerDied as exc:
             raised.append(exc)
 
