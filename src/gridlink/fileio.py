@@ -27,6 +27,9 @@ from .routing import Demand, Infeasible, Instance, PathSystem, SolveResult
 _MAX_GRID_VERTICES = 10_000
 
 _VERTEX = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+# vertices with only whitespace between them, or also commas in an exit set
+_SPACED = re.compile(rf"\s*(?:{_VERTEX.pattern}\s*)*")
+_LISTED = re.compile(rf"[\s,]*(?:{_VERTEX.pattern}[\s,]*)*")
 _PATH_LINE = re.compile(r"^path\s+(\d+)\s*:\s*(.*)$")
 
 
@@ -47,7 +50,11 @@ def _effective_lines(text: str):
             yield lineno, line
 
 
-def _take_vertices(name: str, lineno: int, text: str, want: Optional[int] = None):
+def _take_vertices(
+    name: str, lineno: int, text: str, want: Optional[int] = None, commas: bool = False
+):
+    if not (_LISTED if commas else _SPACED).fullmatch(text):
+        raise ParseError(name, lineno, f"expected only (row,col) vertices, got {text.strip()!r}")
     out = [Vertex(int(m.group(1)), int(m.group(2))) for m in _VERTEX.finditer(text)]
     if want is not None and len(out) != want:
         raise ParseError(
@@ -119,10 +126,11 @@ def parse_instance(text: str, name: str = "<instance>") -> Instance:
                 if not arrow:
                     raise ParseError(name, lineno, "escape demand wants 'source -> {exits}'")
                 (s,) = _take_vertices(name, lineno, head, want=1)
-                body, _, suffix = tail.partition("}")
-                if "{" not in body:
+                before, brace, body = tail.partition("{")
+                body, closed, suffix = body.partition("}")
+                if before.strip() or not (brace and closed):
                     raise ParseError(name, lineno, "exit set wants braces: {(r,c), ...}")
-                exits = _take_vertices(name, lineno, body)
+                exits = _take_vertices(name, lineno, body, commas=True)
                 if not exits:
                     raise ParseError(name, lineno, "exit set is empty")
                 check_present(lineno, [s] + exits)

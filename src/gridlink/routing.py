@@ -658,7 +658,7 @@ class _Search:
                 # with them the demand spends none of the slack
                 row = goal & near
                 if row and used & short:
-                    row = _free_ends(table, used | taken << eshift, eshift, row)
+                    row = _free_ends(table, used | taken << eshift, eshift)
             elif goal & near and (not used & short or _first_free(table, used)):
                 # a shortest path to a goal is still free: the free distance
                 # is lb, so the demand spends none of the slack
@@ -850,17 +850,12 @@ def _first_free(table: tuple[int, ...], blocked: int) -> int:
     return 0
 
 
-def _free_ends(table: tuple[int, ...], blocked: int, eshift: int, most: int) -> int:
-    """The end bits of the paths of ``table`` that meet no bit of ``blocked``.
-
-    The scan stops once it has every bit of ``most``, the most it can find.
-    """
+def _free_ends(table: tuple[int, ...], blocked: int, eshift: int) -> int:
+    """The end bits of the paths of ``table`` that meet no bit of ``blocked``."""
     ends = 0
     for m in table:
         if not m & blocked:
             ends |= m >> eshift
-            if ends == most:
-                break
     return ends
 
 

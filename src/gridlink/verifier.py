@@ -6,10 +6,10 @@ its domain in a fixed order, hands each instance to its runner, and
 re-checks every returned certificate with the independent routing
 verifier.  Its row also gives its census, the domain's size and the count
 of each documented exceptional tag, and a report conforms only if it
-reproduces that census.  Reports aggregate in enumeration order regardless
-of worker count, so a report is a pure function of the campaign (an id, or
-pairability's sample count and seed); wall-clock time lives in the
-``elapsed`` field, which consumers must exclude from comparisons.
+reproduces that census.  A report carries its campaign, worker count and
+all, yet its body is a pure function of the campaign's id (and
+pairability's sample count and seed): records aggregate in enumeration
+order, and the wall-clock ``elapsed`` is excluded from comparisons.
 
 The lemma campaigns run in the upper-left quadrant (its local and global
 coordinate systems coincide); the grid's symmetries carry every result to
@@ -562,27 +562,18 @@ LEMMA_IDS = tuple(_CAMPAIGNS)[:-1]  # every campaign but pairability
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Outcome of checking one campaign over its instances.
+    """One run of a campaign: the campaign, the instances it checked, and
+    each exceptional record in enumeration order; ``feasible`` is derived.
+    ``elapsed`` is wall-clock seconds, excluded from report comparisons."""
 
-    ``instances_checked == feasible + len(exceptional)`` always holds;
-    ``elapsed`` is wall-clock seconds, excluded from report comparisons.
-    """
-
-    lemma_id: str
+    campaign: Campaign
     instances_checked: int
-    feasible: int
     exceptional: tuple[Any, ...] = ()
     elapsed: float = 0.0
-    strategy: str = "exhaustive"
-    seed: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exceptional", tuple(self.exceptional))
-        if self.instances_checked != self.feasible + len(self.exceptional):
-            raise ValueError(
-                "inconsistent report: %d checked != %d feasible + %d exceptional"
-                % (self.instances_checked, self.feasible, len(self.exceptional))
-            )
+    @property
+    def feasible(self) -> int:
+        return self.instances_checked - len(self.exceptional)
 
     @property
     def clean(self) -> bool:
@@ -604,15 +595,7 @@ def drive(campaign: Campaign, runner: Callable, instances: Iterable) -> LemmaRep
         checked += 1
         if rec is not None:
             exceptional.append(rec)
-    return LemmaReport(
-        lemma_id=campaign.lemma_id,
-        instances_checked=checked,
-        feasible=checked - len(exceptional),
-        exceptional=tuple(exceptional),
-        elapsed=time.perf_counter() - start,
-        strategy=campaign.strategy,
-        seed=campaign.seed,
-    )
+    return LemmaReport(campaign, checked, tuple(exceptional), time.perf_counter() - start)
 
 
 class WorkerDied(RuntimeError):
@@ -706,8 +689,8 @@ def escape_agreement_check(workers: int = 1) -> LemmaReport:
 def exceptional_families(report: LemmaReport):
     """Terminal sets whose working linked-terminal count drops below the
     guaranteed min(3, |T|), with their working sets, from an L9 report."""
-    if report.lemma_id != "L9":
-        raise ValueError(f"expected an L9 report, got {report.lemma_id!r}")
+    if report.campaign.lemma_id != "L9":
+        raise ValueError(f"expected an L9 report, got {report.campaign.lemma_id!r}")
     refused = defaultdict(set)
     for tag, (T, s), _ in report.exceptional:
         if tag == "refusal":
@@ -724,18 +707,21 @@ def report_conforms(report: LemmaReport) -> bool:
     """Does the report reproduce its campaign's documented census?
 
     It must check exactly the domain's size, where the campaign table gives
-    one, and carry exactly the documented exceptional tags with their
-    counts: none for most campaigns, L9's 67 refusals, L10's 100 degenerate
-    placements.  L9's refusals must moreover yield exactly the two known
+    one, or else the sample count its campaign asked for (the reduced
+    sweep has neither), and carry exactly the documented exceptional tags
+    with their counts: none for most campaigns, L9's 67 refusals, L10's
+    100 degenerate placements.  L9's refusals must moreover yield exactly the two known
     families, with their admissible linked terminals, and none may fall on
     a set avoiding A and the far corner.
     """
-    _, _, size, documented = _CAMPAIGNS[report.lemma_id]
+    campaign = report.campaign
+    _, _, size, documented = _CAMPAIGNS[campaign.lemma_id]
+    size = campaign.samples if size is None else size
     if size is not None and report.instances_checked != size:
         return False
     if Counter(tag for tag, _, _ in report.exceptional) != documented:
         return False
-    if report.lemma_id != "L9":
+    if campaign.lemma_id != "L9":
         return True
     blocked = set(_A_SET) | {Vertex(1, 1)}
     if any(not set(T) & blocked for _, (T, _s), _ in report.exceptional):
@@ -765,13 +751,14 @@ def _fmt_value(obj) -> str:
 
 def format_report(report: LemmaReport) -> str:
     """Render a campaign report; identical inputs give identical bytes."""
-    documented = _CAMPAIGNS[report.lemma_id][3]
+    campaign = report.campaign
+    documented = _CAMPAIGNS[campaign.lemma_id][3]
     tags = Counter(tag for tag, _, _ in report.exceptional)
     defects = sum(n for tag, n in tags.items() if tag not in documented)
     lines = [
-        f"campaign: {report.lemma_id}",
-        f"strategy: {report.strategy}",
-        f"seed: {report.seed if report.seed is not None else 'none'}",
+        f"campaign: {campaign.lemma_id}",
+        f"strategy: {campaign.strategy}",
+        f"seed: {campaign.seed if campaign.seed is not None else 'none'}",
         f"instances: {report.instances_checked}",
         f"feasible: {report.feasible}",
     ]
@@ -780,7 +767,7 @@ def format_report(report: LemmaReport) -> str:
     lines.append(f"defects: {defects}")
     conforming = report_conforms(report)
     lines.append(f"status: {'conforming' if conforming else 'defective'}")
-    if report.lemma_id == "L9" and conforming:
+    if campaign.lemma_id == "L9" and conforming:
         for terms, working in sorted(
             exceptional_families(report), key=lambda fam: fam[0] != T1
         ):
@@ -789,7 +776,7 @@ def format_report(report: LemmaReport) -> str:
                 f"family {label}: {_fmt_vertices(sorted(terms))}"
                 f" | working {_fmt_vertices(sorted(working))}"
             )
-    if report.lemma_id == "L10":
+    if campaign.lemma_id == "L10":
         reasons = Counter(
             detail for tag, _, detail in report.exceptional if tag == "degenerate"
         )

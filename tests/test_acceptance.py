@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from hashlib import sha256
 
 import pytest
 
@@ -33,9 +34,33 @@ from gridlink.verifier import (
 _PAIRABILITY_SEED = 1
 _PAIRABILITY_SAMPLES = 100000
 
+# sha256 of each campaign's report body (pairability's at the sample count
+# and seed above): a change to any body must come with a new digest here
+_PINNED_BODIES = {
+    "L1": "e65a92074b9082f256bc48dc0fc6c63e2aace5439f209e3a22b331a5a0c1289b",
+    "L2": "2eb4240260a032e70b96501ffe5e03e3fa032f8b8c8deb10ba095264fe0b8d2f",
+    "L3": "c7e52f19332832737fc7a474efb488c51f02ddd481401d69b369c0d99773075a",
+    "L4": "0f6ade9d2e5698e49f62937f47748a463f6c906486eb4c0e6096ce53e370bbb3",
+    "L5": "80f3258ee682128d421c01ca24352f1bc9706264e5d44eb1c4b286e19639af1b",
+    "L6": "9f0e00571723566bff6849f259e145f5f45dceef919aa847f80dbc7d11d8c0fd",
+    "L7": "3bf3e3994b2bb25653e86654be5d0c930285992893cc102b9a456ed01812b586",
+    "L8": "fb64aa3a2728fc6ff216e28a272fdbdf8ad9c9f7acb98b3a466fac152e80c387",
+    "L9": "b27a2762600f5d74d58b48adcf511dc586f2254b63f4618d730bda40da03e6e8",
+    "L10": "6e1098800603d8283b59470443f4c912ce81cc35139cea638b31e475d07e0ed4",
+    "P1-matching": "e7ddf282ff0acb3c6e587fb2b79213c870974c5542693c637780d48eb31834ab",
+    "escape-agreement": "01fce70ab19287b6bdb482ead26483e845878c4f5c4bfa62a54fe12c904b5d8e",
+    "pairability": "fc57d2d66b48be28dea09d151cf771c27bbbcc312898f043e5d2359a70fc1d66",
+}
+
 
 def _passed(n: int, budget: float, elapsed: float, evidence: str) -> None:
     print(f"criterion {n}: PASS — {evidence} ({elapsed:.1f}s < {budget:.0f}s)")
+
+
+def _assert_body_pinned(report) -> None:
+    body = report_body(format_report(report))
+    lemma_id = report.campaign.lemma_id
+    assert sha256(body.encode()).hexdigest() == _PINNED_BODIES[lemma_id], (lemma_id, body)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +75,7 @@ def test_criterion_01_weak_two_linkage_of_the_small_graphs():
     report = verify_lemma("L4")
     assert report.clean, report.exceptional
     assert report.instances_checked == 8
+    _assert_body_pinned(report)
     assert not is_weakly_2_linked(make_grid(1, 3))
     elapsed = time.perf_counter() - start
     assert elapsed < budget
@@ -61,6 +87,7 @@ def test_criterion_02_frames_for_all_terminal_pairs():
     report = verify_lemma("L5")
     assert report.clean, report.exceptional
     assert report.instances_checked == 162
+    _assert_body_pinned(report)
     elapsed = time.perf_counter() - start
     assert elapsed < budget
     _passed(2, budget, elapsed, "162 frames built and independently verified")
@@ -74,6 +101,8 @@ def test_criterion_03_framings_with_a_mated_third():
     assert l7.clean, l7.exceptional
     assert l6.instances_checked == 252
     assert l7.instances_checked == 252
+    _assert_body_pinned(l6)
+    _assert_body_pinned(l7)
     elapsed = time.perf_counter() - start
     assert elapsed < budget
     _passed(3, budget, elapsed, "252 + 252 framings, every certificate re-verified")
@@ -86,6 +115,7 @@ def test_criterion_04_escapes_on_the_adjusted_quadrants():
     report = verify_lemma("L8")
     assert report.clean, report.exceptional
     assert report.instances_checked == 1085
+    _assert_body_pinned(report)
     elapsed = time.perf_counter() - start
     assert elapsed < budget
     _passed(4, budget, elapsed, "shared 224, link+escape 729, distinct-exit 132: all feasible")
@@ -98,6 +128,7 @@ def test_criterion_05_projection_exceptional_family():
     assert report_conforms(report), report.exceptional[:5]
     families = dict(exceptional_families(report))
     assert families == {T1: T1_ADMISSIBLE, T2: T2_ADMISSIBLE}
+    _assert_body_pinned(report)
     elapsed = time.perf_counter() - start
     assert elapsed < budget
     _passed(5, budget, elapsed, "exceptional sets exactly T1 and T2, admissible choices as stated")
@@ -125,6 +156,8 @@ def test_criterion_06_escorted_link_census_and_matching_agreement():
     matching = verify_lemma("P1-matching")
     assert matching.clean, matching.exceptional[:3]
     assert matching.instances_checked > 0
+    _assert_body_pinned(report)
+    _assert_body_pinned(matching)
     elapsed = time.perf_counter() - start
     assert elapsed < budget
     _passed(
@@ -143,6 +176,7 @@ def test_criterion_07_crowded_quadrants():
         report = verify_lemma(lemma_id)
         assert report.clean, (lemma_id, report.exceptional[:3])
         assert report.instances_checked == count
+        _assert_body_pinned(report)
     elapsed = time.perf_counter() - start
     assert elapsed < budget
     _passed(7, budget, elapsed, "4725 + 5040 + 1260 crowded placements, side conditions included")
@@ -153,7 +187,8 @@ def test_criterion_08_pairability_campaign(first_pairability_run):
     report, elapsed = first_pairability_run
     assert report.instances_checked == _PAIRABILITY_SAMPLES
     assert report.clean, report.exceptional[:3]
-    assert report.seed == _PAIRABILITY_SEED
+    assert report.campaign.seed == _PAIRABILITY_SEED
+    _assert_body_pinned(report)
     assert elapsed < budget
     _passed(8, budget, elapsed, "100000 sampled 4-pair instances, 0 infeasible")
 
@@ -163,6 +198,7 @@ def test_criterion_09_solver_and_flow_agree():
     report = escape_agreement_check()
     assert report.clean, report.exceptional[:3]
     assert report.instances_checked == 485
+    _assert_body_pinned(report)
     elapsed = time.perf_counter() - start
     assert elapsed < budget
     _passed(9, budget, elapsed, "485 all-escape instances, zero solver/flow mismatches")

@@ -89,6 +89,7 @@ def test_contract_merges_the_first_vertex_into_the_second():
         ("grid 2 2\nsmooth (1,1) (1,2)", "unknown directive"),
         ("grid 2 2\ndemand walk (1,1) (1,2)", "unknown demand kind"),
         ("grid 2 2\ndemand pair (1,1)", "expected 2 (row,col) vertices"),
+        ("grid 3 3\ndemand pair (1,1) (3,3) group 1", "expected only (row,col) vertices"),
         ("grid 2 2\ndemand pair (1,1) (5,5)", "not in the grid"),
         ("grid 2 2\nremove_edge (1,1) (2,2)", "cannot remove absent edges"),
         ("grid 2 2\nforbid_edge (1,1) (2,2)", "no edge between"),
@@ -144,6 +145,7 @@ def test_zero_length_path_round_trip():
         ("path 0: (1,1)\ninfeasible", "sole line"),
         ("path 0:", "no vertices"),
         ("route 0: (1,1)", "expected 'path K:"),
+        ("path 0: (1,1) junk (1,2)", "expected only (row,col) vertices"),
         ("", "empty certificate"),
     ],
 )
@@ -548,6 +550,16 @@ def test_a_campaign_that_loses_an_instance_reads_defective(monkeypatch, capsys):
     assert "status: defective" in out
 
 
+def test_a_pairability_run_short_of_its_samples_reads_defective(monkeypatch, capsys):
+    # every draw left is feasible; the census is the sample count asked for
+    draw = verifier.enumerate_instances
+    monkeypatch.setattr(verifier, "enumerate_instances", lambda *args: draw(*args)[:-1])
+    assert main(["pairability", "--samples", "20", "--seed", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "instances: 19" in out and "defects: 0" in out
+    assert "status: defective" in out
+
+
 def test_lemma_report_names_the_projection_families(tmp_path, capsys):
     out_path = tmp_path / "l9.report"
     assert main(["lemma", "L9", "--report", str(out_path)]) == 0
@@ -572,7 +584,7 @@ def test_exhaustive_reduced_flag_drives_the_lazy_reduced_stream(monkeypatch, cap
 
     def fake_drive(campaign, runner, instances):
         seen.update(strategy=campaign.strategy, first=list(islice(instances, 3)))
-        return LemmaReport(campaign.lemma_id, 0, 0, strategy=campaign.strategy, seed=campaign.seed)
+        return LemmaReport(campaign, 0)
 
     monkeypatch.setattr(verifier, "drive", fake_drive)
     assert main(["pairability", "--exhaustive-reduced"]) == 0
@@ -587,7 +599,7 @@ def test_pairability_draws_100000_samples_unless_told_otherwise(monkeypatch, cap
     def fake_drive(campaign, runner, instances):
         n = len(instances)
         drawn.append(n)
-        return LemmaReport(campaign.lemma_id, n, n, strategy=campaign.strategy, seed=campaign.seed)
+        return LemmaReport(campaign, n)
 
     monkeypatch.setattr(verifier, "drive", fake_drive)
     assert main(["pairability", "--seed", "1"]) == 0

@@ -468,9 +468,9 @@ def test_exceptional_families_rejects_foreign_reports():
 
 
 def test_report_conforms_spots_bad_reports():
-    clean = LemmaReport("L5", 162, 162)
+    clean = LemmaReport(Campaign("L5"), 162)
     assert report_conforms(clean)
-    dirty = LemmaReport("L5", 162, 161, (("defect", None, "x"),))
+    dirty = LemmaReport(Campaign("L5"), 162, (("defect", None, "x"),))
     assert not report_conforms(dirty)
     # an L9 refusal on a set avoiding A and the far corner breaks claim (i),
     # even in place of another refusal and with the two families intact
@@ -485,10 +485,10 @@ def test_report_conforms_spots_bad_reports():
     assert not report_conforms(swapped)
     # an L10 entry not certified by a law is a defect, not an exception
     stray = ("defect", None, "infeasible with no certifying law")
-    assert not report_conforms(LemmaReport("L10", 26244, 26243, (stray,)))
+    assert not report_conforms(LemmaReport(Campaign("L10"), 26244, (stray,)))
     # and a law-certified placement short of the documented 100 is a lost one
     degenerate = ("degenerate", None, "degree overload at (1, 1)")
-    assert not report_conforms(LemmaReport("L10", 26244, 26145, (degenerate,) * 99))
+    assert not report_conforms(LemmaReport(Campaign("L10"), 26244, (degenerate,) * 99))
 
 
 def test_the_campaign_table_holds_the_documented_census():
@@ -497,20 +497,21 @@ def test_the_campaign_table_holds_the_documented_census():
     assert {cid: row[3] for cid, row in table.items() if row[3]} == _DOCUMENTED
 
 
-@pytest.mark.parametrize("campaign", sorted(_EXPECTED_COUNTS))
+@pytest.mark.parametrize("campaign", sorted(_EXPECTED_COUNTS) + ["pairability"])
 def test_a_report_off_the_domain_size_does_not_conform(campaign):
-    # the census, not only the tags: one instance lost or one too many
-    size = _EXPECTED_COUNTS[campaign]
+    # the census, not only the tags: one instance lost or one too many; a
+    # sampled pairability run's census is the sample count it asked for
+    sampled = Campaign("pairability", samples=20, seed=1)
+    size = _EXPECTED_COUNTS.get(campaign, sampled.samples)
     if campaign == "L9":
         report = verify_lemma("L9")  # its refusals must form the two families
     else:
         documented = _DOCUMENTED.get(campaign, {})
         records = tuple((tag, None, "") for tag, n in documented.items() for _ in range(n))
-        report = LemmaReport(campaign, size, size - len(records), records)
+        report = LemmaReport(sampled if campaign == "pairability" else Campaign(campaign), size, records)
     assert report_conforms(report)
     for off in (-1, 1):
-        moved = replace(report, instances_checked=size + off, feasible=report.feasible + off)
-        assert not report_conforms(moved)
+        assert not report_conforms(replace(report, instances_checked=size + off))
 
 
 def test_reports_do_not_depend_on_worker_count():
@@ -518,7 +519,8 @@ def test_reports_do_not_depend_on_worker_count():
     for lemma_id in ("L9", "L3"):
         one = verify_lemma(lemma_id, workers=1)
         two = verify_lemma(lemma_id, workers=2)
-        assert replace(one, elapsed=0.0) == replace(two, elapsed=0.0)
+        assert two.campaign == replace(one.campaign, workers=2)
+        assert replace(two, campaign=one.campaign, elapsed=0.0) == replace(one, elapsed=0.0)
 
 
 def test_driver_streams_a_generator_alike_for_one_and_two_workers():
@@ -531,8 +533,10 @@ def test_driver_streams_a_generator_alike_for_one_and_two_workers():
         for w in (1, 2)
     ]
     assert reports[0].instances_checked == 50
-    assert reports[0].strategy == "reduced" and reports[0].seed is None
-    assert replace(reports[0], elapsed=0.0) == replace(reports[1], elapsed=0.0)
+    one, two = reports
+    assert one.campaign.strategy == "reduced" and one.campaign.seed is None
+    assert two.campaign == replace(one.campaign, workers=2)
+    assert replace(two, campaign=one.campaign, elapsed=0.0) == replace(one, elapsed=0.0)
 
 
 def _dies_on_3(item):
@@ -617,7 +621,8 @@ def test_sampled_pairability_run_is_clean_and_reproducible():
     again = pairability_check(samples=300, seed=20260822, workers=2)
     assert first.clean
     assert first.instances_checked == first.feasible == 300
-    assert replace(first, elapsed=0.0) == replace(again, elapsed=0.0)
+    assert again.campaign == replace(first.campaign, workers=2)
+    assert replace(again, campaign=first.campaign, elapsed=0.0) == replace(first, elapsed=0.0)
 
 
 # -------------------------------------------------------------- dual route
