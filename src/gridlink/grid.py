@@ -9,10 +9,10 @@ constructors rather than mutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 
 class Vertex(NamedTuple):
@@ -48,8 +48,6 @@ def path_edges(path: Iterable[Iterable[int]]) -> list[Edge]:
 class GridGraph:
     """A subgraph of a ``rows x cols`` grid, possibly with contracted vertices.
 
-    ``contraction_map`` sends original vertices to their representatives; it is
-    the identity where absent and is kept idempotent by ``contracted``.
     Adjacency is defined purely by ``present_edges`` -- after a contraction an
     edge may join vertices that are not grid neighbours, and that is fine.
     """
@@ -58,7 +56,6 @@ class GridGraph:
     cols: int
     present_vertices: frozenset[Vertex]
     present_edges: frozenset[Edge]
-    contraction_map: Mapping[Vertex, Vertex] = field(default_factory=dict)
 
     @cached_property
     def adjacency(self) -> dict[Vertex, tuple[Vertex, ...]]:
@@ -87,13 +84,7 @@ class GridGraph:
         missing = dead - self.present_edges
         if missing:
             raise ValueError(f"cannot remove absent edges: {sorted(missing)}")
-        return GridGraph(
-            self.rows,
-            self.cols,
-            self.present_vertices,
-            self.present_edges - dead,
-            dict(self.contraction_map),
-        )
+        return GridGraph(self.rows, self.cols, self.present_vertices, self.present_edges - dead)
 
     def without_vertices(self, gone: Iterable[Iterable[int]]) -> "GridGraph":
         dead = {vertex(v) for v in gone}
@@ -102,8 +93,7 @@ class GridGraph:
             raise ValueError(f"cannot remove absent vertices: {sorted(missing)}")
         keep = self.present_vertices - dead
         edges = frozenset(e for e in self.present_edges if e[0] in keep and e[1] in keep)
-        cmap = {k: r for k, r in self.contraction_map.items() if r in keep}
-        return GridGraph(self.rows, self.cols, keep, edges, cmap)
+        return GridGraph(self.rows, self.cols, keep, edges)
 
     def contracted(self, u: Iterable[int], v: Iterable[int]) -> "GridGraph":
         """Merge ``u`` into ``v``: edges at ``u`` are re-attached to ``v``."""
@@ -120,15 +110,12 @@ class GridGraph:
             q2 = b if q == a else q
             if p2 != q2:
                 edges.add(edge(p2, q2))
-        cmap = {k: (b if r == a else r) for k, r in self.contraction_map.items()}
-        cmap[a] = b
-        return GridGraph(self.rows, self.cols, keep, frozenset(edges), cmap)
+        return GridGraph(self.rows, self.cols, keep, frozenset(edges))
 
     def induced(self, keep: Iterable[Iterable[int]]) -> "GridGraph":
         verts = frozenset(vertex(v) for v in keep) & self.present_vertices
         edges = frozenset(e for e in self.present_edges if e[0] in verts and e[1] in verts)
-        cmap = {k: r for k, r in self.contraction_map.items() if r in verts}
-        return GridGraph(self.rows, self.cols, verts, edges, cmap)
+        return GridGraph(self.rows, self.cols, verts, edges)
 
 
 def make_grid(rows: int, cols: int) -> GridGraph:
@@ -143,7 +130,7 @@ def make_grid(rows: int, cols: int) -> GridGraph:
                 edges.add(edge((r, c), (r, c + 1)))
             if r < rows:
                 edges.add(edge((r, c), (r + 1, c)))
-    return GridGraph(rows, cols, verts, frozenset(edges), {})
+    return GridGraph(rows, cols, verts, frozenset(edges))
 
 
 class Corner(Enum):

@@ -75,6 +75,8 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
+from functools import cache
 from typing import Iterable, Optional, Union
 
 from .grid import Edge, GridGraph, Path, Vertex, edge, vertex
@@ -99,10 +101,11 @@ class Demand:
     Build with ``Demand.pair`` / ``Demand.escape``.  A pair is the demand
     with one exit, its target: ``Demand.pair(s, t) is Demand.escape(s, [t])``.
 
-    Those two hand out one shared object per demand value, kept for the life
-    of the process, so a demand is built (and its exit set hashed) once
-    however often it is named.  Sharing is safe because a demand is frozen.
-    A ``Demand(...)`` built directly is equal to the shared one, not it.
+    Those two hand out one shared object per demand value from their caches
+    (see ``_shared``), kept for the life of the process, so a demand is built
+    (and its exit set hashed) once however often it is named.  Sharing is
+    safe because a demand is frozen.  A ``Demand(...)`` built directly is
+    equal to the shared one, not it.
     """
 
     source: Vertex
@@ -111,14 +114,10 @@ class Demand:
 
     @staticmethod
     def pair(source: Iterable[int], target: Iterable[int]) -> "Demand":
-        key = (source, target)
         try:
-            d = _SHARED.get(key)
+            return _pair(source, target)
         except TypeError:  # a coordinate given as a list
-            d = None
-        if d is None:
-            d = _share(key, (vertex(source), frozenset((vertex(target),)), None))
-        return d
+            return _demand(vertex(source), frozenset((vertex(target),)), None)
 
     @staticmethod
     def escape(
@@ -129,37 +128,36 @@ class Demand:
         # an iterator hashes by identity: key any other iterable by its value
         if type(exits) is not tuple and type(exits) is not frozenset:
             exits = frozenset(map(vertex, exits))
-        key = (source, exits, distinct_group)
         try:
-            d = _SHARED.get(key)
+            return _escape(source, exits, distinct_group)
         except TypeError:
-            d = None
-        if d is None:
-            xs = frozenset(map(vertex, exits))
-            d = _share(key, (vertex(source), xs, distinct_group))
-        return d
+            return _demand(vertex(source), frozenset(map(vertex, exits)), distinct_group)
 
 
-# The shared demands, each keyed by its fields in ``Demand``'s order, both
-# as given to ``Demand.escape`` and normalised, and a pair also by its
-# ``(source, target)`` as given, so that every spelling of one value finds
-# the same object.  A pair's key has two fields and every other key three.
-_SHARED: dict[tuple, Demand] = {}
+# Demands are shared at two levels, each kept for the life of the process:
+# by their normalised fields (``_shared``), and by the arguments as given to
+# ``Demand.pair`` (``_pair``) or ``Demand.escape`` (``_escape``), so that
+# every spelling of one value finds the same object and a spelling seen
+# before skips the normalising.
+_shared = cache(Demand)
 
 
-def _share(key: tuple, fields: tuple) -> Demand:
-    """The shared demand with these normalised ``fields``, now also under ``key``."""
+def _demand(source: Vertex, exits: frozenset[Vertex], group: Optional[int]) -> Demand:
+    """The shared demand with these normalised fields."""
     try:
-        d = _SHARED.get(fields)
+        return _shared(source, exits, group)
     except TypeError:  # a coordinate that cannot be hashed: build, don't share
-        return Demand(*fields)
-    if d is None:
-        d = _SHARED[fields] = Demand(*fields)
-    try:
-        _SHARED[key] = d
-    except TypeError:
-        pass
-    return d
+        return Demand(source, exits, group)
+
+
+@cache
+def _pair(source: Iterable[int], target: Iterable[int]) -> Demand:
+    return _demand(vertex(source), frozenset((vertex(target),)), None)
+
+
+@cache
+def _escape(source: Iterable[int], exits: Iterable[Iterable[int]], group: Optional[int]) -> Demand:
+    return _demand(vertex(source), frozenset(map(vertex, exits)), group)
 
 
 @dataclass(frozen=True)
@@ -173,26 +171,19 @@ class Instance:
             object.__setattr__(self, "demands", tuple(self.demands))
         # an empty set of any type becomes frozenset(), the compiled-forms key
         forbidden = self.forbidden_edges
-        if forbidden or type(forbidden) is not frozenset:
+        if type(forbidden) is not frozenset:  # a set, list or iterator: build, don't keep
+            object.__setattr__(self, "forbidden_edges", frozenset(edge(*e) for e in forbidden))
+        elif forbidden:
             object.__setattr__(self, "forbidden_edges", _canonical_edges(forbidden))
 
 
-# The canonical twin of each non-empty frozenset of edges given as an
-# instance's ``forbidden_edges``, and of each twin itself, kept for the life
-# of the process: a set named by many instances is rebuilt once.
-_CANONICAL_EDGES: dict[frozenset, frozenset[Edge]] = {}
-
-
-def _canonical_edges(edges: Iterable[Iterable[Iterable[int]]]) -> frozenset[Edge]:
-    """``edges`` as a frozenset of canonical edges; one shared set per frozenset given."""
-    if type(edges) is not frozenset:  # a set, list or iterator: build, don't keep
-        return frozenset(edge(*e) for e in edges)
-    canon = _CANONICAL_EDGES.get(edges)
-    if canon is None:
-        canon = frozenset(edge(*e) for e in edges)
-        canon = _CANONICAL_EDGES.setdefault(canon, canon)
-        _CANONICAL_EDGES[edges] = canon
-    return canon
+@cache
+def _canonical_edges(edges: frozenset) -> frozenset[Edge]:
+    """The canonical twin of a frozenset of edges, kept for the life of the
+    process: one shared set of canonical edges for every set equal to
+    ``edges`` or to the twin, which maps to itself."""
+    canon = frozenset(edge(*e) for e in edges)
+    return canon if canon == edges else _canonical_edges(canon)
 
 
 @dataclass(frozen=True)
@@ -210,23 +201,12 @@ class PathSystem:
     def __getitem__(self, i: int) -> Path:
         return self.paths[i]
 
-    def edges(self) -> list[Edge]:
-        out: list[Edge] = []
-        for p in self.paths:
-            for k in range(len(p) - 1):
-                out.append(edge(p[k], p[k + 1]))
-        return out
 
+class InfeasibleType(Enum):
+    """The one answer for an instance with no path system (a value, not an
+    error): falsy, and a single member, so it pickles to itself."""
 
-class InfeasibleType:
-    """Singleton sentinel: the instance has no path system (a value, not an error)."""
-
-    _instance: Optional["InfeasibleType"] = None
-
-    def __new__(cls) -> "InfeasibleType":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    Infeasible = "Infeasible"
 
     def __bool__(self) -> bool:
         return False
@@ -234,11 +214,10 @@ class InfeasibleType:
     def __repr__(self) -> str:
         return "Infeasible"
 
-    def __reduce__(self):
-        return (InfeasibleType, ())
+    __str__ = __repr__
 
 
-Infeasible = InfeasibleType()
+Infeasible = InfeasibleType.Infeasible
 
 SolveResult = Union[PathSystem, InfeasibleType]
 

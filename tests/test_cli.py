@@ -630,3 +630,14 @@ def test_the_readme_cli_block_lists_every_flag_and_no_other():
         for name, sub in _subcommands().items()
     }
     assert listed == parsed
+
+
+def test_the_readme_campaign_table_lists_every_sized_campaign_with_its_count():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Campaigns\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| ")]
+    listed = {cells[0].strip(): cells[-1].strip() for cells in rows[1:]}  # past the header
+    sized = {
+        cid: str(size) for cid, (_, _, size, _) in verifier._CAMPAIGNS.items() if size is not None
+    }
+    assert listed == sized

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
 import multiprocessing
@@ -68,7 +69,7 @@ def test_square_cycle_decomposes_into_opposite_diagonal_paths():
     got = solve(inst)
     assert got is not Infeasible
     assert [len(p) for p in got.paths] == [3, 3]
-    assert set(got.edges()) == make_grid(2, 2).present_edges
+    assert {e for p in got for e in path_edges(p)} == make_grid(2, 2).present_edges
     assert verify(inst, got)
 
 
@@ -103,7 +104,7 @@ def test_forbidden_edges_respected():
     )
     got = solve(inst)
     assert got is not Infeasible
-    assert edge((1, 1), (1, 2)) not in set(got.edges())
+    assert edge((1, 1), (1, 2)) not in path_edges(got[0])
     assert verify(inst, got)
 
 
@@ -251,6 +252,8 @@ def test_a_spawned_worker_unpickles_its_own_copy():
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
         assert pool.submit(_shared_in_worker, d).result() == (True, False, True)
         back = pool.submit(Demand.pair, (1, 1), (3, 3)).result()
+        crossed = (Demand.pair((1, 1), (2, 2)), Demand.pair((1, 2), (2, 1)))
+        assert pool.submit(solve, Instance(make_grid(2, 2), crossed)).result() is Infeasible
     assert back == d and back is not d
 
 
@@ -258,6 +261,21 @@ def test_a_demand_with_an_unhashable_coordinate_is_built_but_not_shared():
     a = Demand.pair((1, [1]), (2, 2))
     b = Demand.pair((1, [1]), (2, 2))
     assert a == b and a is not b
+    a = Demand.escape((1, [1]), [(2, 2), (2, 3)])
+    b = Demand.escape((1, [1]), [(2, 2), (2, 3)])
+    assert a == b and a is not b
+    # exits given as lists become vertices, so the demand is shared
+    shared = Demand.escape((1, 1), ((2, 3), (2, 2)))
+    assert Demand.escape((1, 1), [[2, 2], [2, 3]]) is shared
+    assert Demand.escape((1, 1), ([2, 2], [2, 3])) is shared
+
+
+def test_infeasible_is_one_falsy_value_that_copies_and_pickles_to_itself():
+    assert not Infeasible
+    assert repr(Infeasible) == str(Infeasible) == "Infeasible"
+    assert copy.copy(Infeasible) is Infeasible and copy.deepcopy(Infeasible) is Infeasible
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(Infeasible, protocol)) is Infeasible
 
 
 def test_a_lemma_sweep_builds_each_demand_value_at_most_once(monkeypatch):
@@ -454,7 +472,7 @@ def test_flow_paths_are_edge_disjoint():
     g = make_grid(3, 3)
     got = escape_flow(g, [(1, 1), (1, 2), (1, 3)], [(3, 1), (3, 2), (3, 3)], distinct=True)
     assert got is not Infeasible
-    used = got.edges()
+    used = [e for p in got for e in path_edges(p)]
     assert len(used) == len(set(used))
     for p in got.paths:
         for k in range(len(p) - 1):
