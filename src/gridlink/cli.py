@@ -125,7 +125,6 @@ def _decide_infeasible(inst: Instance) -> tuple[bool, str]:
             [d.source for d in ds],
             ds[0].exits,
             distinct=ds[0].distinct_group is not None,
-            forbidden=inst.forbidden_edges,
         )
         return got is Infeasible, "max-flow"
     return solve(inst) is Infeasible, "re-solved"
@@ -154,7 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     campaign = Campaign(args.lemma_id, args.samples, args.seed, args.workers)
-    with _open_report(args.report) if args.report else nullcontext() as save:
+    with _open_report(args.report) if args.report is not None else nullcontext() as save:
         report = run_campaign(campaign)
         text = format_report(report)
         sys.stdout.write(text)

@@ -4,7 +4,9 @@ Coordinates are global ``(row, col)``, 1-based, matching the matrix
 convention used throughout.  An instance file opens with a single
 ``grid R C`` directive and then edits the graph (``remove_edge``,
 ``contract``, ``forbid_edge``) and states demands in order; demand K of
-the file is answered by the ``path K:`` line of a certificate file.
+the file is answered by the ``path K:`` line of a certificate file.  A
+forbidden edge is dropped from the instance's graph after every other
+directive.
 ``#`` starts a comment anywhere on a line.  A certificate whose instance
 is unsolvable is the single word ``infeasible``.
 
@@ -160,7 +162,7 @@ def parse_instance(text: str, name: str = "<instance>") -> Instance:
     for e, lineno in sorted(forbidden.items()):
         if e not in graph.present_edges:
             raise ParseError(name, lineno, "forbidden edge is no longer in the grid")
-    return Instance(graph, tuple(d for _, d in demands), frozenset(forbidden))
+    return Instance(graph.without_edges(forbidden), tuple(d for _, d in demands))
 
 
 def _fmt_vertex(v: Vertex) -> str:

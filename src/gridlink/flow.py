@@ -1,22 +1,23 @@
 """Escape feasibility by maximum flow, independent of the backtracking solver.
 
 All-escape instances are a unit-capacity flow problem: each source vertex
-supplies its multiplicity, every grid edge carries one unit in either
-direction, and each exit takes one unit when endpoints must be distinct
-(as many as there are sources otherwise).  The instance is feasible iff
-the max flow equals the number of sources.
+supplies its multiplicity, every edge of the graph carries one unit in
+either direction (an edge no path may use is one the graph lacks), and
+each exit takes one unit when endpoints must be distinct (as many as there
+are sources otherwise).  The instance is feasible iff the max flow equals
+the number of sources.
 
 The flow is found by augmenting paths.  Each augmentation is one
-breadth-first search over ``graph.adjacency``, forbidden edges left out,
-from the sources with supply left to the first exit with room left; a
-vertex pair (u, w) can carry one more unit while the net flow from u to w
-is below 1, that is, unless u already sends w a unit.  There is one
-augmentation per source occurrence, and a search that finds no exit
-proves the instance infeasible.  The flow is then decomposed into one path
-per source occurrence, in input order: each walk follows positive net flow
-from its source, taking the smallest neighbour in (row, col) order, and
-stops at the first exit the flow still drains into.  Every step is a
-loop, so a path of any length costs no recursion.
+breadth-first search over ``graph.adjacency``, from the sources with
+supply left to the first exit with room left; a vertex pair (u, w) can
+carry one more unit while the net flow from u to w is below 1, that is,
+unless u already sends w a unit.  There is one augmentation per source
+occurrence, and a search that finds no exit proves the instance
+infeasible.  The flow is then decomposed into one path per source
+occurrence, in input order: each walk follows positive net flow from its
+source, taking the smallest neighbour in (row, col) order, and stops at
+the first exit the flow still drains into.  Every step is a loop, so a
+path of any length costs no recursion.
 
 This module deliberately shares no search code with ``routing.solve`` --
 the two are cross-checked against each other by the test campaigns.
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from .grid import Edge, GridGraph, edge, vertex
+from .grid import GridGraph, vertex
 from .routing import Infeasible, PathSystem, SolveResult
 
 
@@ -36,7 +37,6 @@ def escape_flow(
     sources: Iterable[Iterable[int]],
     exits: Iterable[Iterable[int]],
     distinct: bool,
-    forbidden: Iterable[Edge] = (),
 ) -> SolveResult:
     """Route every source occurrence to an exit, edge-disjointly, via max flow."""
     src_list = [vertex(s) for s in sources]
@@ -52,13 +52,8 @@ def escape_flow(
     for v in sorted(exit_set):
         if v not in present:
             raise ValueError(f"exit {v} not in graph")
-    forb = {edge(*e) for e in forbidden}
-    if forb - graph.present_edges:
-        raise ValueError(f"forbidden edges not in graph: {sorted(forb - graph.present_edges)}")
 
     adj = graph.adjacency
-    if forb:
-        adj = {u: tuple(w for w in ws if edge(u, w) not in forb) for u, ws in adj.items()}
     supply = Counter(src_list)
     cap = 1 if distinct else len(src_list)
     room = dict.fromkeys(exit_set, cap)

@@ -69,12 +69,12 @@ class GridGraph:
         return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
 
     @cached_property
-    def compiled_forms(self) -> dict:
-        """The routing solver's compiled forms of this graph, keyed by forbidden edge set.
+    def compiled_form(self):
+        """The routing solver's compiled form of this graph, built on first use
+        and kept on the graph so that it lives exactly as long as the graph."""
+        from .routing import _Compiled  # routing imports this module
 
-        Kept on the graph so that they live exactly as long as it does.
-        """
-        return {}
+        return _Compiled(self)
 
     def has_edge(self, u: Iterable[int], v: Iterable[int]) -> bool:
         return edge(u, v) in self.present_edges

@@ -4,21 +4,24 @@ A frame for terminals ``s1, s2`` on cycle ``C_alpha`` is an anchor vertex
 ``w`` of the cycle together with two mating paths inside the quadrant, one
 from each terminal to ``w``, edge-disjoint from each other and from the
 central-cycle edges inside the quadrant (only ``C1`` contributes such
-edges).  Every frame comes from the exact solver: the vertices of
-``C_alpha`` inside the quadrant are tried as anchors in sorted order, and
-the first one where ``solve`` routes both mating paths (and the third
-terminal's path, for a framing) is returned.  Like ``solve``, each
-operation answers ``Infeasible`` when no anchor works.
+edges).  Every frame comes from the exact solver on the quadrant's graph
+less those edges: the vertices of ``C_alpha`` inside the quadrant are
+tried as anchors in sorted order, and the first one where ``solve`` routes
+both mating paths (and the third terminal's path, for a framing) is
+returned.  Like ``solve``, each operation answers ``Infeasible`` when no
+anchor works.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from ..grid import (
     C0_RING,
     C1_RING,
     Edge,
+    GridGraph,
     Path,
     Quadrant,
     QuadrantLandmarks,
@@ -54,8 +57,12 @@ class FramingResult:
     third: Vertex
 
 
-def _c1_edges_in(q: Quadrant, lm: QuadrantLandmarks) -> frozenset[Edge]:
-    return frozenset(e for e in lm.C1 if e in q.graph.present_edges)
+@cache
+def _without_c1(q: Quadrant) -> GridGraph:
+    """The quadrant's graph less the C1 edges inside it: where mating paths
+    run.  One graph object per quadrant, so that its compiled form is built
+    once and every frame of the quadrant is solved on it."""
+    return q.graph.without_edges(set(landmarks(q).C1) & q.graph.present_edges)
 
 
 def _rings_in(q: Quadrant) -> tuple[tuple[Vertex, ...], tuple[Vertex, ...]]:
@@ -81,16 +88,17 @@ def _distinct_terminals(
 
 
 def _solve_frame(
-    q: Quadrant, lm: QuadrantLandmarks, forbidden: frozenset[Edge], alpha: int,
-    anchors: tuple[Vertex, ...], s1: Vertex, s2: Vertex, extra: tuple[Demand, ...] = (),
+    q: Quadrant, lm: QuadrantLandmarks, alpha: int, anchors: tuple[Vertex, ...],
+    s1: Vertex, s2: Vertex, extra: tuple[Demand, ...] = (),
 ) -> tuple[Frame, tuple[Path, ...]] | None:
     """The frame at the first of the ``anchors`` on C_alpha where ``solve``
     routes s1 and s2 to it together with the ``extra`` demands, and the
     extra demands' paths; None when no anchor works."""
     cycle = lm.C0 if alpha == 0 else lm.C1
+    graph = _without_c1(q)
     for w in anchors:
         demands = (Demand.pair(s1, w), Demand.pair(s2, w)) + extra
-        sol = solve(Instance(q.graph, demands, forbidden))
+        sol = solve(Instance(graph, demands))
         if sol:
             return Frame(alpha, cycle, w, (sol[0], sol[1])), sol.paths[2:]
     return None
@@ -102,8 +110,7 @@ def build_frame(q: Quadrant, s1: Vertex, s2: Vertex, alpha: int) -> Frame | Infe
         raise ValueError(f"alpha must be 0 or 1, got {alpha!r}")
     _check_terminal(q, s1)
     _check_terminal(q, s2)
-    lm = landmarks(q)
-    found = _solve_frame(q, lm, _c1_edges_in(q, lm), alpha, _rings_in(q)[alpha], s1, s2)
+    found = _solve_frame(q, landmarks(q), alpha, _rings_in(q)[alpha], s1, s2)
     return Infeasible if found is None else found[0]
 
 
@@ -117,13 +124,12 @@ def _framed_search(
     """Shared search: choose a pair to frame, an alpha, and an anchor;
     ``mate(c, alpha, rings)`` is the demand that routes the third terminal
     c, where ``rings`` are ``_rings_in(q)``."""
-    forbidden = _c1_edges_in(q, lm)
     rings = _rings_in(q)
     for i, j in ((0, 1), (0, 2), (1, 2)):
         a, b, c = terms[i], terms[j], terms[3 - i - j]
         for alpha in alphas:
             extra = (mate(c, alpha, rings),)
-            found = _solve_frame(q, lm, forbidden, alpha, rings[alpha], a, b, extra)
+            found = _solve_frame(q, lm, alpha, rings[alpha], a, b, extra)
             if found is not None:
                 frame, (mating_path,) = found
                 return FramingResult(frame, mating_path, (a, b), c)

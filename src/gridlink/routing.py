@@ -2,9 +2,10 @@
 
 A demand routes its source to any vertex of its exit set; a *pair* is the
 demand whose one exit is its target.  Paths of different demands may share
-vertices but never edges; ``forbidden_edges`` are off limits to everyone.
-Demands carrying the same ``distinct_group`` id must end at pairwise
-distinct exits; demands without a group may pile onto one exit freely.
+vertices but never edges; an edge no path may use is one the instance's
+graph lacks (``GridGraph.without_edges``).  Demands carrying the same
+``distinct_group`` id must end at pairwise distinct exits; demands without
+a group may pile onto one exit freely.
 
 The solver is complete: it returns ``Infeasible`` only when no path system
 exists.  It is also deterministic -- demands are routed in input order,
@@ -38,24 +39,24 @@ that fits, so it proves the instance infeasible and the search stops
 there.  Skipped levels hold no solution, so the first certificate found is
 the one a plain one-level-at-a-time search finds.
 
-Each graph is compiled once per forbidden edge set to vertex indices and
-edge bitmasks, and each demand once per compiled graph, to its goal mask,
-distance table and *shortest-path table*: every shortest path from the
-source to a goal, found by the depth-first walk's own search with no edge
-used, each one int holding the path's edge mask with its end vertex's bit
-above the edge bits.  Most levels of the search run at a demand's
-shortest length, where its candidates are this table filtered by the
-edges already used, and the prune asks the same table whether a shortest
-path is still free.  A
-longer length is searched the first time a demand is walked at it; the
-second time, the compiled demand tables it too (its *length table*, built by
-one search with no edge used), and from then on filters that table.  A
-length with more than ``_TABLE_CAP`` paths is remembered and always
-searched.  Both forms are stored on the graph (``GridGraph.compiled_forms``),
-so repeated solves on one graph pay only for the search, and the compiled
-forms are freed with the graph.  The walk and the fixed part of the prune's
-row live on the compiled demand (``_CDemand.walk``, ``_CDemand.row``), so a
-solve adds only each demand's group slot.
+Each graph is compiled once to vertex indices and edge bitmasks, and each
+demand once per compiled graph, to its goal mask, distance table and
+*shortest-path table*: every shortest path from the source to a goal,
+found by the depth-first walk's own search with no edge used, each one int
+holding the path's edge mask with its end vertex's bit above the edge
+bits.  Most levels of the search run at a demand's shortest length, where
+its candidates are this table filtered by the edges already used, and the
+prune asks the same table whether a shortest path is still free.  A longer
+length is searched the first time a demand is walked at it; the second
+time, the compiled demand tables it too (its *length table*, built by one
+search with no edge used), and from then on filters that table.  A length
+with more than ``_TABLE_CAP`` paths is remembered and always searched.
+The compiled graph, which holds its compiled demands, is stored on the
+graph (``GridGraph.compiled_form``), so repeated solves on one graph object
+pay only for the search, and the compiled form is freed with the graph.
+The walk and the fixed part of the prune's row live on the compiled demand
+(``_CDemand.walk``, ``_CDemand.row``), so a solve adds only each demand's
+group slot.
 
 The last demand is settled from its table: once the demand before it has
 committed a path, a free shortest path of the last demand (for a grouped
@@ -164,26 +165,10 @@ def _escape(source: Iterable[int], exits: Iterable[Iterable[int]], group: Option
 class Instance:
     graph: GridGraph
     demands: tuple[Demand, ...]
-    forbidden_edges: frozenset[Edge] = frozenset()
 
     def __post_init__(self):
         if type(self.demands) is not tuple:
             object.__setattr__(self, "demands", tuple(self.demands))
-        # an empty set of any type becomes frozenset(), the compiled-forms key
-        forbidden = self.forbidden_edges
-        if type(forbidden) is not frozenset:  # a set, list or iterator: build, don't keep
-            object.__setattr__(self, "forbidden_edges", frozenset(edge(*e) for e in forbidden))
-        elif forbidden:
-            object.__setattr__(self, "forbidden_edges", _canonical_edges(forbidden))
-
-
-@cache
-def _canonical_edges(edges: frozenset) -> frozenset[Edge]:
-    """The canonical twin of a frozenset of edges, kept for the life of the
-    process: one shared set of canonical edges for every set equal to
-    ``edges`` or to the twin, which maps to itself."""
-    canon = frozenset(edge(*e) for e in edges)
-    return canon if canon == edges else _canonical_edges(canon)
 
 
 @dataclass(frozen=True)
@@ -194,9 +179,6 @@ class PathSystem:
 
     def __iter__(self):
         return iter(self.paths)
-
-    def __len__(self) -> int:
-        return len(self.paths)
 
     def __getitem__(self, i: int) -> Path:
         return self.paths[i]
@@ -384,19 +366,14 @@ class _Compiled:
     ``u ^ other[ebit]`` crosses the edge from either end (see ``_trace``).
 
     Distance tables and compiled demands are cached here too, so each is
-    built once per graph and forbidden set.
+    built once per graph.
     """
 
-    def __init__(self, graph: GridGraph, forbidden: frozenset[Edge]):
+    def __init__(self, graph: GridGraph):
         self.verts = sorted(graph.present_vertices)
         self.vindex = {v: i for i, v in enumerate(self.verts)}
         self.nv = len(self.verts)
-        missing = forbidden - graph.present_edges
-        if missing:
-            raise ValueError(f"forbidden edges not in graph: {sorted(missing)}")
-        pairs = [
-            (self.vindex[u], self.vindex[v]) for u, v in graph.present_edges - forbidden
-        ]
+        pairs = [(self.vindex[u], self.vindex[v]) for u, v in graph.present_edges]
         self.nedges = len(pairs)
         offsets = sorted({vi - ui for ui, vi in pairs})
         lane_of = {k: i for i, k in enumerate(offsets)}
@@ -530,18 +507,14 @@ def _flood(seen: int, free: list[tuple[int, int]]) -> int:
         seen = grown
 
 
-def _compiled(graph: GridGraph, forbidden: frozenset[Edge]) -> _Compiled:
-    """The compiled form of ``graph`` minus ``forbidden``, stored on the graph."""
-    forms = graph.compiled_forms
-    comp = forms.get(forbidden)
-    if comp is None:
-        comp = forms[forbidden] = _Compiled(graph, forbidden)
-    return comp
+def _compiled(graph: GridGraph) -> _Compiled:
+    """The compiled form of ``graph``, stored on the graph."""
+    return graph.compiled_form
 
 
 class _Search:
     def __init__(self, inst: Instance):
-        self.comp = comp = _compiled(inst.graph, inst.forbidden_edges)
+        self.comp = comp = _compiled(inst.graph)
         self.eshift = comp.eshift
         demand = comp.demand
         # per demand: the compiled demand, its group slot (-1 without a
@@ -930,7 +903,6 @@ def verify(inst: Instance, cert: PathSystem) -> VerifyResult:
         )
     present = inst.graph.present_vertices
     gedges = inst.graph.present_edges
-    forbidden = inst.forbidden_edges
     seen_edges: set[Edge] = set()
     nseen = 0
     group_ends: dict[int, set[Vertex]] = {}
@@ -947,8 +919,6 @@ def verify(inst: Instance, cert: PathSystem) -> VerifyResult:
                 e = (a, b) if a <= b else (b, a)
                 if e not in gedges:
                     return _bad(f"path {i}: non-adjacent step {vertex(a)} -> {vertex(b)}")
-                if forbidden and e in forbidden:
-                    return _bad(f"path {i}: forbidden edge {edge(a, b)}")
                 # a reused edge leaves the set as it was
                 seen_edges.add(e)
                 if len(seen_edges) == nseen:
@@ -984,7 +954,7 @@ def is_weakly_2_linked(graph: GridGraph) -> bool:
     verts = sorted(graph.present_vertices)
     if not verts:
         return True
-    comp = _compiled(graph, frozenset())
+    comp = _compiled(graph)
     if any(d >= _INF for d in comp.distances((0,))):
         return False  # disconnected: some single pair already fails
     pairs = [Demand.pair(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]

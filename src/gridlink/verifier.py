@@ -73,9 +73,8 @@ _Q0 = adjusted_quadrant("Q0")
 _ADJUSTED = {kind: adjusted_quadrant(kind) for kind in ("Q1", "Q2", "Q3", "Q4")}
 
 _PSI_MAPS = (("A", "A"), ("A", "B"), ("B", "A"), ("B", "B"))
-_C1_IN_Q = frozenset(
-    e for e in _LM.C1 if e[0] in _UL.vertices and e[1] in _UL.vertices
-)
+# the quadrant less the C1 edges inside it, where L5-L7's mating paths run
+_UL_WITHOUT_C1 = _UL.graph.without_edges(e for e in _LM.C1 if set(e) <= _UL.vertices)
 # the vertices of C0 and C1 inside the quadrant, sorted: where L5-L7 anchor
 _RING_IN_Q = {
     alpha: tuple(sorted(v for v in ring if v in _UL.vertices))
@@ -352,8 +351,8 @@ def enumerate_instances(
 _NO_CERTIFICATE = "no certificate"
 
 
-def _check(inst, graph, demands, paths, forbidden=frozenset()):
-    if verify(Instance(graph, demands, forbidden), paths):
+def _check(inst, graph, demands, paths):
+    if verify(Instance(graph, demands), paths):
         return None
     return ("defect", inst, "certificate failed the independent check")
 
@@ -402,7 +401,7 @@ def _run_l5(inst):
     if f.anchor not in _RING_IN_Q[alpha]:
         return ("defect", inst, f"anchor {f.anchor} is not on C{alpha}")
     demands = (Demand.pair(s1, f.anchor), Demand.pair(s2, f.anchor))
-    return _check(inst, _UL.graph, demands, PathSystem(f.mating_paths), _C1_IN_Q)
+    return _check(inst, _UL_WITHOUT_C1, demands, PathSystem(f.mating_paths))
 
 
 def _check_framing(res, inst, terms, third_targets):
@@ -418,7 +417,7 @@ def _check_framing(res, inst, terms, third_targets):
         Demand.escape(res.third, third_targets),
     )
     paths = PathSystem(res.frame.mating_paths + (res.mating_path,))
-    return _check(inst, _UL.graph, demands, paths, _C1_IN_Q)
+    return _check(inst, _UL_WITHOUT_C1, demands, paths)
 
 
 def _run_l6(inst):

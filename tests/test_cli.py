@@ -20,8 +20,8 @@ from gridlink.fileio import (
     parse_instance,
     serialize_certificate,
 )
-from gridlink.grid import Vertex, edge
-from gridlink.routing import Infeasible, PathSystem, solve
+from gridlink.grid import Vertex, edge, make_grid
+from gridlink.routing import Infeasible, PathSystem, solve, verify
 from gridlink.verifier import LemmaReport, iter_pairability_reduced
 
 _THREE_ESCAPES = """\
@@ -58,7 +58,14 @@ def test_parse_instance_full_grammar():
     )
     assert (inst.graph.rows, inst.graph.cols) == (4, 4)
     assert edge((1, 1), (1, 2)) not in inst.graph.present_edges
-    assert inst.forbidden_edges == {edge((2, 2), (2, 3))}
+    # a forbidden edge is dropped from the instance's graph
+    assert edge((2, 2), (2, 3)) not in inst.graph.present_edges
+    assert inst.graph.present_edges == (
+        make_grid(4, 4)
+        .without_edges([edge((1, 1), (1, 2)), edge((2, 2), (2, 3))])
+        .contracted((4, 4), (3, 4))
+        .present_edges
+    )
     assert Vertex(4, 4) not in inst.graph.present_vertices
     assert inst.demands[0].exits == {Vertex(3, 4)}
     assert inst.demands[0].distinct_group is None
@@ -280,6 +287,19 @@ def test_verify_confirms_infeasible_escapes_by_max_flow(tmp_path, capsys):
     assert "solvable (re-solved)" in capsys.readouterr().out
 
 
+def test_verify_refuses_a_certificate_over_a_forbidden_edge(tmp_path, capsys):
+    inst = _write(
+        tmp_path, "forbid.inst", "grid 3 3\nforbid_edge (1,1) (1,2)\ndemand pair (1,1) (1,3)\n"
+    )
+    over = _write(tmp_path, "over.cert", "path 0: (1,1) (1,2) (1,3)\n")
+    assert main(["verify", inst, over]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("invalid: path 0: ") and out.count("\n") == 1
+    around = _write(tmp_path, "around.cert", "path 0: (1,1) (2,1) (2,2) (1,2) (1,3)\n")
+    assert main(["verify", inst, around]) == 0
+    assert capsys.readouterr().out == "ok: certificate verifies\n"
+
+
 def test_verify_decides_pairs_with_one_target_by_max_flow(tmp_path, capsys):
     # a pair's exit set is its target: pairs sharing one target are one
     # flow problem, and two of them cannot both enter the end of a path
@@ -365,6 +385,18 @@ def test_an_unwritable_report_path_exits_2_before_the_campaign(tmp_path, monkeyp
     assert captured.out == ""
     assert main(["pairability", "--samples", "2", "--seed", "1", "--report", path]) == 2
     assert "error: cannot write report" in capsys.readouterr().err
+
+
+def test_an_empty_report_path_exits_2_before_the_campaign(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("gridlink.cli.run_campaign", _no_campaign)
+    monkeypatch.chdir(tmp_path)
+    assert main(["lemma", "L5", "--report", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot write report : not a regular file\n"
+    assert captured.out == ""
+    assert main(["pairability", "--samples", "2", "--seed", "1", "--report", ""]) == 2
+    assert "error: cannot write report" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_a_report_path_that_is_not_a_regular_file_exits_2_before_the_campaign(
@@ -630,6 +662,17 @@ def test_the_readme_cli_block_lists_every_flag_and_no_other():
         for name, sub in _subcommands().items()
     }
     assert listed == parsed
+
+
+def test_the_readme_instance_file_parses_and_solves():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Instance files\n", 1)[1]
+    block = section.split("```\n", 1)[1].split("```", 1)[0]
+    inst = parse_instance(block, "README")
+    assert len(inst.demands) == 2
+    assert edge((2, 2), (2, 3)) not in inst.graph.present_edges
+    got = solve(inst)
+    assert got is not Infeasible and verify(inst, got)
 
 
 def test_the_readme_campaign_table_lists_every_sized_campaign_with_its_count():

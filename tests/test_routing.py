@@ -98,9 +98,8 @@ def test_escape_trio_in_q0():
 
 def test_forbidden_edges_respected():
     inst = Instance(
-        make_grid(3, 3),
+        make_grid(3, 3).without_edges([edge((1, 1), (1, 2))]),
         (Demand.pair((1, 1), (1, 3)),),
-        forbidden_edges=frozenset({edge((1, 1), (1, 2))}),
     )
     got = solve(inst)
     assert got is not Infeasible
@@ -137,15 +136,13 @@ def test_malformed_instances_raise():
         Instance(g, (Demand.pair((1, 1), (5, 5)),)),
         Instance(g, (Demand.escape((1, 1), []),)),
         Instance(g, (Demand.escape((1, 1), [(1, 2), (4, 4)]),)),
-        Instance(
-            g,
-            (Demand.pair((1, 1), (2, 2)),),
-            forbidden_edges=frozenset({edge((1, 1), (3, 1))}),
-        ),
     ]
     for inst in bad + bad:
         with pytest.raises(ValueError):
             solve(inst)
+    # an edge the graph lacks cannot be forbidden
+    with pytest.raises(ValueError):
+        g.without_edges([edge((1, 1), (3, 1))])
     assert solve(Instance(g, (Demand.pair((1, 1), (2, 2)),)))
 
 
@@ -222,7 +219,7 @@ def test_a_pair_is_the_escape_to_its_target_and_compiles_once():
     assert pair is Demand.escape((5, 2), [(6, 2)])
     assert (pair.source, pair.exits, pair.distinct_group) == ((5, 2), {Vertex(6, 2)}, None)
     # the group is no part of the compiled demand
-    comp = _compiled(make_grid(6, 6), frozenset())
+    comp = _compiled(make_grid(6, 6))
     cd = comp.demand(pair)
     assert comp.demand(Demand.escape((5, 2), [(6, 2)], distinct_group=0)) is cd
     assert (cd.lb, cd.max_len, len(cd.table)) == (1, 35, 1)
@@ -334,13 +331,17 @@ def test_verify_other_clauses():
     assert verify(inst, PathSystem((((1, 1), (1, 2)),))).violation == (
         "path 0: exit mismatch, ends at Vertex(row=1, col=2) outside exits"
     )
-    forb = Instance(
-        g,
-        (Demand.pair((1, 1), (2, 2)),),
-        forbidden_edges=frozenset({edge((1, 1), (1, 2))}),
-    )
+    # a forbidden edge is one the graph lacks
+    forb = Instance(g.without_edges([edge((1, 1), (1, 2))]), (Demand.pair((1, 1), (2, 2)),))
     res = verify(forb, PathSystem((((1, 1), (1, 2), (2, 2)),)))
-    assert "forbidden edge" in res.violation
+    assert res.violation == "path 0: non-adjacent step Vertex(row=1, col=1) -> Vertex(row=1, col=2)"
+
+
+def test_the_certificate_of_an_instance_without_demands_is_truthy_and_verifies():
+    inst = Instance(make_grid(2, 2), ())
+    got = solve(inst)
+    assert got == PathSystem(()) and got is not Infeasible
+    assert got and verify(inst, got)
 
 
 def test_verify_rejects_a_path_that_walks_one_edge_twice():
@@ -352,7 +353,6 @@ def test_verify_rejects_a_path_that_walks_one_edge_twice():
 def test_verify_reports_the_earliest_clause_a_path_breaks():
     g = make_grid(2, 2)
     pair = (Demand.pair((1, 1), (2, 2)),)
-    forb = Instance(g, pair, forbidden_edges=[((1, 1), (1, 2))])
     cases = [
         # absent vertex before the non-adjacent step that leads to it
         (Instance(g, pair), ((1, 1), (3, 3)), "absent vertex Vertex(row=3, col=3)"),
@@ -367,12 +367,6 @@ def test_verify_reports_the_earliest_clause_a_path_breaks():
             Instance(g, pair),
             ((1, 2), (2, 1)),
             "non-adjacent step Vertex(row=1, col=2) -> Vertex(row=2, col=1)",
-        ),
-        # forbidden edge before its reuse
-        (
-            forb,
-            ((1, 1), (1, 2), (1, 1), (2, 1), (2, 2)),
-            "forbidden edge (Vertex(row=1, col=1), Vertex(row=1, col=2))",
         ),
         # edge reuse before the exit mismatch
         (
@@ -407,40 +401,13 @@ def test_verify_fails_a_malformed_vertex_and_names_its_path():
     assert res.violation == "path 0: malformed vertex (unhashable type: 'list')"
 
 
-def test_instance_keeps_a_tuple_and_makes_an_empty_forbidden_set_hashable():
+def test_instance_keeps_a_tuple_of_its_demands():
     g = make_grid(2, 2)
     d = Demand.pair((1, 1), (2, 2))
-    for forbidden in ([], set(), frozenset()):
-        inst = Instance(g, [d], forbidden)
-        assert inst.demands == (d,) and type(inst.demands) is tuple
-        assert inst.forbidden_edges == frozenset() and type(inst.forbidden_edges) is frozenset
-        assert hash(inst.forbidden_edges) == hash(frozenset())
+    inst = Instance(g, [d])
+    assert inst.demands == (d,) and type(inst.demands) is tuple
     demands = (d,)
     assert Instance(g, demands).demands is demands
-    inst = Instance(g, [d], [((1, 2), (1, 1))])
-    assert inst.forbidden_edges == frozenset({edge((1, 1), (1, 2))})
-    assert verify(inst, solve(inst))
-
-
-def test_a_forbidden_frozenset_is_made_canonical_once(monkeypatch):
-    # Every instance naming one frozenset shares one canonical twin, and so
-    # does every instance naming the twin; only the first builds it.
-    g = make_grid(2, 3)
-    d = Demand.pair((1, 1), (2, 3))
-    given = frozenset({((1, 2), (1, 1)), ((2, 2), (1, 2))})
-    canon = Instance(g, [d], given).forbidden_edges
-    assert canon == {edge((1, 1), (1, 2)), edge((1, 2), (2, 2))}
-    assert all(type(u) is Vertex and u < v for u, v in canon)
-    calls = []
-    monkeypatch.setattr(routing, "edge", lambda *e: calls.append(e))
-    for _ in range(3):
-        assert Instance(g, [d], given).forbidden_edges is canon
-        assert Instance(g, [d], canon).forbidden_edges is canon
-        assert Instance(g, [d], frozenset(canon)).forbidden_edges is canon
-    assert calls == []
-    # a set that is not frozen is built afresh every time
-    Instance(g, [d], set(given))
-    assert len(calls) == 2
 
 
 # -------------------------------------------------------------- escape_flow
@@ -487,8 +454,6 @@ def test_flow_rejects_malformed():
         escape_flow(g, [(1, 1)], [], distinct=False)
     with pytest.raises(ValueError):
         escape_flow(g, [(7, 7)], [(1, 1)], distinct=False)
-    with pytest.raises(ValueError, match="forbidden edges not in graph"):
-        escape_flow(g, [(1, 1)], [(2, 2)], distinct=False, forbidden=[((1, 1), (2, 2))])
 
 
 def test_flow_routes_a_path_longer_than_the_recursion_limit():
@@ -499,10 +464,10 @@ def test_flow_routes_a_path_longer_than_the_recursion_limit():
 
 def test_flow_avoids_forbidden_edges():
     g = make_grid(2, 2)
-    got = escape_flow(g, [(1, 1)], [(1, 2)], distinct=True, forbidden=[((1, 1), (1, 2))])
+    got = escape_flow(g.without_edges([((1, 1), (1, 2))]), [(1, 1)], [(1, 2)], distinct=True)
     assert got == PathSystem(((Vertex(1, 1), Vertex(2, 1), Vertex(2, 2), Vertex(1, 2)),))
-    cut = [((1, 1), (1, 2)), ((1, 1), (2, 1))]
-    assert escape_flow(g, [(1, 1)], [(1, 2)], distinct=True, forbidden=cut) is Infeasible
+    cut = g.without_edges([((1, 1), (1, 2)), ((1, 1), (2, 1))])
+    assert escape_flow(cut, [(1, 1)], [(1, 2)], distinct=True) is Infeasible
 
 
 # ------------------------------------------------- dual-oracle cross checks
@@ -605,7 +570,7 @@ def _simple_paths(adj, source, accepts):
 def _path_options(inst: Instance):
     """Every simple path of every demand, with its edge set."""
     adj = {v: [] for v in inst.graph.present_vertices}
-    for a, b in inst.graph.present_edges - inst.forbidden_edges:
+    for a, b in inst.graph.present_edges:
         adj[a].append(b)
         adj[b].append(a)
     options = []
@@ -691,7 +656,7 @@ def small_instances(draw, max_cols=3):
             exits = draw(st.sets(st.sampled_from(verts), min_size=1, max_size=4))
             group = draw(st.sampled_from([None, 0, 1]))
             demands.append(Demand.escape(source, sorted(exits), distinct_group=group))
-    return Instance(graph, tuple(demands), frozenset(forbidden))
+    return Instance(graph.without_edges(forbidden), tuple(demands))
 
 
 @given(small_instances())
@@ -831,7 +796,7 @@ def _flood_graphs():
 
 @pytest.mark.parametrize("name,graph", list(_flood_graphs()))
 def test_flood_equals_adjacency_bfs(name, graph):
-    comp = _compiled(graph, frozenset())
+    comp = _compiled(graph)
     ebits = sorted({ebit for a in comp.adj for _, ebit, _ in a})
     assert len(ebits) == len(graph.present_edges)
     rng = Random(name)
@@ -845,13 +810,13 @@ def test_flood_equals_adjacency_bfs(name, graph):
 
 
 def test_contracted_quadrants_have_non_unit_offsets():
-    offsets = {k for k, _, _ in _compiled(adjusted_quadrant("Q2").graph, frozenset()).lanes}
+    offsets = {k for k, _, _ in _compiled(adjusted_quadrant("Q2").graph).lanes}
     assert len(offsets) > 2
-    assert {k for k, _, _ in _compiled(make_grid(6, 6), frozenset()).lanes} == {1, 6}
+    assert {k for k, _, _ in _compiled(make_grid(6, 6)).lanes} == {1, 6}
 
 
 def test_cached_distance_table_equals_a_fresh_one():
-    comp = _compiled(adjusted_quadrant("Q3").graph, frozenset())
+    comp = _compiled(adjusted_quadrant("Q3").graph)
     for goals in [(0,), (1, 4), tuple(range(comp.nv))]:
         cached = comp.distances(goals)
         assert isinstance(cached, tuple)
@@ -868,7 +833,7 @@ def _slots(cd):
 
 def test_compiled_demand_equals_a_fresh_compile():
     adj = adjusted_quadrant("Q1")
-    comp = _compiled(adj.graph, frozenset())
+    comp = _compiled(adj.graph)
     verts = sorted(adj.graph.present_vertices)
     demands = [Demand.pair(u, v) for u in verts[:3] for v in verts]
     demands += [Demand.escape(u, adj.A, distinct_group=g) for u in verts for g in (None, 0)]
@@ -883,20 +848,20 @@ def test_compiled_demand_equals_a_fresh_compile():
 
 
 def test_compiled_form_survives_other_graphs():
-    g = make_grid(3, 4)
-    forbidden = frozenset({edge((1, 1), (1, 2))})
-    comp = _compiled(g, forbidden)
+    g = make_grid(3, 4).without_edges([edge((1, 1), (1, 2))])
+    comp = _compiled(g)
     for k in range(100):
         other = make_grid(2 + k % 3, 2 + k % 4)
         solve(Instance(other, (Demand.pair((1, 1), (2, 2)),)))
-    assert _compiled(g, forbidden) is comp
-    assert _compiled(g, frozenset()) is not comp
+    assert _compiled(g) is comp
+    # one compiled form per graph object, not per graph value
+    assert _compiled(make_grid(3, 4).without_edges([edge((1, 1), (1, 2))])) is not comp
 
 
 def test_compiled_form_dies_with_its_graph():
     g = make_grid(3, 3)
     solve(Instance(g, (Demand.pair((1, 1), (3, 3)),)))
-    ref = weakref.ref(_compiled(g, frozenset()))
+    ref = weakref.ref(_compiled(g))
     assert ref() is not None
     del g
     gc.collect()
@@ -1007,7 +972,7 @@ def test_walk_yields_the_brute_force_paths_in_order(name, graph, exits):
     # and filters it; the third only filters, and reads no adjacency.  The
     # shortest length filters the demand's table from the first walk, and is
     # searched every time when the demand has none.
-    comp = _compiled(graph, frozenset())
+    comp = _compiled(graph)
     verts = sorted(graph.present_vertices)
     ebits = sorted({ebit for a in comp.adj for _, ebit, _ in a})
     rng = Random(name)
@@ -1060,7 +1025,7 @@ def _trace_reference(comp, src, mask):
 
 def test_trace_equals_the_adjacency_scan_on_every_grid_table_entry():
     g = make_grid(6, 6)
-    comp = _compiled(g, frozenset())
+    comp = _compiled(g)
     traced = 0
     for s in sorted(g.present_vertices):
         for t in sorted(g.present_vertices):
@@ -1078,7 +1043,7 @@ def test_trace_equals_the_adjacency_scan_on_every_grid_table_entry():
 def test_trace_equals_the_adjacency_scan_on_walk_yields(name, graph, exits):
     # UL and Q0-Q4; the contracted quadrants have edges between vertices
     # that are not grid neighbours
-    comp = _compiled(graph, frozenset())
+    comp = _compiled(graph)
     verts = sorted(graph.present_vertices)
     ebits = sorted({ebit for a in comp.adj for _, ebit, _ in a})
     rng = Random(name)
@@ -1103,7 +1068,7 @@ def test_shortest_path_masks_are_the_union_of_the_shortest_paths(name, graph, ex
     # ``short`` is used and a goal of ``near`` is open, and the walk filters
     # the table at length lb; so the table must hold every shortest path,
     # in the brute-force walk's order, and the masks must be exactly theirs.
-    comp = _compiled(graph, frozenset())
+    comp = _compiled(graph)
     verts = sorted(graph.present_vertices)
     for d, _ in _walk_demands(verts, exits, Random(name)):
         cd = comp.demand(d)
@@ -1120,7 +1085,7 @@ def test_pair_tables_on_the_grid_count_the_lattice_paths():
     # A shortest path on the intact grid is a lattice path: |dr| vertical
     # and |dc| horizontal steps in any order.
     g = make_grid(6, 6)
-    comp = _compiled(g, frozenset())
+    comp = _compiled(g)
     total = 0
     for s in sorted(g.present_vertices):
         for t in sorted(g.present_vertices):
@@ -1135,7 +1100,7 @@ def test_pair_tables_on_the_grid_count_the_lattice_paths():
 def test_a_demand_beyond_the_table_cap_is_searched():
     # 9x9 corner to corner has C(16, 8) = 12,870 shortest paths.
     g = make_grid(9, 9)
-    cd = _compiled(g, frozenset()).demand(Demand.pair((1, 1), (9, 9)))
+    cd = _compiled(g).demand(Demand.pair((1, 1), (9, 9)))
     assert cd.table is None and cd.short == cd.near == 0
     demands = (
         Demand.pair((1, 1), (9, 9)),
@@ -1175,7 +1140,7 @@ def test_certificates_do_not_depend_on_the_tables(monkeypatch):
         """The length tables above the shortest length that hold a path."""
         return [
             table
-            for cd in _compiled(g, frozenset())._demands.values()
+            for cd in _compiled(g)._demands.values()
             for table in (cd.tables or {}).values()
             if type(table) is tuple and table
         ]
@@ -1220,7 +1185,7 @@ def test_ladder_asks_only_for_lengths_of_the_shortest_paths_parity(monkeypatch):
         assert (limit - cd.lb) % 2 == 0
     # Q2 has an odd cycle, so every length is tried there
     q2 = adjusted_quadrant("Q2").graph
-    comp = _compiled(q2, frozenset())
+    comp = _compiled(q2)
     verts = sorted(q2.present_vertices)
     assert {comp.demand(Demand.pair(verts[0], v)).step for v in verts[1:]} == {1}
 
@@ -1345,7 +1310,7 @@ def test_prune_rejects_an_unreachable_goal_without_a_cut():
         Demand.pair((2, 3), (1, 1)),
     )
     cut_off = [((1, 3), (2, 3)), ((2, 2), (2, 3))]  # (2,3) loses both its edges
-    search = _Search(Instance(make_grid(2, 3), pairs, forbidden_edges=cut_off))
+    search = _Search(Instance(make_grid(2, 3).without_edges(cut_off), pairs))
     used, gused = _committed(search)
     assert not search._prune_ok(1, used, gused, 0)
     assert search.gap == _INF
@@ -1632,11 +1597,10 @@ _PINNED_WORK = {"L10": (216, 7642), "L1": (91, 3827), "L2": (72, 2916), "L3": (2
 def test_solver_work_counts_are_pinned(monkeypatch):
     forms = {}
 
-    def fresh_compiled(graph, forbidden):
-        key = (id(graph), forbidden)
-        if key not in forms:
-            forms[key] = graph, routing._Compiled(graph, forbidden)
-        return forms[key][1]
+    def fresh_compiled(graph):
+        if id(graph) not in forms:
+            forms[id(graph)] = graph, routing._Compiled(graph)
+        return forms[id(graph)][1]
 
     work = [0, 0]
     search, prune = _CDemand._search, _Search._prune_ok

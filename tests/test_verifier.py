@@ -31,6 +31,7 @@ from gridlink.grid import (
 )
 import gridlink.lemmas.crowded as crowded
 import gridlink.lemmas.escapes as escapes
+import gridlink.lemmas.frames as frames
 from gridlink.lemmas import Frame, catalog_configurations
 from gridlink.cli import main
 from gridlink.flow import escape_flow
@@ -280,15 +281,15 @@ def _moved_anchor(frame, s1, s2, taken=frozenset()):
     """
     lm = landmarks(_UL)
     other = 1 - frame.alpha
-    forbidden = frozenset(e for e in lm.C1 if set(e) <= _UL.vertices) | taken
+    graph = _UL.graph.without_edges(frozenset(e for e in lm.C1 if set(e) <= _UL.vertices) | taken)
     for w in sorted(v for v in (C0_RING, C1_RING)[other] if v in _UL.vertices):
-        sol = solve(Instance(_UL.graph, (Demand.pair(s1, w), Demand.pair(s2, w)), forbidden))
+        sol = solve(Instance(graph, (Demand.pair(s1, w), Demand.pair(s2, w))))
         if sol:
             return Frame(frame.alpha, (lm.C0, lm.C1)[other], w, (sol[0], sol[1]))
     return frame
 
 
-@pytest.mark.parametrize("mutant", ["wrong terminal", "off-cycle anchor"])
+@pytest.mark.parametrize("mutant", ["wrong terminal", "off-cycle anchor", "over C1"])
 @pytest.mark.parametrize(
     "lemma_id, op",
     [
@@ -299,9 +300,10 @@ def _moved_anchor(frame, s1, s2, taken=frozenset()):
     ],
 )
 def test_frame_campaigns_check_the_statement(monkeypatch, lemma_id, op, mutant):
-    # A framing operation that frames another terminal, or anchors off
-    # C_alpha, still returns a certificate that verifies; the campaign must
-    # check it against the instance and the grid's own rings.
+    # A framing operation that frames another terminal, anchors off
+    # C_alpha or rides a C1 edge still returns a certificate that verifies on
+    # the quadrant; the campaign must check it against the instance, the
+    # grid's own rings and the quadrant less its C1 edges.
     real = getattr(verifier, op)
     last = 1 if op == "build_frame" else 2  # position of the last terminal
 
@@ -316,7 +318,16 @@ def test_frame_campaigns_check_the_statement(monkeypatch, lemma_id, op, mutant):
         taken = frozenset(path_edges(res.mating_path))
         return replace(res, frame=_moved_anchor(res.frame, *res.framed_pair, taken))
 
-    mutated = wrong_terminal if mutant == "wrong terminal" else off_cycle_anchor
+    def over_c1(q, *args):
+        with monkeypatch.context() as m:  # solve on the whole quadrant
+            m.setattr(frames, "_without_c1", lambda q: q.graph)
+            return real(q, *args)
+
+    mutated = {
+        "wrong terminal": wrong_terminal,
+        "off-cycle anchor": off_cycle_anchor,
+        "over C1": over_c1,
+    }[mutant]
     monkeypatch.setattr(verifier, op, mutated)
     report = verify_lemma(lemma_id)
     assert any(tag == "defect" for tag, _, _ in report.exceptional)
