@@ -51,7 +51,7 @@ def _read(path: str) -> str:
 
 
 def _unwritable(path: str, exc: OSError) -> ValueError:
-    return ValueError(f"cannot write report {path}: {exc.strerror or exc}")
+    return ValueError(f"cannot write report {path!r}: {exc.strerror or exc}")
 
 
 @contextmanager
@@ -70,7 +70,7 @@ def _open_report(path: str):
         if os.path.exists(target):
             mode = os.stat(target).st_mode
             if not stat.S_ISREG(mode):
-                raise ValueError(f"cannot write report {path}: not a regular file")
+                raise ValueError(f"cannot write report {path!r}: not a regular file")
             open(target, "a", encoding="utf-8").close()  # refuse a report we may not write
         else:
             os.umask(mask := os.umask(0))  # read the umask: a new report gets open()'s mode

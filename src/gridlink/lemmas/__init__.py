@@ -1,13 +1,14 @@
 """Quadrant routing lemmas: frames, escapes, clamps, crowded quadrants.
 
 Each operation rejects bad terminals with ``ValueError``, then answers as
-``solve`` does, with a certificate or ``Infeasible`` (``clamp_matching``:
-an assignment or None); the campaigns decide what a missing one means.
+``solve`` does, with a ``PathSystem`` or ``Infeasible`` (``clamp_matching``:
+an assignment or None); the campaigns decide what a missing one means.  The
+paths come in demand order.  A frame's are the mating paths of s1 and s2,
+then the third terminal's; a crowded quadrant's are the linked pairs, then
+the escapes in pair order, then the singles.
 """
 
 from .frames import (
-    Frame,
-    FramingResult,
     build_frame,
     frame_c0_mate_c1,
     frame_c1_mate_corner,
@@ -25,13 +26,10 @@ from .clamps import (
     clamp_matching,
     link_pair_escort_singletons,
 )
-from .crowded import CrowdedResult, crowded_escape
+from .crowded import crowded_escape
 
 __all__ = [
     "Clamp",
-    "CrowdedResult",
-    "Frame",
-    "FramingResult",
     "build_frame",
     "catalog_configurations",
     "clamp_matching",

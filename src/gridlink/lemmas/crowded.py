@@ -12,29 +12,20 @@ The side condition is handled by restricting the exit set to A plus at
 most one vertex of B - A: any escape system with at most one exit in
 B - A fits inside one of those restricted exit sets, so trying both
 choices of the extra vertex is exhaustive.
+
+``crowded_escape`` answers with the ``solve`` certificate, or ``Infeasible``.
+Its paths link the linked pairs in pair order, then escape the unlinked
+pairs' terminals in pair order, then the singles: a pair is linked exactly
+when its target starts no path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from ..grid import Quadrant, Vertex, landmarks, vertex
-from ..routing import Demand, Infeasible, InfeasibleType, Instance, PathSystem, solve
-
-
-@dataclass(frozen=True)
-class CrowdedResult:
-    """Certificate for a crowded-quadrant instance.
-
-    ``linked`` gives the indices of the pairs routed in full.  The paths
-    answer those pairs in ``linked`` order, then escape the unlinked pairs'
-    terminals in pair order, then the singles.
-    """
-
-    paths: PathSystem
-    linked: tuple[int, ...]
+from ..routing import Demand, Infeasible, Instance, SolveResult, solve
 
 
 def _escape_order(
@@ -53,7 +44,7 @@ def crowded_escape(
     pairs: Sequence[tuple[Vertex, Vertex]],
     singles: Sequence[Vertex],
     variant: int,
-) -> CrowdedResult | InfeasibleType:
+) -> SolveResult:
     """Link a subset of the full pairs and escape the remaining terminals.
 
     ``pairs`` are the terminal pairs lying entirely inside the quadrant,
@@ -119,5 +110,5 @@ def crowded_escape(
             demands = linking + tuple(Demand.escape(v, exits, distinct_group=0) for v in escaping)
             sol = solve(Instance(q.graph, demands))
             if sol:
-                return CrowdedResult(sol, linked)
+                return sol
     return Infeasible

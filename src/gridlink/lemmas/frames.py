@@ -8,53 +8,21 @@ edges).  Every frame comes from the exact solver on the quadrant's graph
 less those edges: the vertices of ``C_alpha`` inside the quadrant are
 tried as anchors in sorted order, and the first one where ``solve`` routes
 both mating paths (and the third terminal's path, for a framing) is
-returned.  Like ``solve``, each operation answers ``Infeasible`` when no
-anchor works.
+returned.
+
+Each operation answers with that ``solve`` certificate, or ``Infeasible``
+when no anchor works.  Its paths are the mating paths of s1 and s2, then
+(for a framing) the third terminal's path: the anchor is where the first
+path ends, and the framed pair and the third terminal are where the paths
+start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
-from ..grid import (
-    C0_RING,
-    C1_RING,
-    Edge,
-    GridGraph,
-    Path,
-    Quadrant,
-    QuadrantLandmarks,
-    Vertex,
-    landmarks,
-)
-from ..routing import Demand, Infeasible, InfeasibleType, Instance, solve
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Two mating paths meeting at an anchor on cycle ``C_alpha``."""
-
-    alpha: int
-    cycle: tuple[Edge, ...]
-    anchor: Vertex
-    mating_paths: tuple[Path, Path]
-
-    def __post_init__(self) -> None:
-        if self.alpha not in (0, 1):
-            raise ValueError(f"alpha must be 0 or 1, got {self.alpha!r}")
-        if all(self.anchor not in e for e in self.cycle):
-            raise ValueError(f"anchor {self.anchor} does not lie on the cycle")
-
-
-@dataclass(frozen=True)
-class FramingResult:
-    """A frame for two of three terminals plus a mating path for the third."""
-
-    frame: Frame
-    mating_path: Path
-    framed_pair: tuple[Vertex, Vertex]
-    third: Vertex
+from ..grid import C0_RING, C1_RING, GridGraph, Quadrant, Vertex, landmarks
+from ..routing import Demand, Infeasible, Instance, SolveResult, solve
 
 
 @cache
@@ -88,39 +56,32 @@ def _distinct_terminals(
 
 
 def _solve_frame(
-    q: Quadrant, lm: QuadrantLandmarks, alpha: int, anchors: tuple[Vertex, ...],
-    s1: Vertex, s2: Vertex, extra: tuple[Demand, ...] = (),
-) -> tuple[Frame, tuple[Path, ...]] | None:
-    """The frame at the first of the ``anchors`` on C_alpha where ``solve``
-    routes s1 and s2 to it together with the ``extra`` demands, and the
-    extra demands' paths; None when no anchor works."""
-    cycle = lm.C0 if alpha == 0 else lm.C1
+    q: Quadrant, anchors: tuple[Vertex, ...], s1: Vertex, s2: Vertex,
+    extra: tuple[Demand, ...] = (),
+) -> SolveResult:
+    """The certificate at the first of the ``anchors`` where ``solve`` routes
+    s1 and s2 to it together with the ``extra`` demands; ``Infeasible`` when
+    no anchor works."""
     graph = _without_c1(q)
     for w in anchors:
-        demands = (Demand.pair(s1, w), Demand.pair(s2, w)) + extra
-        sol = solve(Instance(graph, demands))
+        sol = solve(Instance(graph, (Demand.pair(s1, w), Demand.pair(s2, w)) + extra))
         if sol:
-            return Frame(alpha, cycle, w, (sol[0], sol[1])), sol.paths[2:]
-    return None
+            return sol
+    return Infeasible
 
 
-def build_frame(q: Quadrant, s1: Vertex, s2: Vertex, alpha: int) -> Frame | InfeasibleType:
-    """Frame the (possibly coincident) terminals s1, s2 on cycle C_alpha."""
+def build_frame(q: Quadrant, s1: Vertex, s2: Vertex, alpha: int) -> SolveResult:
+    """A frame of the (possibly coincident) terminals s1, s2 on cycle C_alpha."""
     if alpha not in (0, 1):
         raise ValueError(f"alpha must be 0 or 1, got {alpha!r}")
     _check_terminal(q, s1)
     _check_terminal(q, s2)
-    found = _solve_frame(q, landmarks(q), alpha, _rings_in(q)[alpha], s1, s2)
-    return Infeasible if found is None else found[0]
+    return _solve_frame(q, _rings_in(q)[alpha], s1, s2)
 
 
 def _framed_search(
-    q: Quadrant,
-    lm: QuadrantLandmarks,
-    terms: tuple[Vertex, Vertex, Vertex],
-    alphas: tuple[int, ...],
-    mate,
-) -> FramingResult | InfeasibleType:
+    q: Quadrant, terms: tuple[Vertex, Vertex, Vertex], alphas: tuple[int, ...], mate
+) -> SolveResult:
     """Shared search: choose a pair to frame, an alpha, and an anchor;
     ``mate(c, alpha, rings)`` is the demand that routes the third terminal
     c, where ``rings`` are ``_rings_in(q)``."""
@@ -128,41 +89,32 @@ def _framed_search(
     for i, j in ((0, 1), (0, 2), (1, 2)):
         a, b, c = terms[i], terms[j], terms[3 - i - j]
         for alpha in alphas:
-            extra = (mate(c, alpha, rings),)
-            found = _solve_frame(q, lm, alpha, rings[alpha], a, b, extra)
-            if found is not None:
-                frame, (mating_path,) = found
-                return FramingResult(frame, mating_path, (a, b), c)
+            sol = _solve_frame(q, rings[alpha], a, b, (mate(c, alpha, rings),))
+            if sol:
+                return sol
     return Infeasible
 
 
-def frame_two_mate_third(
-    q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex
-) -> FramingResult | InfeasibleType:
-    """Frame two of three distinct terminals on some C_alpha; mate the third to C_beta."""
+def frame_two_mate_third(q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex) -> SolveResult:
+    """Two of three distinct terminals framed on some C_alpha, the third mated to C_beta."""
     terms = _distinct_terminals(q, sp, sq, sr)
     return _framed_search(
-        q, landmarks(q), terms, (0, 1),
-        lambda c, alpha, rings: Demand.escape(c, rings[1 - alpha]),
+        q, terms, (0, 1), lambda c, alpha, rings: Demand.escape(c, rings[1 - alpha])
     )
 
 
-def frame_c0_mate_c1(
-    q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex
-) -> FramingResult | InfeasibleType:
-    """Frame two of three distinct terminals on C0; mate the third to C1."""
+def frame_c0_mate_c1(q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex) -> SolveResult:
+    """Two of three distinct terminals framed on C0, the third mated to C1."""
     terms = _distinct_terminals(q, sp, sq, sr)
-    return _framed_search(
-        q, landmarks(q), terms, (0,), lambda c, alpha, rings: Demand.escape(c, rings[1])
-    )
+    return _framed_search(q, terms, (0,), lambda c, alpha, rings: Demand.escape(c, rings[1]))
 
 
 def frame_c1_mate_corner(
     q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex, z: Vertex
-) -> FramingResult | InfeasibleType:
-    """Frame two of three distinct terminals on C1; route the third to z in {x0, y0}."""
+) -> SolveResult:
+    """Two of three distinct terminals framed on C1, the third routed to z in {x0, y0}."""
     terms = _distinct_terminals(q, sp, sq, sr)
     lm = landmarks(q)
     if z not in (lm.x0, lm.y0):
         raise ValueError(f"z must be x0 {lm.x0} or y0 {lm.y0}, got {z}")
-    return _framed_search(q, lm, terms, (1,), lambda c, alpha, rings: Demand.pair(c, z))
+    return _framed_search(q, terms, (1,), lambda c, alpha, rings: Demand.pair(c, z))

@@ -58,7 +58,6 @@ from .routing import (
     Demand,
     Infeasible,
     Instance,
-    PathSystem,
     is_weakly_2_linked,
     solve,
     verify,
@@ -340,13 +339,19 @@ def enumerate_instances(
 #
 # Each runner takes one instance and returns None when the lemma's claim is
 # witnessed and independently re-verified, or a (tag, instance, detail)
-# record otherwise.  A lemma operation returns a certificate or the falsy
-# ``Infeasible``, and the runner's ``if not`` says what a missing one is: a
-# "defect", an L9 "refusal" or an L10 "degenerate" placement (the last two
-# are documented in the campaign table).  ``_check`` verifies certificates
-# against demands built from the instance and the statement, never from the
-# lemma's output, and fails ``Infeasible`` itself (so L8, reading nothing
-# first, needs no ``if``).
+# record otherwise.  A lemma operation answers as ``solve`` does, with a
+# ``PathSystem`` or the falsy ``Infeasible``, and the runner's ``if not`` says
+# what a missing one is: a "defect", an L9 "refusal" or an L10 "degenerate"
+# placement (the last two are documented in the campaign table).  ``_check``
+# verifies certificates against demands built from the instance and the
+# statement, never from the lemma's output, and fails ``Infeasible`` itself
+# (so L8, reading nothing first, needs no ``if``).  What a runner must read
+# off a certificate, it reads off its paths: a frame's are the mating paths
+# of s1 and s2, then the third terminal's, so the anchor is where the first
+# ends and the framed pair and third terminal are where they start; a
+# crowded quadrant's are the linked pairs, then the escapes in pair order,
+# then the singles, so the linked pairs are those whose target starts no
+# path.
 
 _NO_CERTIFICATE = "no certificate"
 
@@ -359,22 +364,21 @@ def _check(inst, graph, demands, paths):
 
 def _run_crowded(inst, variant):
     pairs, singles = inst
-    res = crowded_escape(_UL, pairs, singles, variant)
-    if not res:
+    got = crowded_escape(_UL, pairs, singles, variant)
+    if not got:
         return ("defect", inst, _NO_CERTIFICATE)
-    linked = res.linked
-    if len(set(linked)) != len(linked) or not set(linked) <= set(range(len(pairs))):
-        return ("defect", inst, "linked indices are not distinct pairs of the instance")
+    starts = {p[0] for p in got if p}  # an empty path is left to ``verify``
+    linked = [i for i, (_, t) in enumerate(pairs) if t not in starts]
     if len(linked) < (2 if variant == 1 else 1):
         return ("defect", inst, "too few pairs linked")
     rest = [v for i, pair in enumerate(pairs) if i not in linked for v in pair] + list(singles)
     demands = [Demand.pair(*pairs[i]) for i in linked] + [
         Demand.escape(v, _A_OR_B, distinct_group=0) for v in rest
     ]
-    found = _check(inst, _UL.graph, demands, res.paths)
+    found = _check(inst, _UL.graph, demands, got)
     if found or variant == 1:
         return found
-    if sum(p[-1] in _B_OFF_A for p in res.paths.paths[len(linked):]) > 1:
+    if sum(p[-1] in _B_OFF_A for p in got.paths[len(linked):]) > 1:
         return ("defect", inst, "more than one exit off A")
     return None
 
@@ -393,52 +397,60 @@ def _run_l4(inst):
     return ("defect", inst, "graph is not weakly 2-linked")
 
 
+def _unreadable(inst, got, count):
+    """A defect record unless ``got`` is ``count`` non-empty paths, whose
+    ends a frame runner reads before ``verify`` sees them; else None."""
+    if not got:
+        return ("defect", inst, _NO_CERTIFICATE)
+    if len(got.paths) != count or not all(got.paths):
+        return ("defect", inst, f"answer is not {count} non-empty paths")
+    return None
+
+
 def _run_l5(inst):
     s1, s2, alpha = inst
-    f = build_frame(_UL, s1, s2, alpha)
-    if not f:
-        return ("defect", inst, _NO_CERTIFICATE)
-    if f.anchor not in _RING_IN_Q[alpha]:
-        return ("defect", inst, f"anchor {f.anchor} is not on C{alpha}")
-    demands = (Demand.pair(s1, f.anchor), Demand.pair(s2, f.anchor))
-    return _check(inst, _UL_WITHOUT_C1, demands, PathSystem(f.mating_paths))
+    got = build_frame(_UL, s1, s2, alpha)
+    bad = _unreadable(inst, got, 2)
+    if bad:
+        return bad
+    anchor = got[0][-1]
+    if anchor not in _RING_IN_Q[alpha]:
+        return ("defect", inst, f"anchor {anchor} is not on C{alpha}")
+    demands = (Demand.pair(s1, anchor), Demand.pair(s2, anchor))
+    return _check(inst, _UL_WITHOUT_C1, demands, got)
 
 
-def _check_framing(res, inst, terms, third_targets):
-    """Check a framing of the three terminals ``terms`` against the statement."""
-    a, b = res.framed_pair
-    if sorted((a, b, res.third)) != sorted(terms):
+def _check_framing(got, inst, terms, alpha=None, third_targets=None):
+    """Check a framing of the three terminals ``terms`` against the statement:
+    two of them mate to an anchor on C_alpha, the third to ``third_targets``.
+    Without ``alpha`` (L6) C_alpha is the ring that holds the anchor, and the
+    third terminal mates to the other ring."""
+    bad = _unreadable(inst, got, 3)
+    if bad:
+        return bad
+    a, b, c = (p[0] for p in got)
+    if sorted((a, b, c)) != sorted(terms):
         return ("defect", inst, "framed pair and third are not the instance's terminals")
-    if res.frame.anchor not in _RING_IN_Q[res.frame.alpha]:
-        return ("defect", inst, f"anchor {res.frame.anchor} is not on C{res.frame.alpha}")
-    demands = (
-        Demand.pair(a, res.frame.anchor),
-        Demand.pair(b, res.frame.anchor),
-        Demand.escape(res.third, third_targets),
-    )
-    paths = PathSystem(res.frame.mating_paths + (res.mating_path,))
-    return _check(inst, _UL_WITHOUT_C1, demands, paths)
+    anchor = got[0][-1]
+    if alpha is None:
+        alpha = int(anchor not in _RING_IN_Q[0])  # C0 and C1 share no vertex
+        third_targets = _RING_IN_Q[1 - alpha]
+    if anchor not in _RING_IN_Q[alpha]:
+        return ("defect", inst, f"anchor {anchor} is not on C{alpha}")
+    demands = (Demand.pair(a, anchor), Demand.pair(b, anchor), Demand.escape(c, third_targets))
+    return _check(inst, _UL_WITHOUT_C1, demands, got)
 
 
 def _run_l6(inst):
-    res = frame_two_mate_third(_UL, *inst)
-    if not res:
-        return ("defect", inst, _NO_CERTIFICATE)
-    return _check_framing(res, inst, inst, _RING_IN_Q[1 - res.frame.alpha])
+    return _check_framing(frame_two_mate_third(_UL, *inst), inst, inst)
 
 
 def _run_l7(inst):
     terms = inst[1:4]
     if inst[0] == "i":
-        res, alpha, third_targets = frame_c0_mate_c1(_UL, *terms), 0, _RING_IN_Q[1]
-    else:
-        z = inst[4]
-        res, alpha, third_targets = frame_c1_mate_corner(_UL, *terms, z), 1, (z,)
-    if not res:
-        return ("defect", inst, _NO_CERTIFICATE)
-    if res.frame.alpha != alpha:
-        return ("defect", inst, f"frame is not on C{alpha}")
-    return _check_framing(res, inst, terms, third_targets)
+        return _check_framing(frame_c0_mate_c1(_UL, *terms), inst, terms, 0, _RING_IN_Q[1])
+    z = inst[4]
+    return _check_framing(frame_c1_mate_corner(_UL, *terms, z), inst, terms, 1, (z,))
 
 
 def _run_l8(inst):

@@ -381,7 +381,7 @@ def test_an_unwritable_report_path_exits_2_before_the_campaign(tmp_path, monkeyp
     path = str(tmp_path / "missing" / "r.txt")
     assert main(["lemma", "L5", "--report", path]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: cannot write report {path}: ")
+    assert captured.err.startswith(f"error: cannot write report {path!r}: ")
     assert captured.out == ""
     assert main(["pairability", "--samples", "2", "--seed", "1", "--report", path]) == 2
     assert "error: cannot write report" in capsys.readouterr().err
@@ -392,7 +392,7 @@ def test_an_empty_report_path_exits_2_before_the_campaign(tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     assert main(["lemma", "L5", "--report", ""]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: cannot write report : not a regular file\n"
+    assert captured.err == "error: cannot write report '': not a regular file\n"
     assert captured.out == ""
     assert main(["pairability", "--samples", "2", "--seed", "1", "--report", ""]) == 2
     assert "error: cannot write report" in capsys.readouterr().err
@@ -409,7 +409,7 @@ def test_a_report_path_that_is_not_a_regular_file_exits_2_before_the_campaign(
     for path in (fifo, tmp_path / "link", tmp_path):
         assert main(["lemma", "L5", "--report", str(path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: cannot write report {path}: not a regular file\n"
+            f"error: cannot write report {str(path)!r}: not a regular file\n"
         )
     assert sorted(os.listdir(tmp_path)) == ["fifo", "link"]
     assert (tmp_path / "link").is_symlink() and (tmp_path / "fifo").is_fifo()
@@ -428,7 +428,9 @@ def test_a_report_directory_that_cannot_be_written_exits_2_before_the_campaign(
     path = tmp_path / "r.txt"
     path.write_bytes(b"old report\n")
     assert main(["lemma", "L5", "--report", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: cannot write report {path}: Permission denied\n"
+    assert capsys.readouterr().err == (
+        f"error: cannot write report {str(path)!r}: Permission denied\n"
+    )
     assert path.read_bytes() == b"old report\n"
 
 
@@ -507,13 +509,13 @@ def test_a_report_that_cannot_be_written_exits_2(tmp_path, monkeypatch, capsys):
     assert main(["lemma", "L5", "--report", str(path)]) == 2
     captured = capsys.readouterr()
     assert "status: conforming" in captured.out
-    assert captured.err == f"error: cannot write report {path}: No space left on device\n"
+    assert captured.err == f"error: cannot write report {str(path)!r}: No space left on device\n"
     assert not path.exists()
     # an earlier report survives the failed write whole, and no temporary file is left
     path.write_bytes(b"old report\n")
     assert main(["lemma", "L5", "--report", str(path)]) == 2
     assert capsys.readouterr().err == (
-        f"error: cannot write report {path}: No space left on device\n"
+        f"error: cannot write report {str(path)!r}: No space left on device\n"
     )
     assert path.read_bytes() == b"old report\n"
     assert os.listdir(tmp_path) == ["r.txt"]

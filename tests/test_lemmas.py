@@ -36,7 +36,8 @@ from gridlink.lemmas import (
     link_pair_escort_singletons,
     project_with_b_link,
 )
-from gridlink.routing import Demand, Infeasible, Instance, verify
+from gridlink.fileio import parse_certificate, serialize_certificate
+from gridlink.routing import Demand, Infeasible, Instance, PathSystem, verify
 from gridlink.verifier import degenerate_reason
 
 _GRID = make_grid(6, 6)
@@ -67,13 +68,9 @@ def _edge_sets_disjoint(*paths):
 # ------------------------------------------------------------------- frames
 
 def test_frame_on_c0_anchors_at_x0():
-    f = build_frame(_UL, Vertex(1, 1), Vertex(3, 1), alpha=0)
-    assert f.alpha == 0
-    assert f.cycle == _LM.C0
-    assert f.anchor == _LM.x0  # the only C0 vertex inside the quadrant
-    p1, p2 = f.mating_paths
+    p1, p2 = build_frame(_UL, Vertex(1, 1), Vertex(3, 1), alpha=0)
     assert p1[0] == (1, 1) and p2[0] == (3, 1)
-    assert p1[-1] == f.anchor and p2[-1] == f.anchor
+    assert p1[-1] == _LM.x0 == p2[-1]  # the only C0 vertex inside the quadrant
     assert _edge_sets_disjoint(p1, p2)
 
 
@@ -81,15 +78,15 @@ def test_frame_on_c1_avoids_c1_edges():
     # The strict reading: mating paths never ride the central cycle itself.
     forbidden = _c1_edges_inside(_UL)
     f = build_frame(_UL, Vertex(1, 2), Vertex(2, 1), alpha=1)
-    assert f.anchor in {Vertex(2, 2), Vertex(2, 3), Vertex(3, 2)}
-    for p in f.mating_paths:
+    assert f[0][-1] in {Vertex(2, 2), Vertex(2, 3), Vertex(3, 2)}
+    for p in f:
         assert not (set(path_edges(p)) & forbidden)
 
 
 def test_frame_coincident_terminals():
     f = build_frame(_UL, Vertex(2, 2), Vertex(2, 2), alpha=1)
-    assert all(p[0] == (2, 2) for p in f.mating_paths)
-    assert _edge_sets_disjoint(*f.mating_paths)
+    assert all(p[0] == (2, 2) for p in f)
+    assert _edge_sets_disjoint(*f)
 
 
 def test_frame_rejects_outside_terminals():
@@ -105,44 +102,61 @@ def test_frames_exist_everywhere():
         forbidden = _c1_edges_inside(q)
         ring = {v for v in (C0_RING, C1_RING)[alpha] if v in q.vertices}
         for s1, s2 in product(sorted(q.vertices), repeat=2):
-            f = build_frame(q, s1, s2, alpha)
-            assert f.alpha == alpha
-            assert f.anchor in ring
-            p1, p2 = f.mating_paths
+            p1, p2 = build_frame(q, s1, s2, alpha)
             assert p1[0] == s1 and p2[0] == s2
-            assert p1[-1] == f.anchor == p2[-1]
+            assert p1[-1] == p2[-1] and p1[-1] in ring
             assert _edge_sets_disjoint(p1, p2)
             assert not ((set(path_edges(p1)) | set(path_edges(p2))) & forbidden)
 
 
 def test_frame_two_mate_third_splits_cycles():
-    res = frame_two_mate_third(_UL, Vertex(1, 1), Vertex(2, 2), Vertex(1, 3))
-    assert set(res.framed_pair) | {res.third} == {(1, 1), (2, 2), (1, 3)}
-    beta = 1 - res.frame.alpha
-    ring = _LM.C0 if beta == 0 else _LM.C1
-    ring_verts = {v for e in ring for v in e if v in _UL.vertices}
-    assert res.mating_path[0] == res.third
-    assert res.mating_path[-1] in ring_verts
-    assert _edge_sets_disjoint(res.mating_path, *res.frame.mating_paths)
+    p1, p2, mate = frame_two_mate_third(_UL, Vertex(1, 1), Vertex(2, 2), Vertex(1, 3))
+    assert {p1[0], p2[0], mate[0]} == {(1, 1), (2, 2), (1, 3)}
+    assert p1[-1] == p2[-1]
+    ring_of = {v: k for k, ring in enumerate((_LM.C0, _LM.C1)) for e in ring for v in e}
+    assert ring_of[mate[-1]] == 1 - ring_of[p1[-1]]  # the third mates to the other ring
+    assert _edge_sets_disjoint(p1, p2, mate)
 
 
 def test_frame_c0_mate_c1_fixes_alpha():
-    res = frame_c0_mate_c1(_UL, Vertex(1, 2), Vertex(3, 1), Vertex(2, 3))
-    assert res.frame.alpha == 0
-    assert res.frame.anchor == _LM.x0
+    p1, p2, mate = frame_c0_mate_c1(_UL, Vertex(1, 2), Vertex(3, 1), Vertex(2, 3))
+    assert p1[-1] == _LM.x0 == p2[-1]
     c1_verts = {v for e in _LM.C1 for v in e if v in _UL.vertices}
-    assert res.mating_path[-1] in c1_verts
+    assert mate[-1] in c1_verts
 
 
 def test_frame_c1_mate_corner_both_choices_of_z():
     triple = (Vertex(1, 1), Vertex(1, 3), Vertex(3, 1))
+    c1_verts = {v for e in _LM.C1 for v in e if v in _UL.vertices}
     for z in (_LM.x0, _LM.y0):
-        res = frame_c1_mate_corner(_UL, *triple, z=z)
-        assert res.frame.alpha == 1
-        assert res.mating_path[-1] == z
-        assert _edge_sets_disjoint(res.mating_path, *res.frame.mating_paths)
+        p1, p2, mate = frame_c1_mate_corner(_UL, *triple, z=z)
+        assert p1[-1] == p2[-1] and p1[-1] in c1_verts
+        assert mate[-1] == z
+        assert _edge_sets_disjoint(p1, p2, mate)
     with pytest.raises(ValueError):
         frame_c1_mate_corner(_UL, *triple, z=Vertex(2, 2))
+
+
+@pytest.mark.parametrize(
+    "answer",
+    [
+        lambda: build_frame(_UL, Vertex(1, 1), Vertex(3, 1), alpha=0),
+        lambda: frame_two_mate_third(_UL, Vertex(1, 1), Vertex(2, 2), Vertex(1, 3)),
+        lambda: frame_c0_mate_c1(_UL, Vertex(1, 2), Vertex(3, 1), Vertex(2, 3)),
+        lambda: frame_c1_mate_corner(_UL, Vertex(1, 1), Vertex(1, 3), Vertex(3, 1), _LM.x0),
+        lambda: crowded_escape(
+            _UL, ((_LM.x0, _LM.x2),), (Vertex(1, 2), Vertex(2, 1), Vertex(2, 2)), variant=3
+        ),
+    ],
+    ids=["build_frame", "frame_two_mate_third", "frame_c0_mate_c1", "frame_c1_mate_corner",
+         "crowded_escape"],
+)
+def test_a_lemma_certificate_is_a_solve_certificate(answer):
+    # frames and crowded quadrants answer in solve's one format, so the
+    # certificate file format carries them whole
+    got = answer()
+    assert isinstance(got, PathSystem)
+    assert parse_certificate(serialize_certificate(got)) == got
 
 
 def test_framing_requires_distinct_terminals():
@@ -437,14 +451,21 @@ def test_escort_certificates_obey_the_contract(q, idx, psi):
 
 # ------------------------------------------------------------------ crowded
 
+def _linked(pairs, res):
+    """The pairs a crowded certificate links: those whose target starts no path."""
+    starts = {p[0] for p in res}
+    return [i for i, (_, t) in enumerate(pairs) if t not in starts]
+
+
 def _crowded_demands(q, pairs, singles, res):
     """The demands a crowded certificate answers, built from the instance:
-    the linked pairs in ``res.linked`` order, then the unlinked pairs'
-    terminals and the singles, escaping to distinct exits on A or B."""
+    the linked pairs in pair order, then the unlinked pairs' terminals and
+    the singles, escaping to distinct exits on A or B."""
     lm = landmarks(q)
     exits = set(lm.A) | set(lm.B)
-    rest = [v for i, pair in enumerate(pairs) if i not in res.linked for v in pair]
-    return tuple(Demand.pair(*pairs[i]) for i in res.linked) + tuple(
+    linked = _linked(pairs, res)
+    rest = [v for i, pair in enumerate(pairs) if i not in linked for v in pair]
+    return tuple(Demand.pair(*pairs[i]) for i in linked) + tuple(
         Demand.escape(v, exits, distinct_group=0) for v in rest + list(singles)
     )
 
@@ -468,10 +489,10 @@ def test_crowded_four_pairs_links_at_least_two():
     vs = sorted(_UL.vertices)
     pairs = tuple((vs[i], vs[i + 1]) for i in range(0, 8, 2))
     res = crowded_escape(_UL, pairs, (), variant=1)
-    assert len(res.linked) >= 2
+    assert len(_linked(pairs, res)) >= 2
     exits = set(_LM.A) | set(_LM.B)
     seen = set()
-    for p, d in zip(res.paths.paths, _crowded_demands(_UL, pairs, (), res)):
+    for p, d in zip(res.paths, _crowded_demands(_UL, pairs, (), res)):
         if d.distinct_group is None:
             assert p[0] == d.source and {p[-1]} == d.exits
         else:
@@ -484,7 +505,7 @@ def _b_side_exits(pairs, singles, res):
     off_a = set(_LM.B) - set(_LM.A)
     return [
         p[-1]
-        for p, d in zip(res.paths.paths, _crowded_demands(_UL, pairs, singles, res))
+        for p, d in zip(res.paths, _crowded_demands(_UL, pairs, singles, res))
         if d.distinct_group is not None and p[-1] in off_a
     ]
 
@@ -493,15 +514,15 @@ def test_crowded_six_terminals_stay_near_a():
     vs = sorted(_UL.vertices)
     pairs = ((vs[0], vs[4]), (vs[1], vs[5]), (vs[2], vs[6]))
     res = crowded_escape(_UL, pairs, (), variant=2)
-    assert len(res.linked) >= 1
+    assert len(_linked(pairs, res)) >= 1
     assert len(_b_side_exits(pairs, (), res)) <= 1
 
 
 def test_crowded_five_terminals_link_the_pair():
     pairs, singles = ((_LM.x0, _LM.x2),), (Vertex(1, 2), Vertex(2, 1), Vertex(2, 2))
     res = crowded_escape(_UL, pairs, singles, variant=3)
-    assert res.linked == (0,)
-    link = res.paths.paths[0]
+    assert _linked(pairs, res) == [0]
+    link = res.paths[0]
     assert link[0] == _LM.x0 and link[-1] == _LM.x2
     assert len(_b_side_exits(pairs, singles, res)) <= 1
 
@@ -511,12 +532,12 @@ def test_crowded_second_full_pair_escapes_unlinked():
     # the designated pair is linked and the other one escapes endpoint-wise
     pairs = ((Vertex(1, 1), Vertex(3, 3)), (Vertex(1, 3), Vertex(3, 1)))
     res = crowded_escape(_UL, pairs, (Vertex(2, 2),), variant=3)
-    assert res.linked == (0,)
+    assert _linked(pairs, res) == [0]
     demands = _crowded_demands(_UL, pairs, (Vertex(2, 2),), res)
     assert [(d.distinct_group, len(d.exits)) for d in demands] == [(None, 1)] + [(0, 5)] * 3
-    assert verify(Instance(_UL.graph, demands), res.paths)
+    assert verify(Instance(_UL.graph, demands), res)
     # the second pair's terminals escape from where they stand
-    assert res.paths.paths[1][0] == (1, 3) and res.paths.paths[2][0] == (3, 1)
+    assert res.paths[1][0] == (1, 3) and res.paths[2][0] == (3, 1)
 
 
 @given(q=st.sampled_from(_CORNERS), data=st.data())
@@ -535,18 +556,18 @@ def test_crowded_certificates_obey_side_conditions(q, data):
     singles = tuple(chosen[2 * npairs :])
     res = crowded_escape(q, pairs, singles, variant)
     demands = _crowded_demands(q, pairs, singles, res)
-    assert verify(Instance(q.graph, demands), res.paths)
+    assert verify(Instance(q.graph, demands), res)
     lm = landmarks(q)
     exits = set(lm.A) | set(lm.B)
     ends = []
-    for p, d in zip(res.paths.paths, demands):
+    for p, d in zip(res.paths, demands):
         if d.distinct_group is not None:
             assert p[-1] in exits
             ends.append(p[-1])
     assert len(ends) == len(set(ends))
     if variant in (2, 3):
         assert len([v for v in ends if v in set(lm.B) - set(lm.A)]) <= 1
-    for i in res.linked:
+    for i in _linked(pairs, res):
         s, t = pairs[i]
-        matching = [p for p, d in zip(res.paths.paths, demands) if d.distinct_group is None]
+        matching = [p for p, d in zip(res.paths, demands) if d.distinct_group is None]
         assert any(p[0] == s and p[-1] == t for p in matching)

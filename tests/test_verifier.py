@@ -32,7 +32,7 @@ from gridlink.grid import (
 import gridlink.lemmas.crowded as crowded
 import gridlink.lemmas.escapes as escapes
 import gridlink.lemmas.frames as frames
-from gridlink.lemmas import Frame, catalog_configurations
+from gridlink.lemmas import catalog_configurations
 from gridlink.cli import main
 from gridlink.flow import escape_flow
 from gridlink.routing import Demand, Infeasible, Instance, PathSystem, solve
@@ -273,37 +273,46 @@ def test_l10_checks_each_certificate_against_the_statement(monkeypatch):
 _UL = quadrant(make_grid(6, 6), Corner.UL)
 
 
-def _moved_anchor(frame, s1, s2, taken=frozenset()):
-    """``frame`` re-solved at an anchor on the other cycle, still labelled C_alpha.
+def _moved_anchor(got, anchors):
+    """``got`` with its mating paths re-solved to the first of ``anchors``
+    that routes, and its third terminal's path, if any, kept.
 
-    Its own cycle is the other cycle, so ``Frame`` accepts the anchor, and its
-    mating paths avoid the C1 edges and ``taken``, so the certificate verifies.
+    The mating paths avoid the C1 edges and the kept path, so the
+    certificate verifies for the demands it answers.
     """
-    lm = landmarks(_UL)
-    other = 1 - frame.alpha
-    graph = _UL.graph.without_edges(frozenset(e for e in lm.C1 if set(e) <= _UL.vertices) | taken)
-    for w in sorted(v for v in (C0_RING, C1_RING)[other] if v in _UL.vertices):
-        sol = solve(Instance(graph, (Demand.pair(s1, w), Demand.pair(s2, w))))
+    kept = got.paths[2:]
+    taken = frozenset(e for p in kept for e in path_edges(p))
+    graph = _UL.graph.without_edges(frozenset(landmarks(_UL).C1) & _UL.graph.present_edges | taken)
+    for w in anchors:
+        sol = solve(Instance(graph, (Demand.pair(got[0][0], w), Demand.pair(got[1][0], w))))
         if sol:
-            return Frame(frame.alpha, (lm.C0, lm.C1)[other], w, (sol[0], sol[1]))
-    return frame
+            return PathSystem(sol.paths + kept)
+    return got
 
 
-@pytest.mark.parametrize("mutant", ["wrong terminal", "off-cycle anchor", "over C1"])
+_FRAMINGS = [
+    ("L5", "build_frame"),
+    ("L6", "frame_two_mate_third"),
+    ("L7", "frame_c0_mate_c1"),
+    ("L7", "frame_c1_mate_corner"),
+]
+
+
 @pytest.mark.parametrize(
-    "lemma_id, op",
+    "lemma_id, op, mutant",
     [
-        ("L5", "build_frame"),
-        ("L6", "frame_two_mate_third"),
-        ("L7", "frame_c0_mate_c1"),
-        ("L7", "frame_c1_mate_corner"),
-    ],
+        case + (m,)
+        for case in _FRAMINGS
+        for m in ("wrong terminal", "off-cycle anchor", "over C1", "no paths", "an empty path")
+    ]
+    + [("L6", "frame_two_mate_third", "anchor on neither ring")],
 )
 def test_frame_campaigns_check_the_statement(monkeypatch, lemma_id, op, mutant):
     # A framing operation that frames another terminal, anchors off
     # C_alpha or rides a C1 edge still returns a certificate that verifies on
     # the quadrant; the campaign must check it against the instance, the
-    # grid's own rings and the quadrant less its C1 edges.
+    # grid's own rings and the quadrant less its C1 edges.  An answer with
+    # no paths, or an empty one, has no ends to read: a defect, not a crash.
     real = getattr(verifier, op)
     last = 1 if op == "build_frame" else 2  # position of the last terminal
 
@@ -312,11 +321,15 @@ def test_frame_campaigns_check_the_statement(monkeypatch, lemma_id, op, mutant):
         return real(q, *args[:last], other, *args[last + 1 :])
 
     def off_cycle_anchor(q, *args):
-        res = real(q, *args)
-        if op == "build_frame":
-            return _moved_anchor(res, *args[:2])
-        taken = frozenset(path_edges(res.mating_path))
-        return replace(res, frame=_moved_anchor(res.frame, *res.framed_pair, taken))
+        # the anchor moves to the other ring; L6's third terminal then
+        # mates to the frame's own ring
+        got = real(q, *args)
+        other = C1_RING if got[0][-1] in C0_RING else C0_RING
+        return _moved_anchor(got, sorted(v for v in other if v in q.vertices))
+
+    def anchor_on_neither_ring(q, *args):
+        off_rings = [v for v in sorted(q.vertices) if v not in C0_RING + C1_RING]
+        return _moved_anchor(real(q, *args), off_rings)
 
     def over_c1(q, *args):
         with monkeypatch.context() as m:  # solve on the whole quadrant
@@ -326,7 +339,10 @@ def test_frame_campaigns_check_the_statement(monkeypatch, lemma_id, op, mutant):
     mutated = {
         "wrong terminal": wrong_terminal,
         "off-cycle anchor": off_cycle_anchor,
+        "anchor on neither ring": anchor_on_neither_ring,
         "over C1": over_c1,
+        "no paths": lambda q, *args: PathSystem(()),
+        "an empty path": lambda q, *args: PathSystem(((),) + real(q, *args).paths[1:]),
     }[mutant]
     monkeypatch.setattr(verifier, op, mutated)
     report = verify_lemma(lemma_id)
@@ -370,19 +386,49 @@ def test_crowded_campaigns_check_the_statement(monkeypatch):
         assert not report_conforms(report)
 
 
-@pytest.mark.parametrize("linked", [(0, 0), (0, 1)])
-def test_crowded_campaigns_check_the_linked_pairs(monkeypatch, linked):
-    # L3 has one pair: a repeated index or an index past it is not a pair
+def test_a_crowded_answer_with_an_empty_path_is_a_defect(monkeypatch):
+    # the runner reads where the paths start before verify sees them
     real = verifier.crowded_escape
     monkeypatch.setattr(
-        verifier, "crowded_escape", lambda *args: replace(real(*args), linked=linked)
+        verifier, "crowded_escape", lambda *args: PathSystem(((),) + real(*args).paths[1:])
     )
     inst = enumerate_instances("L3")[0]
     assert verifier._run_crowded(inst, 3) == (
         "defect",
         inst,
-        "linked indices are not distinct pairs of the instance",
+        "certificate failed the independent check",
     )
+
+
+def _link_first_pair_only(q, pairs, singles, variant):
+    """A crowded answer linking pair 0 alone and escaping every other
+    terminal to distinct exits anywhere on A or B."""
+    lm = landmarks(q)
+    exits = set(lm.A) | set(lm.B)
+    rest = [v for pair in pairs[1:] for v in pair] + list(singles)
+    demands = (Demand.pair(*pairs[0]),) + tuple(
+        Demand.escape(v, exits, distinct_group=0) for v in rest
+    )
+    return solve(Instance(q.graph, demands))
+
+
+@pytest.mark.parametrize("lemma_id", ["L1", "L2", "L3"])
+def test_crowded_campaigns_check_the_side_conditions(monkeypatch, lemma_id):
+    # Linking pair 0 alone is too few for L1, and escaping anywhere on A or
+    # B may leave A twice in L2 and L3.  Such a certificate verifies for the
+    # demands it answers; only the statement's own clause can catch it.
+    monkeypatch.setattr(verifier, "crowded_escape", _link_first_pair_only)
+    instances = enumerate_instances(lemma_id)
+    if lemma_id == "L1":
+        instances = [inst for inst in instances if inst[1]]  # the seven-terminal ones
+    report = drive(Campaign(lemma_id), verifier._CAMPAIGNS[lemma_id][1], instances)
+    details = Counter(detail for _, _, detail in report.exceptional)
+    if lemma_id == "L1":
+        # every seven-terminal instance where five terminals can escape
+        assert details == {"too few pairs linked": 3660, "no certificate": 120}
+    else:
+        assert set(details) == {"more than one exit off A"}
+    assert not report_conforms(report)
 
 
 _OPERATIONS = {
