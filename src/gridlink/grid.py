@@ -76,6 +76,11 @@ class GridGraph:
 
         return _Compiled(self)
 
+    def __getstate__(self) -> dict:
+        # the cached properties are rebuilt on first use, so a solved graph
+        # pickles (and copies) as small as a fresh one
+        return {k: v for k, v in self.__dict__.items() if k not in ("adjacency", "compiled_form")}
+
     def has_edge(self, u: Iterable[int], v: Iterable[int]) -> bool:
         return edge(u, v) in self.present_edges
 

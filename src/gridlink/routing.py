@@ -24,9 +24,13 @@ meets a goal, and only once the slack is spent is a demand's component of
 the free graph flooded to see whether it reaches a goal at all.  Demands
 that need distinct exits are matched to the exits they are known to reach
 (the ends of their free shortest paths, or the goals their growth met),
-and their components are flooded only when that matching fails.  The paths
-are edge-disjoint, so a path system spends at most the free edges less the
-demands' lower bounds as slack, and the ladder never climbs above that.
+and their components are flooded only when that matching fails.  Within a
+bounded slack those known exits are the open goals at each demand's free
+distance, so a group matched on its components but not on them sends some
+demand at least one edge farther: with no slack left, that is a cut too.
+The paths are edge-disjoint, so a path system spends at most the free
+edges less the demands' lower bounds as slack, and the ladder never climbs
+above that.
 
 Each level of the slack is a plain depth-first search, and only its
 least gap passes to the next.  Every branch the slack alone cuts off
@@ -36,8 +40,11 @@ something new.  A level that fails next climbs by the least gap it met
 and fails the same way.  A level that fails with no gap, or whose least
 gap leads above the edge budget, has searched every simple path system
 that fits, so it proves the instance infeasible and the search stops
-there.  Skipped levels hold no solution, so the first certificate found is
-the one a plain one-level-at-a-time search finds.
+there.  The ladder starts where the root's prune, bounded at slack 0,
+leaves it: at 0, or at the gap of a group whose exits cannot be matched
+without slack, since every level below that fails at the root.  Skipped
+levels hold no solution, so the first certificate found is the one a
+plain one-level-at-a-time search finds.
 
 Each graph is compiled once to vertex indices and edge bitmasks, and each
 demand once per compiled graph, to its goal mask, distance table and
@@ -583,14 +590,18 @@ class _Search:
         only a group whose witness rows fail floods the sources of its
         rows and checks the full rows again.  So the prune floods only for
         a demand with no free shortest path once the slack is spent, and
-        for a group that fails on its witnesses; the verdict and the gap
-        are those of flooding every grouped demand.
+        for a group that fails on its witnesses.  With a finite slack every
+        witness row is exactly the open exits at its demand's free distance,
+        which the slack was charged for, so a group that fails only on its
+        witness rows sends some demand at least one edge farther: once the
+        slack is spent, the node is rejected.
 
         A rejection that the slack alone caused lowers ``self.gap`` to the
         layers the first demand beyond the slack needed past it: below that
         rise the demands before it spend the same and it still lies beyond.
-        An unreachable goal or a failed Hall check rejects at every slack,
-        so it leaves ``self.gap`` alone.
+        A group that fails only on its witness rows lowers it to 1.  An
+        unreachable goal or a failed Hall check on the full rows rejects at
+        every slack, so it leaves ``self.gap`` alone.
 
         A node whose demands all keep a free shortest path builds nothing:
         the free edges, with the list of flooded components, are built at
@@ -657,6 +668,10 @@ class _Search:
                 ]
                 if not _hall(rows):
                     return False
+                if slack == 0:
+                    # the witness rows are the open goals at the free
+                    # distances, so distinct exits spend at least 1 more
+                    gap = 1
         if gap:
             if gap < self.gap:
                 self.gap = gap
@@ -766,11 +781,11 @@ class _Search:
         if not self.nd:
             return PathSystem(())
         gused0 = (0,) * self.ngroups
-        # no bound here: with no edge used every free distance is its lb
-        if not self._prune_ok(0, 0, gused0):
-            return Infeasible
+        # with no edge used every free distance is its lb, so at slack 0 only
+        # a group whose witness rows fail Hall's condition cuts with a gap:
+        # the ladder starts there, and a rejection with no gap ends it
+        slack = 0 if self._prune_ok(0, 0, gused0, 0) else self.gap
         budget = self.budget
-        slack = 0
         while slack <= budget:
             self.slack, self.gap = slack, _INF
             routed = self._route(0, 0, gused0, slack)
@@ -938,28 +953,3 @@ def verify(inst: Instance, cert: PathSystem) -> VerifyResult:
         # a vertex that is not a hashable (row, col) pair, e.g. a list
         return _bad(f"path {i}: malformed vertex ({exc})")
     return VerifyResult(True)
-
-
-# --------------------------------------------------------------------------
-
-
-def is_weakly_2_linked(graph: GridGraph) -> bool:
-    """Do edge-disjoint u1,v1- and u2,v2-paths exist for every choice of the four?
-
-    Terminals need not be distinct.  Demands are unordered and unordered
-    within a pair, and a coincident pair (u = v) is routed by a zero-length
-    path, so only distinct unordered pairs and unordered pairs-of-pairs are
-    checked, after one connectivity pass that settles the degenerate cases.
-    """
-    verts = sorted(graph.present_vertices)
-    if not verts:
-        return True
-    comp = _compiled(graph)
-    if any(d >= _INF for d in comp.distances((0,))):
-        return False  # disconnected: some single pair already fails
-    pairs = [Demand.pair(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
-    for a in range(len(pairs)):
-        for bidx in range(a, len(pairs)):
-            if solve(Instance(graph, (pairs[a], pairs[bidx]))) is Infeasible:
-                return False
-    return True

@@ -23,7 +23,7 @@ import time
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice, product, starmap
+from itertools import combinations, combinations_with_replacement, islice, product, starmap
 from random import Random
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -53,12 +53,12 @@ from .lemmas import (
     link_and_escape,
     link_pair_escort_singletons,
     project_with_b_link,
+    weak_2_linkages,
 )
 from .routing import (
     Demand,
     Infeasible,
     Instance,
-    is_weakly_2_linked,
     solve,
     verify,
 )
@@ -362,12 +362,29 @@ def _check(inst, graph, demands, paths):
     return ("defect", inst, "certificate failed the independent check")
 
 
+def _defect(inst, got, detail):
+    """The defect record of an answer a runner rejected on an end it read
+    before ``verify`` saw it.  A vertex that is not a ``(row, col)`` pair of
+    ints (a list, say) can fail such a read, or fail it misleadingly, so the
+    record names the first one, as ``verify`` would; else it gives
+    ``detail``.  A runner asks only once an end has failed it, so a
+    well-formed answer never pays for the scan."""
+    for i, p in enumerate(got):
+        for v in p:
+            if not (isinstance(v, tuple) and len(v) == 2 and all(type(c) is int for c in v)):
+                return ("defect", inst, f"path {i}: malformed vertex {v!r}")
+    return ("defect", inst, detail)
+
+
 def _run_crowded(inst, variant):
     pairs, singles = inst
     got = crowded_escape(_UL, pairs, singles, variant)
     if not got:
         return ("defect", inst, _NO_CERTIFICATE)
-    starts = {p[0] for p in got if p}  # an empty path is left to ``verify``
+    try:
+        starts = {p[0] for p in got if p}  # an empty path is left to ``verify``
+    except TypeError:  # an unhashable start
+        return _defect(inst, got, "unreadable path start")
     linked = [i for i, (_, t) in enumerate(pairs) if t not in starts]
     if len(linked) < (2 if variant == 1 else 1):
         return ("defect", inst, "too few pairs linked")
@@ -391,10 +408,18 @@ def _l4_graph(kind: str, k: int):
 
 
 def _run_l4(inst):
-    kind, k = inst
-    if is_weakly_2_linked(_l4_graph(kind, k)):
-        return None
-    return ("defect", inst, "graph is not weakly 2-linked")
+    graph = _l4_graph(*inst)
+    answers = weak_2_linkages(graph)
+    # every choice of two pairs of distinct vertices, in the operation's order
+    pairs = combinations(sorted(graph.present_vertices), 2)
+    for first, second in combinations_with_replacement(pairs, 2):
+        got = next(answers, Infeasible)
+        if not got:
+            return ("defect", inst, "graph is not weakly 2-linked")
+        found = _check(inst, graph, (Demand.pair(*first), Demand.pair(*second)), got)
+        if found:
+            return found
+    return None
 
 
 def _unreadable(inst, got, count):
@@ -415,7 +440,7 @@ def _run_l5(inst):
         return bad
     anchor = got[0][-1]
     if anchor not in _RING_IN_Q[alpha]:
-        return ("defect", inst, f"anchor {anchor} is not on C{alpha}")
+        return _defect(inst, got, f"anchor {anchor} is not on C{alpha}")
     demands = (Demand.pair(s1, anchor), Demand.pair(s2, anchor))
     return _check(inst, _UL_WITHOUT_C1, demands, got)
 
@@ -428,15 +453,17 @@ def _check_framing(got, inst, terms, alpha=None, third_targets=None):
     bad = _unreadable(inst, got, 3)
     if bad:
         return bad
-    a, b, c = (p[0] for p in got)
-    if sorted((a, b, c)) != sorted(terms):
-        return ("defect", inst, "framed pair and third are not the instance's terminals")
+    a, b, c = starts = tuple(p[0] for p in got)
+    # the three terminals are distinct, so they are the starts when each is
+    # one; unlike sorting, this cannot fail on a start that is a list
+    if any(t not in starts for t in terms):
+        return _defect(inst, got, "framed pair and third are not the instance's terminals")
     anchor = got[0][-1]
     if alpha is None:
         alpha = int(anchor not in _RING_IN_Q[0])  # C0 and C1 share no vertex
         third_targets = _RING_IN_Q[1 - alpha]
     if anchor not in _RING_IN_Q[alpha]:
-        return ("defect", inst, f"anchor {anchor} is not on C{alpha}")
+        return _defect(inst, got, f"anchor {anchor} is not on C{alpha}")
     demands = (Demand.pair(a, anchor), Demand.pair(b, anchor), Demand.escape(c, third_targets))
     return _check(inst, _UL_WITHOUT_C1, demands, got)
 

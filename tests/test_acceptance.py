@@ -16,7 +16,7 @@ import pytest
 
 from gridlink.cli import format_report, report_body
 from gridlink.grid import make_grid
-from gridlink.routing import is_weakly_2_linked
+from gridlink.lemmas import is_weakly_2_linked
 from gridlink.verifier import (
     T1,
     T1_ADMISSIBLE,

@@ -32,6 +32,7 @@ from gridlink.grid import (
     quadrant,
     vertex,
 )
+import gridlink.lemmas.clamps as clamps
 import gridlink.lemmas.crowded as crowded
 import gridlink.routing as routing
 from gridlink.routing import (
@@ -45,11 +46,11 @@ from gridlink.routing import (
     Infeasible,
     Instance,
     PathSystem,
-    is_weakly_2_linked,
     solve,
     verify,
 )
 from gridlink import verifier
+from gridlink.lemmas import is_weakly_2_linked
 from gridlink.verifier import _iter_escape_family, sample_pairability, verify_lemma
 
 
@@ -540,6 +541,8 @@ def test_weak_linkage_small_cases():
     # the bare 4-cycle fails on the crossed diagonals
     assert not is_weakly_2_linked(make_grid(2, 2))
     assert not is_weakly_2_linked(make_grid(1, 3))
+    # two components: a pair across them has no path at all
+    assert not is_weakly_2_linked(make_grid(3, 3).without_vertices([(2, 1), (2, 2), (2, 3)]))
 
 
 # ------------------------------------------- brute-force Infeasible oracle
@@ -866,6 +869,18 @@ def test_compiled_form_dies_with_its_graph():
     del g
     gc.collect()
     assert ref() is None
+
+
+def test_a_solved_graph_pickles_as_small_as_a_fresh_one():
+    g = make_grid(6, 6)
+    inst = Instance(g, (Demand.pair((1, 1), (6, 6)), Demand.pair((1, 6), (6, 1))))
+    fresh = pickle.dumps(g)
+    got = solve(inst)
+    assert "compiled_form" in vars(g)
+    assert pickle.dumps(g) == fresh
+    clone = pickle.loads(fresh)
+    assert clone == g and "compiled_form" not in vars(clone)
+    assert solve(Instance(clone, inst.demands)) == got
 
 
 # --------------------------------------- candidate walk vs brute force
@@ -1227,14 +1242,23 @@ def test_prune_needs_distinct_exits_within_a_group(monkeypatch):
     # (1,1)-(1,2), so each escape's shortest path is blocked and its layered
     # growth meets (1,2) first, 3 edges away ((3,3) is 4 away).  The two
     # witness rows are again {(1,2)}; the floods widen both to {(1,2),
-    # (3,3)}, and the detours spend 2 + 2 of the slack.
+    # (3,3)}, so the group can be matched, but only one escape ends at
+    # (1,2): the detours spend 2 + 3 of the slack.  At slack 4 the growths
+    # spend it all and the witness rows fail, a cut with gap 1.
     escapes = tuple(Demand.escape((1, 1), [(1, 2), (3, 3)], 0) for _ in "ab")
     search = _Search(Instance(g, (Demand.pair((1, 1), (1, 2)),) + escapes))
     used, gused = _committed(search, (0,))
-    assert search._prune_ok(1, used, gused, 4)
+    assert search._prune_ok(1, used, gused, 5)
     assert search.gap == _INF
+    assert not search._prune_ok(1, used, gused, 4)
+    assert search.gap == 1
+    search.gap = _INF
     assert not search._prune_ok(1, used, gused, 3)
     assert search.gap == 1
+    # Unbounded, the witness rows fail with no slack to spend: no cut.
+    search.gap = _INF
+    assert search._prune_ok(1, used, gused)
+    assert search.gap == _INF
 
 
 def _committed(search, gused=()):
@@ -1320,7 +1344,15 @@ def _flooding_prune_ok(search, j0, used, gused, slack=None):
     """The prune without witness rows: it floods every grouped escape for
     Hall's check, and every demand beyond the slack.  The reference for the
     differential tests; it reads the search's compiled demands and group
-    slots, and sets ``search.gap`` as the prune does."""
+    slots, and sets ``search.gap`` as the prune does.
+
+    It also cuts with gap 1 a bounded node left with no slack whose groups
+    pass Hall's check on their components but not on their nearest open
+    goals.  With no slack left every path is as long as its demand's free
+    distance, so it ends at an open goal at that distance; a group whose
+    nearest goals admit no distinct choice needs at least one more edge.
+    The prune finds the same cut on its witness rows, which are exactly
+    those nearest goals once the slack is bounded."""
     comp = search.comp
     rows = [
         (1 << cd.src, cd.goal, gi, cd.lb, cd.short, cd.near, cd.table)
@@ -1371,18 +1403,38 @@ def _flooding_prune_ok(search, j0, used, gused, slack=None):
             return False
         if gi >= 0:
             needs[gi].append(avail)
-    for group in needs or ():
-        if len(group) == 2:
-            a, b = group
-            if a == b and not a & (a - 1):
-                return False
-        elif len(group) > 2 and not routing._has_matching(group):
-            return False
+    if not all(map(_matchable, needs or ())):
+        return False
+    if slack == 0:
+        if free is None:
+            free = comp.free_lanes(used)
+        nearest = [[] for _ in gused]
+        for sbit, goal, gi, *_ in rows[j0:]:
+            if gi >= 0:
+                # every grouped demand reaches an open goal (flooded above)
+                goal &= ~gused[gi]
+                reach = sbit
+                while not reach & goal:
+                    grown = reach
+                    for k, low in free:
+                        grown |= (reach & low) << k | (reach >> k) & low
+                    reach = grown
+                nearest[gi].append(reach & goal)
+        if not all(map(_matchable, nearest)):
+            gap = 1
     if gap:
         if gap < search.gap:
             search.gap = gap
         return False
     return True
+
+
+def _matchable(rows):
+    """Hall's condition: can each of ``rows`` be given its own bit?"""
+    if len(rows) == 2:
+        a, b = rows
+        return a != b or a & (a - 1) != 0
+    return len(rows) < 3 or routing._has_matching(rows)
 
 
 class _DifferentialSearch(_Search):
@@ -1505,16 +1557,21 @@ def _level(inst, slack):
 def _check_ladder(inst):
     """Korf's rule, checked against a fresh search of each slack.
 
-    A level's least gap is exactly the rise to the next level the ladder
-    searched, and every slack it skips enters the same search nodes as
-    that level; the last level either routes the instance or has no gap
-    that stays within the edge budget, and every slack from it up to the
-    budget enters its nodes too.
+    Every slack below the first level the ladder searched routes nothing
+    (with no level searched, every slack below the root's gap that stays
+    within the edge budget).  A level's least gap is exactly the rise to
+    the next level the ladder searched, and every slack it skips enters
+    the same search nodes as that level; the last level either routes the
+    instance or has no gap that stays within the edge budget, and every
+    slack from it up to the budget enters its nodes too.
     """
     search = _Search(inst)
     got, levels = _root_levels(search)
     lbs = sum(d.lb for d in search.demands)
     budget = min(sum(d.max_len for d in search.demands) - lbs, search.comp.nedges - lbs)
+    first = levels[0] if levels else min(search.gap, budget + 1)
+    for below in range(first):
+        assert _level(inst, below)[0] is None, below
     for level, after in zip(levels, levels[1:] + [None]):
         routed, gap, nodes = _level(inst, level)
         if after is not None:
@@ -1561,6 +1618,27 @@ def test_deep_infeasible_ladders_keep_to_korfs_rule():
         assert got is Infeasible and not _oracle_routable(inst)
 
 
+@given(grouped_instances())
+@settings(deadline=None, max_examples=150)
+def test_grouped_ladders_keep_to_korfs_rule(inst):
+    got, _ = _check_ladder(inst)
+    assert (got is Infeasible) == (not _oracle_routable(inst))
+
+
+def test_the_root_lifts_the_ladder_past_a_level_halls_condition_rules_out(monkeypatch):
+    # The L10 placement with every terminal at (1,1) and both escorts sent
+    # to A: each escort's nearest exit is (3,1), so the witness rows fail
+    # Hall's condition at the root and slack 0 is never searched.
+    seen = []
+    monkeypatch.setattr(clamps, "solve", lambda inst: seen.append(inst) or solve(inst))
+    assert verifier._run_l10(((1, 1), (1, 1), (1, 1), (1, 1), ("A", "A"))) is None
+    search = _Search(seen[0])
+    got, levels = _root_levels(search)
+    assert levels == [1]
+    assert got == solve(seen[0])
+    assert _check_ladder(seen[0])[1] == [1]
+
+
 def test_edge_budget_proves_infeasibility_at_slack_zero():
     # Three paths must leave (1,2), which has two edges.  The 2x2 grid has
     # four edges and the three demands need one each, so no path system
@@ -1588,10 +1666,17 @@ def test_edge_budget_proves_infeasibility_at_slack_zero():
 # tabling the lengths a search walks again, or stops settling the last
 # demand from its table, moves them.
 
-# every 10th instance of each sweep: (searching walks, _prune_ok calls).
-# The searching walks include the one that builds each compiled demand's
-# shortest-path table: L10 99 of them, L1 9, L2 13 and L3 none.
-_PINNED_WORK = {"L10": (216, 7642), "L1": (91, 3827), "L2": (72, 2916), "L3": (2, 782)}
+# every 10th instance of each sweep: (searching walks, _prune_ok calls,
+# slack levels searched).  The searching walks include the one that builds
+# each compiled demand's shortest-path table: L10 99 of them, L1 9, L2 13
+# and L3 none.  A search that stops lifting its ladder at the root, where a
+# group's witness rows fail Hall's condition, searches more levels.
+_PINNED_WORK = {
+    "L10": (216, 6559, 2972),
+    "L1": (91, 3797, 749),
+    "L2": (72, 2727, 693),
+    "L3": (2, 552, 155),
+}
 
 
 def test_solver_work_counts_are_pinned(monkeypatch):
@@ -1602,8 +1687,8 @@ def test_solver_work_counts_are_pinned(monkeypatch):
             forms[id(graph)] = graph, routing._Compiled(graph)
         return forms[id(graph)][1]
 
-    work = [0, 0]
-    search, prune = _CDemand._search, _Search._prune_ok
+    work = [0, 0, 0]
+    search, prune, route = _CDemand._search, _Search._prune_ok, _Search._route
 
     def counting_search(cd, *args):
         work[0] += 1
@@ -1613,12 +1698,17 @@ def test_solver_work_counts_are_pinned(monkeypatch):
         work[1] += 1
         return prune(s, *args)
 
+    def counting_route(s, di, *args):
+        work[2] += not di
+        return route(s, di, *args)
+
     monkeypatch.setattr(routing, "_compiled", fresh_compiled)
     monkeypatch.setattr(_CDemand, "_search", counting_search)
     monkeypatch.setattr(_Search, "_prune_ok", counting_prune)
+    monkeypatch.setattr(_Search, "_route", counting_route)
     got = {}
     for lemma_id in _PINNED_WORK:
-        work[:] = 0, 0
+        work[:] = 0, 0, 0
         iterate, runner, _, _ = verifier._CAMPAIGNS[lemma_id]
         for inst in islice(iterate(), 0, None, 10):
             rec = runner(inst)

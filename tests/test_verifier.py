@@ -8,7 +8,7 @@ from collections import Counter
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from itertools import islice
+from itertools import islice, repeat
 from random import Random
 
 import pytest
@@ -32,6 +32,7 @@ from gridlink.grid import (
 import gridlink.lemmas.crowded as crowded
 import gridlink.lemmas.escapes as escapes
 import gridlink.lemmas.frames as frames
+import gridlink.lemmas.linkage as linkage
 from gridlink.lemmas import catalog_configurations
 from gridlink.cli import main
 from gridlink.flow import escape_flow
@@ -400,6 +401,56 @@ def test_a_crowded_answer_with_an_empty_path_is_a_defect(monkeypatch):
     )
 
 
+def _listed(answer, first_only):
+    """``answer`` with every vertex of its paths a list, not a tuple, or
+    with only the start of its first path a list."""
+
+    def mutant(*args):
+        paths = answer(*args).paths
+        if first_only:
+            return PathSystem(((list(paths[0][0]),) + paths[0][1:],) + paths[1:])
+        return PathSystem(tuple(tuple(map(list, p)) for p in paths))
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "lemma_id, op, first_only",
+    [("L3", "crowded_escape", False)]
+    + [case + (False,) for case in _FRAMINGS]
+    + [("L3", "crowded_escape", True), ("L6", "frame_two_mate_third", True)],
+    ids=["L3", "L5", "L6", "L7-i", "L7-ii", "L3-one list start", "L6-one list start"],
+)
+def test_an_answer_with_list_vertices_is_a_defect_that_names_one(
+    monkeypatch, lemma_id, op, first_only
+):
+    # the runners read path ends before verify sees them: a list start
+    # cannot join a set or be sorted among tuples, and a list anchor lies
+    # on no ring, so the record names the malformed vertex, as verify does,
+    # instead of crashing or blaming the anchor
+    listed, answers = _listed(getattr(verifier, op), first_only), []
+    monkeypatch.setattr(verifier, op, lambda *args: answers.append(listed(*args)) or answers[-1])
+    iterate, runner, _, _ = verifier._CAMPAIGNS[lemma_id]
+    inst = next(i for i in iterate() if op != "frame_c1_mate_corner" or i[0] == "ii")
+    record = runner(inst)
+    first = answers[0][0][0]
+    assert isinstance(first, list)
+    assert record == ("defect", inst, f"path 0: malformed vertex {first!r}")
+
+
+def test_l4_checks_every_two_pair_certificate(monkeypatch):
+    # an L4 operation whose every answer is one single-vertex path per
+    # demand answers every choice "feasibly"; the runner must verify each
+    # answer against the two pairs it asked for
+    monkeypatch.setattr(
+        linkage, "solve", lambda inst: PathSystem(tuple((d.source,) for d in inst.demands))
+    )
+    report = verify_lemma("L4")
+    assert Counter(tag for tag, _, _ in report.exceptional) == {"defect": 8}
+    assert all(d == "certificate failed the independent check" for _, _, d in report.exceptional)
+    assert "status: defective" in format_report(report).splitlines()
+
+
 def _link_first_pair_only(q, pairs, singles, variant):
     """A crowded answer linking pair 0 alone and escaping every other
     terminal to distinct exits anywhere on A or B."""
@@ -473,7 +524,7 @@ def _reusing_an_edge(answer):
 @pytest.mark.parametrize(
     "campaign, name, mutant, tag, count, detail",
     [
-        ("L4", "is_weakly_2_linked", lambda graph: False, "defect", 8, "graph is not weakly 2-linked"),
+        ("L4", "weak_2_linkages", lambda graph: repeat(Infeasible), "defect", 8, "graph is not weakly 2-linked"),
         ("P1-matching", "clamp_matching", lambda *args: None, "defect", 2868, "no match although"),
         (
             "escape-agreement",
