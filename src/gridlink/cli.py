@@ -213,10 +213,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # a ParseError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WorkerDied as exc:

@@ -1,10 +1,16 @@
-"""Grid graphs, quadrants, landmark sets, and symmetry transforms.
+"""Grid graphs, quadrants, the central cycles, landmarks, and symmetry transforms.
 
 Vertices are matrix coordinates ``(row, col)``, 1-based, row 1 at the top.
 Edges are stored canonically as ``(min(u, v), max(u, v))`` tuples so edge sets
 built by different code paths compare equal.  Every value here is immutable;
 derived graphs are produced by the ``without_*`` / ``contracted`` / ``induced``
 constructors rather than mutation.
+
+The grid's two central cycles are global: ``C0_RING`` and ``C1_RING`` list
+their vertices in order, and ``C1_EDGES`` holds C1's edges.  A ``Quadrant``
+owns the frame lemmas' geometry, derived from the rings on first use:
+``rings``, the ring vertices inside it where a frame anchors, and
+``mating_graph``, its graph less C1's edges, where the mating paths run.
 """
 
 from __future__ import annotations
@@ -80,9 +86,6 @@ class GridGraph:
         # the cached properties are rebuilt on first use, so a solved graph
         # pickles (and copies) as small as a fresh one
         return {k: v for k, v in self.__dict__.items() if k not in ("adjacency", "compiled_form")}
-
-    def has_edge(self, u: Iterable[int], v: Iterable[int]) -> bool:
-        return edge(u, v) in self.present_edges
 
     def without_edges(self, gone: Iterable[Edge]) -> "GridGraph":
         dead = {edge(*e) for e in gone}
@@ -174,6 +177,23 @@ def to_global(corner: Corner, v: Iterable[int]) -> Vertex:
     return SYMMETRIES[_CORNER_SYMMETRY[corner]](vertex(v))
 
 
+# The two central cycles of the 6x6 grid, as rings in a fixed traversal
+# order: C0 the 4-cycle round the centre, C1 the 12-cycle round C0.
+C0_RING: tuple[Vertex, ...] = tuple(
+    Vertex(*v) for v in [(3, 3), (3, 4), (4, 4), (4, 3)]
+)
+C1_RING: tuple[Vertex, ...] = tuple(
+    Vertex(*v)
+    for v in [
+        (2, 2), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5),
+        (5, 5), (5, 4), (5, 3), (5, 2), (4, 2), (3, 2),
+    ]
+)
+C1_EDGES: frozenset[Edge] = frozenset(
+    edge(C1_RING[k - 1], C1_RING[k]) for k in range(len(C1_RING))
+)
+
+
 @dataclass(frozen=True)
 class Quadrant:
     """One of the four 3x3 corner blocks of the 6x6 grid."""
@@ -185,6 +205,27 @@ class Quadrant:
     @cached_property
     def graph(self) -> GridGraph:
         return self.parent.induced(self.vertices)
+
+    @cached_property
+    def rings(self) -> tuple[tuple[Vertex, ...], tuple[Vertex, ...]]:
+        """The vertices of C0 and of C1 inside the quadrant, each sorted:
+        where the frame lemmas anchor."""
+        return tuple(
+            tuple(sorted(v for v in ring if v in self.vertices)) for ring in (C0_RING, C1_RING)
+        )
+
+    @cached_property
+    def mating_graph(self) -> GridGraph:
+        """The quadrant's graph less the C1 edges inside it: where the frame
+        lemmas' mating paths run.  One graph object per quadrant, so that its
+        compiled form is built once and freed with the quadrant."""
+        return self.graph.without_edges(C1_EDGES & self.graph.present_edges)
+
+    def check_terminals(self, *terminals: Vertex) -> None:
+        """Raise ``ValueError`` at the first terminal outside the quadrant."""
+        for v in terminals:
+            if v not in self.vertices:
+                raise ValueError(f"terminal {v} is not in quadrant {self.corner.name}")
 
 
 def quadrant(grid: GridGraph, corner: Corner | str) -> Quadrant:
@@ -199,79 +240,29 @@ def quadrant(grid: GridGraph, corner: Corner | str) -> Quadrant:
 
 @dataclass(frozen=True)
 class QuadrantLandmarks:
-    """The named vertices, lines, and cycles of one quadrant, in global coordinates.
+    """The named vertices and lines of one quadrant, in global coordinates.
 
     ``A`` is the horizontal boundary line (listed outward-to-corner, i.e. by
-    local column), ``B`` the vertical one (by local row); ``x0 = A cap B``.
-    ``C0``/``C1`` are the central 4- and 12-cycles as edge lists, traversed
-    from ``x0`` (resp. ``x1``) toward the lexicographically smaller cycle
-    neighbour.  ``Z``, ``M``, ``S`` and the 8-cycle ``boundary_cycle`` follow
-    the quadrant-local row/column conventions, mapped to global coordinates.
+    local column), ``B`` the vertical one (by local row); ``x0 = A cap B`` is
+    the quadrant's vertex on C0, and ``y0`` the far end of ``A``, the grid
+    boundary vertex that L7's third terminal may be routed to.
     """
 
     A: tuple[Vertex, Vertex, Vertex]
     B: tuple[Vertex, Vertex, Vertex]
     x0: Vertex
-    x1: Vertex
-    x2: Vertex
     y0: Vertex
-    b: Vertex
-    c: Vertex
-    C0: tuple[Edge, ...]
-    C1: tuple[Edge, ...]
-    Z: frozenset[Vertex]
-    M: frozenset[Vertex]
-    S: frozenset[Vertex]
-    boundary_cycle: tuple[Vertex, ...]
-
-
-# The two central cycles of the 6x6 grid, as rings in a fixed traversal order.
-C0_RING: tuple[Vertex, ...] = tuple(
-    Vertex(*v) for v in [(3, 3), (3, 4), (4, 4), (4, 3)]
-)
-C1_RING: tuple[Vertex, ...] = tuple(
-    Vertex(*v)
-    for v in [
-        (2, 2), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5),
-        (5, 5), (5, 4), (5, 3), (5, 2), (4, 2), (3, 2),
-    ]
-)
-
-
-def _cycle_edges_from(ring: tuple[Vertex, ...], start: Vertex) -> tuple[Edge, ...]:
-    i = ring.index(start)
-    n = len(ring)
-    # Orient toward the lexicographically smaller neighbour of the start, so
-    # the edge list is deterministic regardless of the ring's base direction.
-    step = 1 if ring[(i + 1) % n] < ring[(i - 1) % n] else -1
-    order = [ring[(i + step * k) % n] for k in range(n)]
-    return tuple(edge(order[k], order[(k + 1) % n]) for k in range(n))
-
-
-_BOUNDARY_LOCAL = [(1, 1), (1, 2), (1, 3), (2, 3), (3, 3), (3, 2), (3, 1), (2, 1)]
 
 
 def _corner_landmarks(corner: Corner) -> QuadrantLandmarks:
     def g(i: int, j: int) -> Vertex:
         return to_global(corner, (i, j))
 
-    x0 = g(3, 3)
-    x1 = g(2, 2)
     return QuadrantLandmarks(
         A=(g(3, 1), g(3, 2), g(3, 3)),
         B=(g(1, 3), g(2, 3), g(3, 3)),
-        x0=x0,
-        x1=x1,
-        x2=g(1, 1),
+        x0=g(3, 3),
         y0=g(3, 1),
-        b=g(2, 3),
-        c=g(1, 1),
-        C0=_cycle_edges_from(C0_RING, x0),
-        C1=_cycle_edges_from(C1_RING, x1),
-        Z=frozenset({g(2, 1), g(2, 2), g(2, 3), g(1, 2), g(3, 2)}),
-        M=frozenset({g(1, 1), g(1, 2), g(1, 3), g(2, 1), g(3, 1), g(2, 2)}),
-        S=frozenset({g(1, 1), g(1, 2), g(2, 1), g(2, 2)}),
-        boundary_cycle=tuple(g(i, j) for i, j in _BOUNDARY_LOCAL),
     )
 
 
@@ -296,13 +287,11 @@ class AdjustedQuadrant:
     """A quadrant adjusted for mating into the line A.
 
     Local 3x3 coordinates; ``A`` is row 3 and carries no internal edges.
-    ``N`` is the set of neighbours of A in the adjusted graph.
     """
 
     kind: AdjustedKind
     graph: GridGraph
     A: tuple[Vertex, Vertex, Vertex]
-    N: frozenset[Vertex]
 
 
 def adjusted_quadrant(kind: AdjustedKind | str) -> AdjustedQuadrant:
@@ -323,6 +312,5 @@ def adjusted_quadrant(kind: AdjustedKind | str) -> AdjustedQuadrant:
         g = q0.without_edges(
             [edge((2, 1), (2, 2)), edge((2, 2), (2, 3))]
         ).contracted((2, 2), (1, 2))
-    n = frozenset(w for a in a_line for w in g.adjacency[a])
-    return AdjustedQuadrant(k, g, a_line, n)
+    return AdjustedQuadrant(k, g, a_line)
 

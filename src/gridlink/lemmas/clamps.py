@@ -332,9 +332,7 @@ def link_pair_escort_singletons(
     ordered like (s2, s3).  Returns what ``solve`` returns: the path
     system, or ``Infeasible``.
     """
-    for v in (s1, t1, s2, s3):
-        if v not in q.vertices:
-            raise ValueError(f"terminal {v} is not in quadrant {q.corner.name}")
+    q.check_terminals(s1, t1, s2, s3)
     line2, line3 = _normalize_psi(psi)
     lm = landmarks(q)
     # the lines are named as the landmarks name them: lm.A and lm.B

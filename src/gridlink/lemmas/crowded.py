@@ -55,9 +55,7 @@ def crowded_escape(
     pairs = tuple((vertex(s), vertex(t)) for s, t in pairs)
     singles = tuple(map(vertex, singles))
     occupied = [v for s, t in pairs for v in (s, t)] + list(singles)
-    for v in occupied:
-        if v not in q.vertices:
-            raise ValueError(f"terminal {v} is not in quadrant {q.corner.name}")
+    q.check_terminals(*occupied)
     if len(set(occupied)) != len(occupied):
         raise ValueError("crowded terminals must be distinct vertices")
 

@@ -4,9 +4,10 @@ A frame for terminals ``s1, s2`` on cycle ``C_alpha`` is an anchor vertex
 ``w`` of the cycle together with two mating paths inside the quadrant, one
 from each terminal to ``w``, edge-disjoint from each other and from the
 central-cycle edges inside the quadrant (only ``C1`` contributes such
-edges).  Every frame comes from the exact solver on the quadrant's graph
-less those edges: the vertices of ``C_alpha`` inside the quadrant are
-tried as anchors in sorted order, and the first one where ``solve`` routes
+edges).  The quadrant owns that geometry: every frame comes from the exact
+solver on ``q.mating_graph``, the quadrant's graph less those edges, and
+the vertices of ``C_alpha`` inside the quadrant, ``q.rings[alpha]``, are
+tried as anchors in sorted order.  The first anchor where ``solve`` routes
 both mating paths (and the third terminal's path, for a framing) is
 returned.
 
@@ -19,28 +20,8 @@ start.
 
 from __future__ import annotations
 
-from functools import cache
-
-from ..grid import C0_RING, C1_RING, GridGraph, Quadrant, Vertex, landmarks
+from ..grid import Quadrant, Vertex, landmarks
 from ..routing import Demand, Infeasible, Instance, SolveResult, solve
-
-
-@cache
-def _without_c1(q: Quadrant) -> GridGraph:
-    """The quadrant's graph less the C1 edges inside it: where mating paths
-    run.  One graph object per quadrant, so that its compiled form is built
-    once and every frame of the quadrant is solved on it."""
-    return q.graph.without_edges(set(landmarks(q).C1) & q.graph.present_edges)
-
-
-def _rings_in(q: Quadrant) -> tuple[tuple[Vertex, ...], tuple[Vertex, ...]]:
-    """The vertices of C0 and of C1 that lie inside the quadrant, each sorted."""
-    return tuple(tuple(sorted(v for v in ring if v in q.vertices)) for ring in (C0_RING, C1_RING))
-
-
-def _check_terminal(q: Quadrant, s: Vertex) -> None:
-    if s not in q.vertices:
-        raise ValueError(f"terminal {s} is not in quadrant {q.corner.name}")
 
 
 def _distinct_terminals(
@@ -48,8 +29,7 @@ def _distinct_terminals(
 ) -> tuple[Vertex, Vertex, Vertex]:
     """The three terminals as a tuple, once checked to be distinct vertices of q."""
     terms = (sp, sq, sr)
-    for s in terms:
-        _check_terminal(q, s)
+    q.check_terminals(*terms)
     if len(set(terms)) != 3:
         raise ValueError(f"terminals must be distinct, got {terms}")
     return terms
@@ -62,7 +42,7 @@ def _solve_frame(
     """The certificate at the first of the ``anchors`` where ``solve`` routes
     s1 and s2 to it together with the ``extra`` demands; ``Infeasible`` when
     no anchor works."""
-    graph = _without_c1(q)
+    graph = q.mating_graph
     for w in anchors:
         sol = solve(Instance(graph, (Demand.pair(s1, w), Demand.pair(s2, w)) + extra))
         if sol:
@@ -74,22 +54,19 @@ def build_frame(q: Quadrant, s1: Vertex, s2: Vertex, alpha: int) -> SolveResult:
     """A frame of the (possibly coincident) terminals s1, s2 on cycle C_alpha."""
     if alpha not in (0, 1):
         raise ValueError(f"alpha must be 0 or 1, got {alpha!r}")
-    _check_terminal(q, s1)
-    _check_terminal(q, s2)
-    return _solve_frame(q, _rings_in(q)[alpha], s1, s2)
+    q.check_terminals(s1, s2)
+    return _solve_frame(q, q.rings[alpha], s1, s2)
 
 
 def _framed_search(
     q: Quadrant, terms: tuple[Vertex, Vertex, Vertex], alphas: tuple[int, ...], mate
 ) -> SolveResult:
     """Shared search: choose a pair to frame, an alpha, and an anchor;
-    ``mate(c, alpha, rings)`` is the demand that routes the third terminal
-    c, where ``rings`` are ``_rings_in(q)``."""
-    rings = _rings_in(q)
+    ``mate(c, alpha)`` is the demand that routes the third terminal c."""
     for i, j in ((0, 1), (0, 2), (1, 2)):
         a, b, c = terms[i], terms[j], terms[3 - i - j]
         for alpha in alphas:
-            sol = _solve_frame(q, rings[alpha], a, b, (mate(c, alpha, rings),))
+            sol = _solve_frame(q, q.rings[alpha], a, b, (mate(c, alpha),))
             if sol:
                 return sol
     return Infeasible
@@ -98,15 +75,13 @@ def _framed_search(
 def frame_two_mate_third(q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex) -> SolveResult:
     """Two of three distinct terminals framed on some C_alpha, the third mated to C_beta."""
     terms = _distinct_terminals(q, sp, sq, sr)
-    return _framed_search(
-        q, terms, (0, 1), lambda c, alpha, rings: Demand.escape(c, rings[1 - alpha])
-    )
+    return _framed_search(q, terms, (0, 1), lambda c, alpha: Demand.escape(c, q.rings[1 - alpha]))
 
 
 def frame_c0_mate_c1(q: Quadrant, sp: Vertex, sq: Vertex, sr: Vertex) -> SolveResult:
     """Two of three distinct terminals framed on C0, the third mated to C1."""
     terms = _distinct_terminals(q, sp, sq, sr)
-    return _framed_search(q, terms, (0,), lambda c, alpha, rings: Demand.escape(c, rings[1]))
+    return _framed_search(q, terms, (0,), lambda c, alpha: Demand.escape(c, q.rings[1]))
 
 
 def frame_c1_mate_corner(
@@ -117,4 +92,4 @@ def frame_c1_mate_corner(
     lm = landmarks(q)
     if z not in (lm.x0, lm.y0):
         raise ValueError(f"z must be x0 {lm.x0} or y0 {lm.y0}, got {z}")
-    return _framed_search(q, terms, (1,), lambda c, alpha, rings: Demand.pair(c, z))
+    return _framed_search(q, terms, (1,), lambda c, alpha: Demand.pair(c, z))

@@ -865,21 +865,23 @@ def _hall(rows: list[int]) -> bool:
 def _has_matching(needs: list[int]) -> bool:
     """Can each row be assigned its own bit?  (tiny bipartite matching)"""
     owner: dict[int, int] = {}
+    return all(_assign(needs, owner, r, set()) for r in range(len(needs)))
 
-    def assign(r: int, taboo: set[int]) -> bool:
-        m = needs[r]
-        while m:
-            b = m & -m
-            m ^= b
-            if b in taboo:
-                continue
-            taboo.add(b)
-            if b not in owner or assign(owner[b], taboo):
-                owner[b] = r
-                return True
-        return False
 
-    return all(assign(r, set()) for r in range(len(needs)))
+def _assign(needs: list[int], owner: dict[int, int], r: int, taboo: set[int]) -> bool:
+    """Give row ``r`` a bit by an augmenting path; ``owner`` maps bits to
+    rows.  Not a closure, so that a call leaves no reference cycle."""
+    m = needs[r]
+    while m:
+        b = m & -m
+        m ^= b
+        if b in taboo:
+            continue
+        taboo.add(b)
+        if b not in owner or _assign(needs, owner, owner[b], taboo):
+            owner[b] = r
+            return True
+    return False
 
 
 def solve(inst: Instance) -> SolveResult:

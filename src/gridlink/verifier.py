@@ -29,8 +29,6 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .flow import escape_flow
 from .grid import (
-    C0_RING,
-    C1_RING,
     SYMMETRIES,
     Corner,
     Vertex,
@@ -72,13 +70,6 @@ _Q0 = adjusted_quadrant("Q0")
 _ADJUSTED = {kind: adjusted_quadrant(kind) for kind in ("Q1", "Q2", "Q3", "Q4")}
 
 _PSI_MAPS = (("A", "A"), ("A", "B"), ("B", "A"), ("B", "B"))
-# the quadrant less the C1 edges inside it, where L5-L7's mating paths run
-_UL_WITHOUT_C1 = _UL.graph.without_edges(e for e in _LM.C1 if set(e) <= _UL.vertices)
-# the vertices of C0 and C1 inside the quadrant, sorted: where L5-L7 anchor
-_RING_IN_Q = {
-    alpha: tuple(sorted(v for v in ring if v in _UL.vertices))
-    for alpha, ring in enumerate((C0_RING, C1_RING))
-}
 
 # The lemmas' statements in their own terms (UL-local): the line A is the
 # quadrant's row 3 and B its column 3.  The L1-L3 and L10 runners build
@@ -439,10 +430,10 @@ def _run_l5(inst):
     if bad:
         return bad
     anchor = got[0][-1]
-    if anchor not in _RING_IN_Q[alpha]:
+    if anchor not in _UL.rings[alpha]:
         return _defect(inst, got, f"anchor {anchor} is not on C{alpha}")
     demands = (Demand.pair(s1, anchor), Demand.pair(s2, anchor))
-    return _check(inst, _UL_WITHOUT_C1, demands, got)
+    return _check(inst, _UL.mating_graph, demands, got)
 
 
 def _check_framing(got, inst, terms, alpha=None, third_targets=None):
@@ -460,12 +451,12 @@ def _check_framing(got, inst, terms, alpha=None, third_targets=None):
         return _defect(inst, got, "framed pair and third are not the instance's terminals")
     anchor = got[0][-1]
     if alpha is None:
-        alpha = int(anchor not in _RING_IN_Q[0])  # C0 and C1 share no vertex
-        third_targets = _RING_IN_Q[1 - alpha]
-    if anchor not in _RING_IN_Q[alpha]:
+        alpha = int(anchor not in _UL.rings[0])  # C0 and C1 share no vertex
+        third_targets = _UL.rings[1 - alpha]
+    if anchor not in _UL.rings[alpha]:
         return _defect(inst, got, f"anchor {anchor} is not on C{alpha}")
     demands = (Demand.pair(a, anchor), Demand.pair(b, anchor), Demand.escape(c, third_targets))
-    return _check(inst, _UL_WITHOUT_C1, demands, got)
+    return _check(inst, _UL.mating_graph, demands, got)
 
 
 def _run_l6(inst):
@@ -475,7 +466,7 @@ def _run_l6(inst):
 def _run_l7(inst):
     terms = inst[1:4]
     if inst[0] == "i":
-        return _check_framing(frame_c0_mate_c1(_UL, *terms), inst, terms, 0, _RING_IN_Q[1])
+        return _check_framing(frame_c0_mate_c1(_UL, *terms), inst, terms, 0, _UL.rings[1])
     z = inst[4]
     return _check_framing(frame_c1_mate_corner(_UL, *terms, z), inst, terms, 1, (z,))
 

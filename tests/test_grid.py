@@ -7,6 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridlink.grid import (
+    C0_RING,
+    C1_EDGES,
+    C1_RING,
     SYMMETRIES,
     AdjustedKind,
     Corner,
@@ -15,7 +18,6 @@ from gridlink.grid import (
     edge,
     landmarks,
     make_grid,
-    path_edges,
     quadrant,
     to_global,
 )
@@ -81,10 +83,10 @@ def test_quadrant_rejects_wrong_grid():
 # Values fixed by the quadrant conventions: UL reads off directly, the other
 # corners are reflections through 7 of one or both coordinates.
 LANDMARK_CASES = {
-    Corner.UL: dict(x0=(3, 3), x1=(2, 2), b=(2, 3), c=(1, 1), y0=(3, 1), x2=(1, 1)),
-    Corner.UR: dict(x0=(3, 4), x1=(2, 5), b=(2, 4), c=(1, 6), y0=(3, 6), x2=(1, 6)),
-    Corner.LL: dict(x0=(4, 3), x1=(5, 2), b=(5, 3), c=(6, 1), y0=(4, 1), x2=(6, 1)),
-    Corner.LR: dict(x0=(4, 4), x1=(5, 5), b=(5, 4), c=(6, 6), y0=(4, 6), x2=(6, 6)),
+    Corner.UL: dict(x0=(3, 3), y0=(3, 1)),
+    Corner.UR: dict(x0=(3, 4), y0=(3, 6)),
+    Corner.LL: dict(x0=(4, 3), y0=(4, 1)),
+    Corner.LR: dict(x0=(4, 4), y0=(4, 6)),
 }
 
 
@@ -93,23 +95,13 @@ def test_landmark_vertices(corner):
     lm = landmarks(quadrant(make_grid(6, 6), corner))
     want = LANDMARK_CASES[corner]
     assert lm.x0 == want["x0"]
-    assert lm.x1 == want["x1"]
-    assert lm.b == want["b"]
-    assert lm.c == want["c"]
     assert lm.y0 == want["y0"]
-    assert lm.x2 == want["x2"]
 
 
 def test_landmark_lines_ul():
     lm = landmarks(quadrant(make_grid(6, 6), Corner.UL))
     assert lm.A == ((3, 1), (3, 2), (3, 3))
     assert lm.B == ((1, 3), (2, 3), (3, 3))
-    assert lm.Z == {(2, 1), (2, 2), (2, 3), (1, 2), (3, 2)}
-    assert lm.M == {(1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (2, 2)}
-    assert lm.S == {(1, 1), (1, 2), (2, 1), (2, 2)}
-    assert lm.boundary_cycle == (
-        (1, 1), (1, 2), (1, 3), (2, 3), (3, 3), (3, 2), (3, 1), (2, 1),
-    )
 
 
 @pytest.mark.parametrize("corner", list(Corner))
@@ -117,50 +109,27 @@ def test_landmark_line_membership(corner):
     q = quadrant(make_grid(6, 6), corner)
     lm = landmarks(q)
     assert lm.x0 == lm.A[2] == lm.B[2]
-    assert lm.b == lm.B[1]
-    assert lm.c not in set(lm.A) | set(lm.B)
-    assert len(q.parent.adjacency[lm.x2]) == 2
+    assert lm.y0 == lm.A[0]
     assert len(q.parent.adjacency[lm.y0]) == 3
-    assert set(lm.A) | set(lm.B) | lm.S == q.vertices
-
-
-def _cycle_is_closed(edges):
-    deg: dict = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return set(deg.values()) == {2} and len(deg) == len(edges)
+    assert set(lm.A) | set(lm.B) <= q.vertices
 
 
 @pytest.mark.parametrize("corner", list(Corner))
 def test_central_cycles(corner):
-    lm = landmarks(quadrant(make_grid(6, 6), corner))
-    assert len(lm.C0) == 4 and _cycle_is_closed(lm.C0)
-    assert len(lm.C1) == 12 and _cycle_is_closed(lm.C1)
-    c0_vertices = {v for e in lm.C0 for v in e}
-    c1_vertices = {v for e in lm.C1 for v in e}
-    assert lm.x0 in c0_vertices
-    assert lm.x1 in c1_vertices
-    assert not c0_vertices & c1_vertices
-    # consecutive edges share a vertex, starting from x0 / x1
-    assert lm.C0[0][0] == lm.x0 or lm.C0[0][1] == lm.x0
-    assert lm.C1[0][0] == lm.x1 or lm.C1[0][1] == lm.x1
-    g = make_grid(6, 6)
-    for v in c0_vertices:
-        assert set(g.adjacency[v]) <= c0_vertices | c1_vertices
-
-
-@pytest.mark.parametrize("corner", list(Corner))
-def test_z_complements_boundary_cycle(corner):
     q = quadrant(make_grid(6, 6), corner)
-    lm = landmarks(q)
-    cyc = list(lm.boundary_cycle)
-    cyc_edges = set(path_edges(cyc + [cyc[0]]))
-    z_edges = {e for e in q.graph.present_edges if e[0] in lm.Z and e[1] in lm.Z}
-    assert cyc_edges | z_edges == q.graph.present_edges
-    assert not cyc_edges & z_edges
-    assert lm.x1 not in set(cyc)
-    assert lm.Z & set(lm.A) and lm.Z & set(lm.B)
+    g = q.parent
+    for ring in (C0_RING, C1_RING):
+        # consecutive ring vertices, the last and the first too, are grid neighbours
+        for k in range(len(ring)):
+            assert edge(ring[k - 1], ring[k]) in g.present_edges
+    assert (len(C0_RING), len(C1_RING)) == (4, 12)
+    assert not set(C0_RING) & set(C1_RING)
+    assert landmarks(q).x0 in C0_RING
+    assert q.rings == tuple(
+        tuple(sorted(v for v in ring if v in q.vertices)) for ring in (C0_RING, C1_RING)
+    )
+    assert q.mating_graph.present_edges == q.graph.present_edges - C1_EDGES
+    assert q.mating_graph.present_vertices == q.vertices
 
 
 # -------------------------------------------------------- adjusted quadrants
@@ -188,26 +157,24 @@ def test_adjusted_quadrant_shapes(kind):
     nv, ne = ADJUSTED_SIZES[kind]
     assert len(adj.graph.present_vertices) == nv
     assert len(adj.graph.present_edges) == ne
-    assert adj.N == ADJUSTED_N[kind]
-    # A is present, independent, and attached only to N
-    for a in adj.A:
-        assert a in adj.graph.present_vertices
-        assert set(adj.graph.adjacency[a]) <= adj.N
+    # A is present, independent, and its neighbours are the table's
+    assert set(adj.A) <= adj.graph.present_vertices
+    assert {w for a in adj.A for w in adj.graph.adjacency[a]} == ADJUSTED_N[kind]
     for i in range(3):
         for j in range(i + 1, 3):
-            assert not adj.graph.has_edge(adj.A[i], adj.A[j])
+            assert edge(adj.A[i], adj.A[j]) not in adj.graph.present_edges
 
 
 def test_adjusted_contractions():
     # each merged vertex is gone, and its edges join its representative
     q2 = adjusted_quadrant("Q2")
-    assert q2.graph.has_edge((1, 1), (2, 2))
+    assert edge((1, 1), (2, 2)) in q2.graph.present_edges
     assert Vertex(1, 2) not in q2.graph.present_vertices
     q3 = adjusted_quadrant(AdjustedKind.Q3)
-    assert q3.graph.has_edge((1, 1), (3, 1))
+    assert edge((1, 1), (3, 1)) in q3.graph.present_edges
     assert Vertex(2, 1) not in q3.graph.present_vertices
     q4 = adjusted_quadrant(AdjustedKind.Q4)
-    assert q4.graph.has_edge((1, 2), (3, 2))
+    assert edge((1, 2), (3, 2)) in q4.graph.present_edges
     assert Vertex(2, 2) not in q4.graph.present_vertices
 
 
@@ -232,7 +199,7 @@ def test_symmetries_are_distinct_grid_automorphisms():
     for sym in SYMMETRIES:
         assert {sym(v) for v in g.present_vertices} == g.present_vertices
         for u, v in g.present_edges:
-            assert g.has_edge(sym(u), sym(v))
+            assert edge(sym(u), sym(v)) in g.present_edges
         images.add(tuple(sym(v) for v in sorted(g.present_vertices)))
     assert len(images) == 8
 
@@ -252,11 +219,11 @@ def test_transpose_is_involution_and_swaps_lines(corner):
     assert {tr(a) for a in lm.A} == set(lm.B)
     assert {tr(b) for b in lm.B} == set(lm.A)
     assert tr(lm.x0) == lm.x0
-    assert tr(lm.x1) == lm.x1
+    assert {tr(v) for v in q.rings[1]} == set(q.rings[1])
     # graph automorphism of the quadrant
     g = q.graph
     for u, v in g.present_edges:
-        assert g.has_edge(tr(u), tr(v))
+        assert edge(tr(u), tr(v)) in g.present_edges
 
 
 def test_to_global_round_trip():

@@ -43,16 +43,13 @@ from gridlink.verifier import degenerate_reason
 _GRID = make_grid(6, 6)
 _UL = quadrant(_GRID, Corner.UL)
 _LM = landmarks(_UL)
+_X2 = Vertex(1, 1)  # the quadrant's grid corner
 _CORNERS = [quadrant(_GRID, c) for c in Corner]
 
 
 def _c1_edges_inside(q):
-    lm = landmarks(q)
-    return {
-        e
-        for e in lm.C1
-        if e[0] in q.vertices and e[1] in q.vertices
-    }
+    """C1's edges inside q, derived here from the ring itself."""
+    return {e for e in path_edges(C1_RING + C1_RING[:1]) if set(e) <= q.vertices}
 
 
 def _edge_sets_disjoint(*paths):
@@ -113,7 +110,7 @@ def test_frame_two_mate_third_splits_cycles():
     p1, p2, mate = frame_two_mate_third(_UL, Vertex(1, 1), Vertex(2, 2), Vertex(1, 3))
     assert {p1[0], p2[0], mate[0]} == {(1, 1), (2, 2), (1, 3)}
     assert p1[-1] == p2[-1]
-    ring_of = {v: k for k, ring in enumerate((_LM.C0, _LM.C1)) for e in ring for v in e}
+    ring_of = {v: k for k, ring in enumerate((C0_RING, C1_RING)) for v in ring}
     assert ring_of[mate[-1]] == 1 - ring_of[p1[-1]]  # the third mates to the other ring
     assert _edge_sets_disjoint(p1, p2, mate)
 
@@ -121,13 +118,13 @@ def test_frame_two_mate_third_splits_cycles():
 def test_frame_c0_mate_c1_fixes_alpha():
     p1, p2, mate = frame_c0_mate_c1(_UL, Vertex(1, 2), Vertex(3, 1), Vertex(2, 3))
     assert p1[-1] == _LM.x0 == p2[-1]
-    c1_verts = {v for e in _LM.C1 for v in e if v in _UL.vertices}
+    c1_verts = {v for v in C1_RING if v in _UL.vertices}
     assert mate[-1] in c1_verts
 
 
 def test_frame_c1_mate_corner_both_choices_of_z():
     triple = (Vertex(1, 1), Vertex(1, 3), Vertex(3, 1))
-    c1_verts = {v for e in _LM.C1 for v in e if v in _UL.vertices}
+    c1_verts = {v for v in C1_RING if v in _UL.vertices}
     for z in (_LM.x0, _LM.y0):
         p1, p2, mate = frame_c1_mate_corner(_UL, *triple, z=z)
         assert p1[-1] == p2[-1] and p1[-1] in c1_verts
@@ -145,7 +142,7 @@ def test_frame_c1_mate_corner_both_choices_of_z():
         lambda: frame_c0_mate_c1(_UL, Vertex(1, 2), Vertex(3, 1), Vertex(2, 3)),
         lambda: frame_c1_mate_corner(_UL, Vertex(1, 1), Vertex(1, 3), Vertex(3, 1), _LM.x0),
         lambda: crowded_escape(
-            _UL, ((_LM.x0, _LM.x2),), (Vertex(1, 2), Vertex(2, 1), Vertex(2, 2)), variant=3
+            _UL, ((_LM.x0, _X2),), (Vertex(1, 2), Vertex(2, 1), Vertex(2, 2)), variant=3
         ),
     ],
     ids=["build_frame", "frame_two_mate_third", "frame_c0_mate_c1", "frame_c1_mate_corner",
@@ -519,11 +516,11 @@ def test_crowded_six_terminals_stay_near_a():
 
 
 def test_crowded_five_terminals_link_the_pair():
-    pairs, singles = ((_LM.x0, _LM.x2),), (Vertex(1, 2), Vertex(2, 1), Vertex(2, 2))
+    pairs, singles = ((_LM.x0, _X2),), (Vertex(1, 2), Vertex(2, 1), Vertex(2, 2))
     res = crowded_escape(_UL, pairs, singles, variant=3)
     assert _linked(pairs, res) == [0]
     link = res.paths[0]
-    assert link[0] == _LM.x0 and link[-1] == _LM.x2
+    assert link[0] == _LM.x0 and link[-1] == _X2
     assert len(_b_side_exits(pairs, singles, res)) <= 1
 
 

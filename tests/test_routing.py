@@ -444,7 +444,7 @@ def test_flow_paths_are_edge_disjoint():
     assert len(used) == len(set(used))
     for p in got.paths:
         for k in range(len(p) - 1):
-            assert g.has_edge(p[k], p[k + 1])
+            assert edge(p[k], p[k + 1]) in g.present_edges
 
 
 def test_flow_rejects_malformed():
@@ -869,6 +869,22 @@ def test_compiled_form_dies_with_its_graph():
     del g
     gc.collect()
     assert ref() is None
+
+
+def test_the_matcher_leaves_no_cyclic_garbage():
+    # a recursive closure would refer to itself through its cell, and every
+    # call would leave a cycle for the collector
+    assert routing._has_matching([1, 3, 6]) and not routing._has_matching([1, 1, 6])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(100):
+            routing._has_matching([1, 3, 6])
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_a_solved_graph_pickles_as_small_as_a_fresh_one():

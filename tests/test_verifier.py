@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import threading
 from collections import Counter
 from collections.abc import Iterator
@@ -31,7 +33,6 @@ from gridlink.grid import (
 )
 import gridlink.lemmas.crowded as crowded
 import gridlink.lemmas.escapes as escapes
-import gridlink.lemmas.frames as frames
 import gridlink.lemmas.linkage as linkage
 from gridlink.lemmas import catalog_configurations
 from gridlink.cli import main
@@ -283,7 +284,9 @@ def _moved_anchor(got, anchors):
     """
     kept = got.paths[2:]
     taken = frozenset(e for p in kept for e in path_edges(p))
-    graph = _UL.graph.without_edges(frozenset(landmarks(_UL).C1) & _UL.graph.present_edges | taken)
+    # C1's edges, derived here from the ring itself
+    c1 = frozenset(path_edges(C1_RING + C1_RING[:1])) & _UL.graph.present_edges
+    graph = _UL.graph.without_edges(c1 | taken)
     for w in anchors:
         sol = solve(Instance(graph, (Demand.pair(got[0][0], w), Demand.pair(got[1][0], w))))
         if sol:
@@ -333,9 +336,11 @@ def test_frame_campaigns_check_the_statement(monkeypatch, lemma_id, op, mutant):
         return _moved_anchor(real(q, *args), off_rings)
 
     def over_c1(q, *args):
-        with monkeypatch.context() as m:  # solve on the whole quadrant
-            m.setattr(frames, "_without_c1", lambda q: q.graph)
-            return real(q, *args)
+        # the operation alone solves on the whole quadrant: the runner
+        # reads the mating graph of its own quadrant, which stays as it is
+        whole = replace(q)
+        whole.__dict__["mating_graph"] = q.graph
+        return real(whole, *args)
 
     mutated = {
         "wrong terminal": wrong_terminal,
@@ -698,6 +703,22 @@ def test_two_workers_take_a_list_in_chunks_of_at_most_64(monkeypatch):
     monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
     assert list(verifier._pooled(_nothing, list(range(2000)), 2)) == [None] * 2000
     assert sum(sizes) == 2000 and max(sizes) <= 64
+
+
+def test_importing_gridlink_loads_no_pool_machinery():
+    # _pooled imports these where a pool runs: at module level they add
+    # about 1.5 MB to the peak RSS of a campaign with one worker
+    src = os.path.dirname(os.path.dirname(gridlink.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = (
+        "import sys, gridlink, gridlink.verifier, gridlink.cli\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------- pairability
