@@ -82,10 +82,23 @@ class GridGraph:
 
         return _Compiled(self)
 
+    @cached_property
+    def steps(self) -> dict[tuple[Vertex, Vertex], int]:
+        """Each ordered pair of ends of a present edge, mapped to that edge's
+        own bit: the step table ``routing.verify`` checks a path against."""
+        steps = {}
+        for i, (u, v) in enumerate(self.present_edges):
+            steps[u, v] = steps[v, u] = 1 << i
+        return steps
+
     def __getstate__(self) -> dict:
-        # the cached properties are rebuilt on first use, so a solved graph
-        # pickles (and copies) as small as a fresh one
-        return {k: v for k, v in self.__dict__.items() if k not in ("adjacency", "compiled_form")}
+        # the cached properties are rebuilt on first use, so a solved or
+        # verified graph pickles (and copies) as small as a fresh one
+        return {
+            k: v
+            for k, v in self.__dict__.items()
+            if k not in ("adjacency", "compiled_form", "steps")
+        }
 
     def without_edges(self, gone: Iterable[Edge]) -> "GridGraph":
         dead = {edge(*e) for e in gone}

@@ -65,6 +65,18 @@ The walk and the fixed part of the prune's row live on the compiled demand
 (``_CDemand.walk``, ``_CDemand.row``), so a solve adds only each demand's
 group slot.
 
+Before the ladder, the root settles the solve from the tables when it can:
+in demand order, each demand takes the first path of its shortest-path
+table that meets no edge taken before it (for a grouped demand, and no
+exit its group has taken).  When every demand gets one, that is the
+answer at slack 0 and no level is searched: it is the first leaf of the
+slack-0 level, since the walk yields the table's free paths in order,
+every prune on the way passes (each later demand keeps a free shortest
+path under more used edges than the prune sees), and the root's prune
+starts the ladder at 0.  A demand with no table or no free path leaves
+the solve to the ladder.  The settlement runs at the root only; tried at
+every node of the search, it cost more than it saved.
+
 The last demand is settled from its table: once the demand before it has
 committed a path, a free shortest path of the last demand (for a grouped
 demand, one to an exit not yet taken) completes the certificate, since it
@@ -87,7 +99,7 @@ from enum import Enum
 from functools import cache
 from typing import Iterable, Optional, Union
 
-from .grid import Edge, GridGraph, Path, Vertex, edge, vertex
+from .grid import GridGraph, Path, Vertex, edge, vertex
 
 _INF = 10 ** 9
 
@@ -552,8 +564,10 @@ class _Search:
         # searched would try something new; _INF when nothing was cut off
         # (see _route)
         self.gap = _INF
-        # the last slack level the last run searched, having climbed by the
-        # gaps (None: settled before any level)
+        # the slack level of the last run's answer, having climbed by the
+        # gaps: 0 for a run settled at the root (see _settle), the last level
+        # searched otherwise, None when the root's prune proved the instance
+        # infeasible before any level
         self.slack: Optional[int] = None
 
     # ------------------------------- feasibility prunes after each commit --
@@ -777,26 +791,62 @@ class _Search:
             self.gap = nxt
         return None
 
+    def _settle(self) -> Optional[list[int]]:
+        """The edge mask of each demand's path when, in demand order, each
+        demand takes the first free path of its shortest-path table (for a
+        grouped demand, one to an exit its group has not taken); None when
+        some demand has no table or no free path.  This is the first leaf of
+        the slack-0 level (see the module docstring).
+        """
+        eshift = self.eshift
+        used = 0
+        gused = [0] * self.ngroups
+        masks = []
+        for cd, gi in zip(self.demands, self.gi):
+            table = cd.table
+            if table is None:
+                return None
+            blocked = used | gused[gi] << eshift if gi >= 0 else used
+            # _first_free, inlined: most solves on the grid settle here
+            for m in table:
+                if not m & blocked:
+                    break
+            else:
+                return None
+            end = m >> eshift
+            m ^= end << eshift
+            used |= m
+            masks.append(m)
+            if gi >= 0:
+                gused[gi] |= end
+        return masks
+
     def run(self) -> SolveResult:
         if not self.nd:
             return PathSystem(())
-        gused0 = (0,) * self.ngroups
-        # with no edge used every free distance is its lb, so at slack 0 only
-        # a group whose witness rows fail Hall's condition cuts with a gap:
-        # the ladder starts there, and a rejection with no gap ends it
-        slack = 0 if self._prune_ok(0, 0, gused0, 0) else self.gap
-        budget = self.budget
-        while slack <= budget:
-            self.slack, self.gap = slack, _INF
-            routed = self._route(0, 0, gused0, slack)
-            if routed is not None:
-                comp = self.comp
-                paths = []
-                for d, mask in zip(self.demands, routed):
-                    paths.append(_trace(comp, d.src, mask))
-                return PathSystem(tuple(paths))
-            slack += self.gap  # _INF, when nothing was cut off, ends the ladder
-        return Infeasible
+        routed = self._settle()
+        if routed is not None:
+            self.slack = 0
+        else:
+            gused0 = (0,) * self.ngroups
+            # with no edge used every free distance is its lb, so at slack 0
+            # only a group whose witness rows fail Hall's condition cuts with
+            # a gap: the ladder starts there, and a rejection with no gap ends it
+            slack = 0 if self._prune_ok(0, 0, gused0, 0) else self.gap
+            budget = self.budget
+            while True:
+                if slack > budget:
+                    return Infeasible
+                self.slack, self.gap = slack, _INF
+                routed = self._route(0, 0, gused0, slack)
+                if routed is not None:
+                    break
+                slack += self.gap  # _INF, when nothing was cut off, ends the ladder
+        comp = self.comp
+        paths = []
+        for d, mask in zip(self.demands, routed):
+            paths.append(_trace(comp, d.src, mask))
+        return PathSystem(tuple(paths))
 
 
 def _free_paths(table: tuple[int, ...], blocked: int, eshift: int):
@@ -906,11 +956,20 @@ def _bad(msg: str) -> VerifyResult:
     return VerifyResult(False, msg)
 
 
+_OK = VerifyResult(True)
+
+
 def verify(inst: Instance, cert: PathSystem) -> VerifyResult:
     """Check a certificate against an instance; reports the first violated clause.
 
     Plain ``(row, col)`` tuples hash and compare as ``Vertex``; messages name a ``Vertex``.
     A vertex of any other shape fails the check with a message naming its path.
+
+    A path with an absent vertex is scanned to name the first one.  Each
+    step of any other path is looked up in the graph's step table
+    (``GridGraph.steps``): a step not in it is non-adjacent, and a step
+    whose edge bit is already in the mask of the edges walked so far
+    reuses that edge.
     """
     if not isinstance(cert, PathSystem):
         return _bad("not a path system")
@@ -919,28 +978,26 @@ def verify(inst: Instance, cert: PathSystem) -> VerifyResult:
             f"path count mismatch: {len(cert.paths)} paths for {len(inst.demands)} demands"
         )
     present = inst.graph.present_vertices
-    gedges = inst.graph.present_edges
-    seen_edges: set[Edge] = set()
-    nseen = 0
+    steps = inst.graph.steps
+    walked = 0  # the edge bits of the paths checked so far
     group_ends: dict[int, set[Vertex]] = {}
     i = 0
     try:
         for i, (d, p) in enumerate(zip(inst.demands, cert.paths)):
             if not p:
                 return _bad(f"path {i} is empty")
-            for v in p:
-                if v not in present:
-                    return _bad(f"path {i}: absent vertex {vertex(v)}")
+            if not present.issuperset(p):
+                for v in p:
+                    if v not in present:
+                        return _bad(f"path {i}: absent vertex {vertex(v)}")
             for k in range(len(p) - 1):
                 a, b = p[k], p[k + 1]
-                e = (a, b) if a <= b else (b, a)
-                if e not in gedges:
+                bit = steps.get((a, b))
+                if bit is None:
                     return _bad(f"path {i}: non-adjacent step {vertex(a)} -> {vertex(b)}")
-                # a reused edge leaves the set as it was
-                seen_edges.add(e)
-                if len(seen_edges) == nseen:
+                if walked & bit:
                     return _bad(f"path {i}: edge reuse {edge(a, b)}")
-                nseen += 1
+                walked |= bit
             if p[0] != d.source:
                 return _bad(f"path {i}: endpoint mismatch, starts at {vertex(p[0])} not {d.source}")
             last = p[-1]
@@ -954,4 +1011,4 @@ def verify(inst: Instance, cert: PathSystem) -> VerifyResult:
     except (TypeError, ValueError) as exc:
         # a vertex that is not a hashable (row, col) pair, e.g. a list
         return _bad(f"path {i}: malformed vertex ({exc})")
-    return VerifyResult(True)
+    return _OK

@@ -116,6 +116,11 @@ class Campaign:
     def __post_init__(self) -> None:
         if self.lemma_id not in _CAMPAIGNS:
             raise ValueError(f"unknown campaign id {self.lemma_id!r}")
+        # a float passes the range checks and fails mid-run; a bool runs as 0 or 1
+        if self.samples is not None and type(self.samples) is not int:
+            raise ValueError(f"samples must be an int, got {self.samples!r}")
+        if type(self.workers) is not int:
+            raise ValueError(f"workers must be an int, got {self.workers!r}")
         if self.strategy == "random":
             if self.seed is None:
                 raise ValueError("the random strategy requires an explicit seed")

@@ -402,6 +402,117 @@ def test_verify_fails_a_malformed_vertex_and_names_its_path():
     assert res.violation == "path 0: malformed vertex (unhashable type: 'list')"
 
 
+def _set_verify(inst, cert):
+    """The set-based ``verify`` that the step table replaced: canonical edge
+    tuples looked up in ``present_edges`` and gathered in a set.  The
+    reference for the differential test; the same clauses, in the same
+    order, with the same messages."""
+    if not isinstance(cert, PathSystem):
+        return routing._bad("not a path system")
+    if len(cert.paths) != len(inst.demands):
+        return routing._bad(
+            f"path count mismatch: {len(cert.paths)} paths for {len(inst.demands)} demands"
+        )
+    present = inst.graph.present_vertices
+    gedges = inst.graph.present_edges
+    seen_edges = set()
+    nseen = 0
+    group_ends = {}
+    i = 0
+    try:
+        for i, (d, p) in enumerate(zip(inst.demands, cert.paths)):
+            if not p:
+                return routing._bad(f"path {i} is empty")
+            for v in p:
+                if v not in present:
+                    return routing._bad(f"path {i}: absent vertex {vertex(v)}")
+            for k in range(len(p) - 1):
+                a, b = p[k], p[k + 1]
+                e = (a, b) if a <= b else (b, a)
+                if e not in gedges:
+                    return routing._bad(
+                        f"path {i}: non-adjacent step {vertex(a)} -> {vertex(b)}"
+                    )
+                seen_edges.add(e)
+                if len(seen_edges) == nseen:
+                    return routing._bad(f"path {i}: edge reuse {edge(a, b)}")
+                nseen += 1
+            if p[0] != d.source:
+                return routing._bad(
+                    f"path {i}: endpoint mismatch, starts at {vertex(p[0])} not {d.source}"
+                )
+            last = p[-1]
+            if last not in d.exits:
+                return routing._bad(
+                    f"path {i}: exit mismatch, ends at {vertex(last)} outside exits"
+                )
+            if d.distinct_group is not None:
+                ends = group_ends.setdefault(d.distinct_group, set())
+                if last in ends:
+                    return routing._bad(f"path {i}: exit collision at {vertex(last)}")
+                ends.add(last)
+    except (TypeError, ValueError) as exc:
+        return routing._bad(f"path {i}: malformed vertex ({exc})")
+    return routing.VerifyResult(True)
+
+
+def _verify_mutants(inst, cert):
+    """``(instance, certificate)`` pairs around one solved instance: itself,
+    and per path one moved, dropped, list, 3-tuple and absent vertex, a
+    reused edge, a wrong start and a wrong exit, plus the instance with
+    every demand in one group (exit collisions where two paths share an
+    end)."""
+    yield inst, cert
+    if cert is Infeasible:
+        return
+    verts = sorted(inst.graph.present_vertices)
+    paths = cert.paths
+    for i, p in enumerate(paths):
+        k = len(p) // 2
+
+        def put(q):
+            return PathSystem(paths[:i] + (q,) + paths[i + 1 :])
+
+        yield inst, put(p[:k] + (verts[(k + i) % len(verts)],) + p[k + 1 :])  # moved
+        yield inst, put(p[:k] + p[k + 1 :])  # dropped
+        yield inst, put(p[:k] + (list(p[k]),) + p[k + 1 :])  # list vertex
+        yield inst, put(p[:k] + (tuple(p[k]) + (0,),) + p[k + 1 :])  # 3-tuple vertex
+        yield inst, put(p[:k] + ((9, 9),) + p[k + 1 :])  # absent vertex
+        yield inst, put(p + p[-2::-1][:1] + p[-1:] if len(p) > 1 else p + p)  # reused edge
+        yield inst, put(p[1:] or (verts[i % len(verts)],))  # wrong start
+        yield inst, put(p[:-1] or p + (verts[i % len(verts)],))  # wrong exit
+    grouped = tuple(Demand.escape(d.source, d.exits, distinct_group=0) for d in inst.demands)
+    yield Instance(inst.graph, grouped), cert  # exit collision
+
+
+def test_verify_agrees_with_the_set_based_verify():
+    # The pinned certificates and their mutants: the same verdict and the
+    # same message, and every valid certificate gets the one shared result.
+    messages = set()
+    ok = set()
+    for inst in _pinned_instances():
+        for mutant, cert in _verify_mutants(inst, solve(inst)):
+            got, want = verify(mutant, cert), _set_verify(mutant, cert)
+            assert (got.ok, got.violation) == (want.ok, want.violation), (mutant, cert)
+            if got:
+                ok.add(id(got))
+            else:
+                messages.add(got.violation)
+    assert len(ok) == 1
+    for clause in (
+        "not a path system",
+        "absent vertex",
+        "non-adjacent step",
+        "edge reuse",
+        "endpoint mismatch",
+        "exit mismatch",
+        "exit collision",
+        "malformed vertex (unhashable",
+        "malformed vertex (too many values",
+    ):
+        assert any(clause in m for m in messages), clause
+
+
 def test_instance_keeps_a_tuple_of_its_demands():
     g = make_grid(2, 2)
     d = Demand.pair((1, 1), (2, 2))
@@ -892,11 +1003,13 @@ def test_a_solved_graph_pickles_as_small_as_a_fresh_one():
     inst = Instance(g, (Demand.pair((1, 1), (6, 6)), Demand.pair((1, 6), (6, 1))))
     fresh = pickle.dumps(g)
     got = solve(inst)
-    assert "compiled_form" in vars(g)
+    assert verify(inst, got)
+    assert "compiled_form" in vars(g) and "steps" in vars(g)
     assert pickle.dumps(g) == fresh
     clone = pickle.loads(fresh)
-    assert clone == g and "compiled_form" not in vars(clone)
+    assert clone == g and "compiled_form" not in vars(clone) and "steps" not in vars(clone)
     assert solve(Instance(clone, inst.demands)) == got
+    assert verify(Instance(clone, inst.demands), got)
 
 
 # --------------------------------------- candidate walk vs brute force
@@ -1470,15 +1583,16 @@ class _DifferentialSearch(_Search):
 
 
 def test_prune_agrees_with_the_flooding_prune_at_every_node(monkeypatch):
-    # Every 13th L10 placement, every 5th L2 instance and 300 pairability
+    # Every 13th L10 placement, every 5th L2 instance and 500 pairability
     # placements, each solved by a search that runs both prunes at every
     # node it visits; each campaign's runner still accepts its certificate.
+    # Most pairability placements settle at the root and visit no node.
     monkeypatch.setattr(routing, "_Search", _DifferentialSearch)
     rng = Random(5)
     sweeps = [
         (verifier._run_l10, list(verifier._iter_l10())[::13]),
         (partial(verifier._run_crowded, variant=2), list(verifier._iter_l2())[::5]),
-        (verifier._run_pairability, [sample_pairability(rng) for _ in range(300)]),
+        (verifier._run_pairability, [sample_pairability(rng) for _ in range(500)]),
     ]
     for runner, instances in sweeps:
         before = _DifferentialSearch.nodes
@@ -1520,7 +1634,9 @@ def test_prune_agrees_with_the_flooding_prune_on_grouped_escapes(inst):
 
 
 def _root_levels(search):
-    """Run ``search``; return its answer and the slack of every level it searched."""
+    """Run ``search``; return its answer and the slack of every level it
+    searched.  A run settled at the root searched no level and stopped at
+    slack 0, which it reports as its one level."""
     levels = []
     route = search._route
 
@@ -1530,7 +1646,27 @@ def _root_levels(search):
         return route(di, used, gused, slack)
 
     search._route = recording
-    return search.run(), levels
+    got = search.run()
+    if not levels and search.slack is not None:
+        assert search.slack == 0 and got is not Infeasible
+        levels.append(0)
+    return got, levels
+
+
+@given(st.one_of(small_instances(max_cols=4), grouped_instances()))
+@settings(deadline=None, max_examples=300)
+def test_a_root_settlement_is_the_first_leaf_of_slack_zero(inst):
+    search = _Search(inst)
+    settled = search._settle()
+    got = search.run()
+    if settled is None:
+        return
+    assert search.slack == 0
+    assert settled == _level(inst, 0)[0]
+    comp = search.comp
+    assert got == PathSystem(
+        tuple(_trace(comp, d.src, m) for d, m in zip(search.demands, settled))
+    )
 
 
 def test_pair_ladder_on_a_bipartite_grid_climbs_by_even_gaps():
@@ -1575,7 +1711,7 @@ def _check_ladder(inst):
 
     Every slack below the first level the ladder searched routes nothing
     (with no level searched, every slack below the root's gap that stays
-    within the edge budget).  A level's least gap is exactly the rise to
+    within the edge budget; a run settled at the root reports level 0).  A level's least gap is exactly the rise to
     the next level the ladder searched, and every slack it skips enters
     the same search nodes as that level; the last level either routes the
     instance or has no gap that stays within the edge budget, and every
@@ -1686,12 +1822,14 @@ def test_edge_budget_proves_infeasibility_at_slack_zero():
 # slack levels searched).  The searching walks include the one that builds
 # each compiled demand's shortest-path table: L10 99 of them, L1 9, L2 13
 # and L3 none.  A search that stops lifting its ladder at the root, where a
-# group's witness rows fail Hall's condition, searches more levels.
+# group's witness rows fail Hall's condition, searches more levels.  A
+# solve settled at the root from its tables makes no prune call and
+# searches no level; one that stops settling there makes more of both.
 _PINNED_WORK = {
-    "L10": (216, 6559, 2972),
-    "L1": (91, 3797, 749),
-    "L2": (72, 2727, 693),
-    "L3": (2, 552, 155),
+    "L10": (216, 3471, 1428),
+    "L1": (91, 2854, 441),
+    "L2": (72, 1984, 400),
+    "L3": (2, 426, 113),
 }
 
 

@@ -143,6 +143,16 @@ def test_reduced_pairability_stream_is_lazy():
     assert list(islice(stream, 50)) == list(islice(iter_pairability_reduced(), 50))
 
 
+def test_worker_and_sample_counts_must_be_ints():
+    # a float passed the range checks and failed mid-run; a bool ran
+    for workers in (1.5, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match="workers must be an int"):
+            Campaign("L5", workers=workers)
+    for samples in (2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="samples must be an int"):
+            Campaign("pairability", samples=samples, seed=1)
+
+
 def test_worker_counts_outside_the_cpu_range_are_rejected():
     # only the rejection path: no process pool is ever started here
     for workers in (0, -1, (os.cpu_count() or 1) + 1):
