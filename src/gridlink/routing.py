@@ -67,8 +67,8 @@ group slot.
 
 Before the ladder, the root settles the solve from the tables when it can:
 in demand order, each demand takes the first path of its shortest-path
-table that meets no edge taken before it (for a grouped demand, and no
-exit its group has taken).  When every demand gets one, that is the
+table that meets no edge taken before it (for a grouped demand, and ends
+at no exit its group has taken).  When every demand gets one, that is the
 answer at slack 0 and no level is searched: it is the first leaf of the
 slack-0 level, since the walk yields the table's free paths in order,
 every prune on the way passes (each later demand keeps a free shortest
@@ -564,9 +564,9 @@ class _Search:
         # searched would try something new; _INF when nothing was cut off
         # (see _route)
         self.gap = _INF
-        # the slack level of the last run's answer, having climbed by the
-        # gaps: 0 for a run settled at the root (see _settle), the last level
-        # searched otherwise, None when the root's prune proved the instance
+        # the last slack level of the last run: 0 for a run settled at the
+        # root (see _settle), else the last level searched, having climbed
+        # by the gaps; None when the root's prune proved the instance
         # infeasible before any level
         self.slack: Optional[int] = None
 
