@@ -40,11 +40,15 @@ something new.  A level that fails next climbs by the least gap it met
 and fails the same way.  A level that fails with no gap, or whose least
 gap leads above the edge budget, has searched every simple path system
 that fits, so it proves the instance infeasible and the search stops
-there.  The ladder starts where the root's prune, bounded at slack 0,
-leaves it: at 0, or at the gap of a group whose exits cannot be matched
-without slack, since every level below that fails at the root.  Skipped
-levels hold no solution, so the first certificate found is the one a
-plain one-level-at-a-time search finds.
+there.  Slack 0 is searched over the shortest-path tables (below) unless
+the root's prune, bounded at slack 0, rejects it: the ladder then starts
+at the gap of a group whose exits cannot be matched without slack, since
+every level below that fails at the root, and a rejection with no gap
+proves the instance infeasible.  A slack-0 level with no leaf hands the
+ladder slack 1, or slack 2 when every demand's path lengths keep one
+parity (its ``step``), since no path can grow by less.  Skipped levels
+hold no solution, so the first certificate found is the one a plain
+one-level-at-a-time search finds.
 
 Each graph is compiled once to vertex indices and edge bitmasks, and each
 demand once per compiled graph, to its goal mask, distance table and
@@ -65,17 +69,28 @@ The walk and the fixed part of the prune's row live on the compiled demand
 (``_CDemand.walk``, ``_CDemand.row``), so a solve adds only each demand's
 group slot.
 
-Before the ladder, the root settles the solve from the tables when it can:
-in demand order, each demand takes the first path of its shortest-path
-table that meets no edge taken before it (for a grouped demand, and ends
-at no exit its group has taken).  When every demand gets one, that is the
-answer at slack 0 and no level is searched: it is the first leaf of the
-slack-0 level, since the walk yields the table's free paths in order,
-every prune on the way passes (each later demand keeps a free shortest
-path under more used edges than the prune sees), and the root's prune
-starts the ladder at 0.  A demand with no table or no free path leaves
-the solve to the ladder.  The settlement runs at the root only; tried at
-every node of the search, it cost more than it saved.
+Slack 0 is the level of the tables.  First the root settles: in demand
+order, each demand takes the first path of its shortest-path table that
+meets no edge taken before it (for a grouped demand, and ends at no exit
+its group has taken).  When every demand gets one, that is the answer: it
+is the first leaf of the slack-0 level, since the walk yields the table's
+free paths in order, every prune on the way passes (each later demand
+keeps a free shortest path under more used edges than the prune sees),
+and the root's prune passes.  Otherwise, once the root's prune passes,
+the search carries on from that dead end over the tables alone
+(``_Search._resume``): each demand above it, deepest first, tries the
+entries after its pick, and one is kept only when every later demand
+keeps a free entry (for a grouped demand, one to an open exit) and each
+group's free-entry ends pass Hall's condition.  That check is the prune
+at slack 0, where a demand with no free entry, or a group that fails on
+those ends, lies beyond the slack, so it grows, floods and gaps nothing.
+The prune only skips subtrees that hold no leaf, and leaving the picks
+unchecked only searches some such subtrees, so the first leaf found is
+the one ``_route`` finds at slack 0.  Only an instance with a demand that
+has no table leaves slack 0 to ``_route``.  The settlement descends
+unchecked and at the root only, and the backtracking state is built only
+at its dead end: checking the descent, or settling at every node of the
+search, cost more than it saved.
 
 The last demand is settled from its table: once the demand before it has
 committed a path, a free shortest path of the last demand (for a grouped
@@ -97,6 +112,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import islice
 from typing import Iterable, Optional, Union
 
 from .grid import GridGraph, Path, Vertex, edge, vertex
@@ -499,14 +515,16 @@ class _Compiled:
 
 
 def _trace(comp: "_Compiled", src: int, mask: int) -> Path:
-    """The vertices of the simple path from ``src`` whose edges are ``mask``."""
+    """The vertices of the simple path from ``src`` whose edges are ``mask``;
+    an end bit above the edge bits, as a table entry stores it, is ignored."""
     verts, inc, other = comp.verts, comp.inc, comp.other
     u, path = src, [verts[src]]
-    while mask:
-        b = mask & inc[u]
+    b = mask & inc[u]
+    while b:
         mask ^= b
         u ^= other[b]
         path.append(verts[u])
+        b = mask & inc[u]
     return tuple(path)
 
 
@@ -564,10 +582,11 @@ class _Search:
         # searched would try something new; _INF when nothing was cut off
         # (see _route)
         self.gap = _INF
-        # the last slack level of the last run: 0 for a run settled at the
-        # root (see _settle), else the last level searched, having climbed
-        # by the gaps; None when the root's prune proved the instance
-        # infeasible before any level
+        # the last slack level of the last run: 0 for a run that slack 0
+        # answered over the tables, settled at the root or not (see
+        # _resume), else the last level searched, having climbed by the
+        # gaps; None when the root's prune proved the instance infeasible,
+        # or lifted the ladder above the edge budget, before any level
         self.slack: Optional[int] = None
 
     # ------------------------------- feasibility prunes after each commit --
@@ -791,57 +810,173 @@ class _Search:
             self.gap = nxt
         return None
 
-    def _settle(self) -> Optional[list[int]]:
-        """The edge mask of each demand's path when, in demand order, each
-        demand takes the first free path of its shortest-path table (for a
-        grouped demand, one to an exit its group has not taken); None when
-        some demand has no table or no free path.  This is the first leaf of
-        the slack-0 level (see the module docstring).
+    def _settle(self) -> list[int]:
+        """In demand order, each demand takes the first free entry of its
+        shortest-path table (for a grouped demand, one to an exit its group
+        has not taken).  Returns the entries taken: one per demand when all
+        get one, the first leaf of the slack-0 level; else those before the
+        first demand with no table or no free entry, the *dead end*.
         """
         eshift = self.eshift
         used = 0
         gused = [0] * self.ngroups
-        masks = []
+        picks = []
         for cd, gi in zip(self.demands, self.gi):
             table = cd.table
             if table is None:
-                return None
+                return picks
             blocked = used | gused[gi] << eshift if gi >= 0 else used
             # _first_free, inlined: most solves on the grid settle here
             for m in table:
                 if not m & blocked:
                     break
             else:
-                return None
+                return picks
             end = m >> eshift
-            m ^= end << eshift
-            used |= m
-            masks.append(m)
+            used |= m ^ end << eshift
+            picks.append(m)
             if gi >= 0:
                 gused[gi] |= end
-        return masks
+        return picks
+
+    def _resume(self, picks: list[int]) -> Optional[list[int]]:
+        """The first leaf of the slack-0 level, as table entries, carried on
+        from the dead end of ``_settle``, which took ``picks``; None when the
+        level has none.  Every demand has a non-empty table (the root's
+        prune passed).  Each demand above the dead end, deepest first, tries
+        the entries of its table after its pick (see ``_tabled``): the ones
+        before it are not free.  The picks were never checked ahead, so a
+        subtree the prune would skip may be searched, and holds no leaf.
+        """
+        eshift = self.eshift
+        gis = self.gi
+        # the used edges and group exits before each pick
+        before = []
+        used, gused = 0, (0,) * self.ngroups
+        for m, gi in zip(picks, gis):
+            before.append((used, gused))
+            end = m >> eshift
+            used |= m ^ end << eshift
+            if gi >= 0:
+                gused = gused[:gi] + (gused[gi] | end,) + gused[gi + 1 :]
+        for di in range(len(picks) - 1, -1, -1):
+            table = self.demands[di].table
+            used, gused = before[di]
+            tail = self._tabled(di, used, gused, islice(table, table.index(picks[di]) + 1, None))
+            if tail is not None:
+                return picks[:di] + tail
+        return None
+
+    def _tabled(self, di: int, used: int, gused: tuple[int, ...], entries) -> Optional[list[int]]:
+        """Route demands di.. at slack 0 over their shortest-path tables,
+        demand di trying ``entries`` of its table in order.  Returns the
+        table entry of each demand's path, or None.
+
+        This is ``_route`` at slack 0 when every demand has a table: its
+        walk yields the free entries of the table, in order, and its prune
+        at slack 0 passes exactly when ``_ahead_ok`` does.  Demand di + 1,
+        when it is the last, takes the first free entry of its table.
+        """
+        eshift = self.eshift
+        gi = self.gi[di]
+        blocked = used
+        if gi >= 0:
+            taken = gused[gi]
+            blocked |= taken << eshift
+        nxt = di + 1
+        if nxt + 1 == self.nd:
+            table = self.demands[nxt].table
+            lgi = self.gi[nxt]
+            for m in entries:
+                if m & blocked:
+                    continue
+                end = m >> eshift
+                lblocked = used | m ^ end << eshift
+                if lgi >= 0:
+                    lblocked |= (gused[lgi] | end if lgi == gi else gused[lgi]) << eshift
+                # _first_free, inlined: most entries tried here are tried for it
+                for last in table:
+                    if not last & lblocked:
+                        return [m, last]
+            return None
+        for m in entries:
+            if m & blocked:
+                continue
+            end = m >> eshift
+            nused = used | m ^ end << eshift
+            ngused = gused
+            if gi >= 0:
+                ngused = gused[:gi] + (taken | end,) + gused[gi + 1 :]
+            if self._ahead_ok(nxt, nused, ngused):
+                tail = self._tabled(nxt, nused, ngused, self.demands[nxt].table)
+                if tail is not None:
+                    return [m] + tail
+        return None
+
+    def _ahead_ok(self, j0: int, used: int, gused: tuple[int, ...]) -> bool:
+        """``_prune_ok(j0, used, gused, 0)`` when every demand has a table:
+        does each demand j0.. keep a free table entry (for a grouped demand,
+        one to an exit its group has not taken), and do the ends of a
+        group's free entries pass Hall's condition?  No flood, no growth
+        and no gap: a demand without a free entry lies beyond slack 0, and
+        so does a group that fails on those ends.  An ungrouped demand's
+        empty table would pass, which the root's prune rules out.
+        """
+        eshift = self.eshift
+        wit = None  # the free-entry ends of each grouped demand, in order
+        for (sbit, goal, lb, short, near, table), gi in self.rows[j0:]:
+            if gi < 0:
+                if used & short and not _first_free(table, used):
+                    return False
+                continue
+            taken = gused[gi]
+            row = goal & ~taken & near
+            if row and used & short:
+                row = _free_ends(table, used | taken << eshift, eshift)
+            if not row:
+                return False
+            if wit is None:
+                wit = [row]
+            else:
+                wit.append(row)
+        if wit is not None and len(wit) > 1:
+            for rows in (wit,) if self.ngroups == 1 else self._by_group(j0, wit):
+                if not _hall(rows):
+                    return False
+        return True
 
     def run(self) -> SolveResult:
         if not self.nd:
             return PathSystem(())
         routed = self._settle()
-        if routed is not None:
+        if len(routed) == self.nd:
             self.slack = 0
         else:
             gused0 = (0,) * self.ngroups
             # with no edge used every free distance is its lb, so at slack 0
             # only a group whose witness rows fail Hall's condition cuts with
             # a gap: the ladder starts there, and a rejection with no gap ends it
-            slack = 0 if self._prune_ok(0, 0, gused0, 0) else self.gap
-            budget = self.budget
-            while True:
-                if slack > budget:
-                    return Infeasible
-                self.slack, self.gap = slack, _INF
-                routed = self._route(0, 0, gused0, slack)
-                if routed is not None:
-                    break
-                slack += self.gap  # _INF, when nothing was cut off, ends the ladder
+            if not self._prune_ok(0, 0, gused0, 0):
+                routed, slack = None, self.gap
+            elif any(cd.table is None for cd in self.demands):
+                routed, slack = None, 0
+            else:
+                self.slack = 0
+                routed = self._resume(routed)
+                if routed is None:
+                    # no path system spends slack 0: the next level lengthens
+                    # some path, by 2 when every demand keeps one parity
+                    slack = 1 if any(cd.step == 1 for cd in self.demands) else 2
+            if routed is None:
+                budget = self.budget
+                while True:
+                    if slack > budget:
+                        return Infeasible
+                    self.slack, self.gap = slack, _INF
+                    routed = self._route(0, 0, gused0, slack)
+                    if routed is not None:
+                        break
+                    slack += self.gap  # _INF, when nothing was cut off, ends the ladder
         comp = self.comp
         paths = []
         for d, mask in zip(self.demands, routed):

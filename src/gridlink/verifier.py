@@ -119,6 +119,9 @@ class Campaign:
         # a float passes the range checks and fails mid-run; a bool runs as 0 or 1
         if self.samples is not None and type(self.samples) is not int:
             raise ValueError(f"samples must be an int, got {self.samples!r}")
+        # Random("1") draws other placements than Random(1) yet prints as seed 1
+        if self.seed is not None and type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if type(self.workers) is not int:
             raise ValueError(f"workers must be an int, got {self.workers!r}")
         if self.strategy == "random":

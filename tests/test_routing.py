@@ -1568,7 +1568,8 @@ def _matchable(rows):
 
 class _DifferentialSearch(_Search):
     """A search whose every prune is checked against ``_flooding_prune_ok``:
-    the same verdict, and the same ``gap`` after it."""
+    the same verdict, and the same ``gap`` after it.  Each forward check of
+    the table level is checked against its verdict at slack 0."""
 
     nodes = 0
 
@@ -1581,12 +1582,22 @@ class _DifferentialSearch(_Search):
         _DifferentialSearch.nodes += 1
         return got
 
+    def _ahead_ok(self, j0, used, gused):
+        before = self.gap
+        want = _flooding_prune_ok(self, j0, used, gused, 0)
+        self.gap = before
+        got = super()._ahead_ok(j0, used, gused)
+        assert got == want, (j0, used, gused)
+        _DifferentialSearch.nodes += 1
+        return got
+
 
 def test_prune_agrees_with_the_flooding_prune_at_every_node(monkeypatch):
     # Every 13th L10 placement, every 5th L2 instance and 500 pairability
     # placements, each solved by a search that runs both prunes at every
-    # node it visits; each campaign's runner still accepts its certificate.
-    # Most pairability placements settle at the root and visit no node.
+    # node it visits, the table level's forward checks included; each
+    # campaign's runner still accepts its certificate.  Most pairability
+    # placements settle at the root and visit no node.
     monkeypatch.setattr(routing, "_Search", _DifferentialSearch)
     rng = Random(5)
     sweeps = [
@@ -1633,24 +1644,44 @@ def test_prune_agrees_with_the_flooding_prune_on_grouped_escapes(inst):
     assert got == solve(inst)
 
 
-def _root_levels(search):
-    """Run ``search``; return its answer and the slack of every level it
-    searched.  A run settled at the root searched no level and stopped at
-    slack 0, which it reports as its one level."""
+def _ladder(search):
+    """Run ``search``; return its answer, the slack of every level it
+    searched, and whether its level 0 was the table level.  The table level
+    (``_Search._resume``) counts as a level at slack 0, and so does a run
+    settled at the root, which found that level's first leaf at once."""
     levels = []
-    route = search._route
+    tabled = []
+    route, resume = search._route, search._resume
 
     def recording(di, used, gused, slack):
         if not di:
             levels.append(slack)
         return route(di, used, gused, slack)
 
+    def resuming(picks):
+        levels.append(0)
+        tabled.append(picks)
+        return resume(picks)
+
     search._route = recording
+    search._resume = resuming
     got = search.run()
     if not levels and search.slack is not None:
         assert search.slack == 0 and got is not Infeasible
         levels.append(0)
-    return got, levels
+        tabled.append(None)
+    return got, levels, bool(tabled)
+
+
+def _root_levels(search):
+    """Run ``search``; return its answer and the slack of every level it
+    searched, the table level and a root settlement counted at slack 0."""
+    return _ladder(search)[:2]
+
+
+def _edges(search, masks):
+    """``masks`` without the end bits a table entry stores above its edges."""
+    return [m & (1 << search.eshift) - 1 for m in masks]
 
 
 @given(st.one_of(small_instances(max_cols=4), grouped_instances()))
@@ -1659,14 +1690,92 @@ def test_a_root_settlement_is_the_first_leaf_of_slack_zero(inst):
     search = _Search(inst)
     settled = search._settle()
     got = search.run()
-    if settled is None:
+    if len(settled) < search.nd:
         return
     assert search.slack == 0
-    assert settled == _level(inst, 0)[0]
+    assert _edges(search, settled) == _level(inst, 0)[0]
     comp = search.comp
     assert got == PathSystem(
         tuple(_trace(comp, d.src, m) for d, m in zip(search.demands, settled))
     )
+
+
+@given(st.one_of(small_instances(max_cols=4), grouped_instances()))
+@settings(deadline=None, max_examples=300)
+def test_the_table_level_finds_what_a_fresh_slack_zero_search_finds(inst):
+    # From the settlement's dead end, the table level finds the first leaf
+    # of slack 0, or finds that it has none, as _route does at slack 0.
+    search = _Search(inst)
+    picks = search._settle()
+    if len(picks) == search.nd or any(d.table is None for d in search.demands):
+        return
+    if not search._prune_ok(0, 0, (0,) * search.ngroups, 0):
+        return  # the ladder starts at the root's gap, or nowhere
+    got = search._resume(picks)
+    assert (None if got is None else _edges(search, got)) == _level(inst, 0)[0]
+
+
+class _AheadSearch(_Search):
+    """A search whose every forward check at the table level is checked
+    against the prune at slack 0, which leaves ``gap`` as it was."""
+
+    checks = 0
+
+    def _ahead_ok(self, j0, used, gused):
+        before = self.gap
+        want = self._prune_ok(j0, used, gused, 0)
+        self.gap = before
+        got = super()._ahead_ok(j0, used, gused)
+        assert got == want, (j0, used, gused)
+        _AheadSearch.checks += 1
+        return got
+
+
+@given(st.one_of(small_instances(max_cols=4), grouped_instances()))
+@settings(deadline=None, max_examples=300)
+def test_the_table_levels_forward_check_is_the_prune_at_slack_zero(inst):
+    assert _AheadSearch(inst).run() == solve(inst)
+
+
+def test_the_table_level_agrees_with_slack_zero_on_pairability():
+    # The Hypothesis instances above are small, and few of them reach the
+    # table level with a leaf to find; about a quarter of the 6x6 grid's
+    # placements do.  Each placement's forward checks, and the table
+    # level's answer from the settlement's dead end, are checked as above.
+    before = _AheadSearch.checks
+    grid = make_grid(6, 6)
+    rng = Random(2)
+    found = 0
+    for _ in range(300):
+        inst = Instance(grid, tuple(Demand.pair(s, t) for s, t in sample_pairability(rng)))
+        assert _AheadSearch(inst).run() == solve(inst)
+        search = _Search(inst)
+        picks = search._settle()
+        if len(picks) < search.nd:
+            got = search._resume(picks)
+            assert (None if got is None else _edges(search, got)) == _level(inst, 0)[0]
+            found += got is not None
+    assert _AheadSearch.checks - before > 100
+    assert found > 30
+
+
+@given(st.one_of(small_instances(max_cols=4), grouped_instances()))
+@settings(deadline=None, max_examples=200)
+def test_a_solve_without_tables_finds_the_same_certificate(inst):
+    # With a cap of 1 every demand with two shortest paths or more has no
+    # table, so slack 0 is searched by _route; the certificate must not
+    # change.  The copy is a fresh graph, compiled under the cap.
+    want = solve(inst)
+    bare = pickle.loads(pickle.dumps(inst))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(routing, "_TABLE_CAP", 1)
+        search = _Search(bare)
+        resumed = []
+        resume = search._resume
+        search._resume = lambda picks: resumed.append(picks) or resume(picks)
+        assert search.run() == want
+    if any(d.table is None for d in search.demands):
+        assert not resumed
 
 
 def test_pair_ladder_on_a_bipartite_grid_climbs_by_even_gaps():
@@ -1711,14 +1820,20 @@ def _check_ladder(inst):
 
     Every slack below the first level the ladder searched routes nothing
     (with no level searched, every slack below the root's gap that stays
-    within the edge budget; a run settled at the root reports level 0).  A level's least gap is exactly the rise to
+    within the edge budget).  A level's least gap is exactly the rise to
     the next level the ladder searched, and every slack it skips enters
     the same search nodes as that level; the last level either routes the
     instance or has no gap that stays within the edge budget, and every
     slack from it up to the budget enters its nodes too.
+
+    The table level, and a run settled at the root, count as level 0.
+    They answer what a fresh search of slack 0 answers.  When that is
+    nothing, the next level is the least rise at which some path can be
+    longer (2 when every demand keeps one parity, else 1), and every slack
+    it skips routes nothing.
     """
     search = _Search(inst)
-    got, levels = _root_levels(search)
+    got, levels, tabled = _ladder(search)
     lbs = sum(d.lb for d in search.demands)
     budget = min(sum(d.max_len for d in search.demands) - lbs, search.comp.nedges - lbs)
     first = levels[0] if levels else min(search.gap, budget + 1)
@@ -1726,6 +1841,20 @@ def _check_ladder(inst):
         assert _level(inst, below)[0] is None, below
     for level, after in zip(levels, levels[1:] + [None]):
         routed, gap, nodes = _level(inst, level)
+        if tabled and not level:
+            if after is None and got is not Infeasible:
+                assert routed is not None
+                comp = search.comp
+                assert got == PathSystem(
+                    tuple(_trace(comp, d.src, m) for d, m in zip(search.demands, routed))
+                )
+                continue
+            step = 2 if all(d.step == 2 for d in search.demands) else 1
+            assert routed is None
+            assert after == step if after is not None else step > budget
+            for skipped in range(1, min(step, budget + 1)):
+                assert _level(inst, skipped)[0] is None, skipped
+            continue
         if after is not None:
             assert routed is None and gap == after - level, (level, after)
         elif got is Infeasible:
@@ -1819,17 +1948,22 @@ def test_edge_budget_proves_infeasibility_at_slack_zero():
 # demand from its table, moves them.
 
 # every 10th instance of each sweep: (searching walks, _prune_ok calls,
-# slack levels searched).  The searching walks include the one that builds
-# each compiled demand's shortest-path table: L10 99 of them, L1 9, L2 13
-# and L3 none.  A search that stops lifting its ladder at the root, where a
-# group's witness rows fail Hall's condition, searches more levels.  A
-# solve settled at the root from its tables makes no prune call and
-# searches no level; one that stops settling there makes more of both.
+# slack levels searched by _route, table entries the table level tried).
+# The searching walks include the one that builds each compiled demand's
+# shortest-path table: L10 99 of them, L1 9, L2 13 and L3 none.  A search
+# that stops lifting its ladder at the root, where a group's witness rows
+# fail Hall's condition, searches more levels.  A solve settled at the
+# root from its tables makes no prune call and searches no level, and a
+# solve that slack 0 answers past the settlement's dead end makes one
+# prune call at the root and searches no level with _route; one that stops
+# settling there, or hands slack 0 back to _route, makes more of both.
+# The last count is every entry the table level reads (free or not) below
+# the last demand, whose table it only asks for a first free entry.
 _PINNED_WORK = {
-    "L10": (216, 3471, 1428),
-    "L1": (91, 2854, 441),
-    "L2": (72, 1984, 400),
-    "L3": (2, 426, 113),
+    "L10": (216, 2478, 934, 772),
+    "L1": (91, 2230, 274, 941),
+    "L2": (72, 1427, 216, 617),
+    "L3": (2, 334, 79, 86),
 }
 
 
@@ -1841,8 +1975,10 @@ def test_solver_work_counts_are_pinned(monkeypatch):
             forms[id(graph)] = graph, routing._Compiled(graph)
         return forms[id(graph)][1]
 
-    work = [0, 0, 0]
-    search, prune, route = _CDemand._search, _Search._prune_ok, _Search._route
+    work = [0, 0, 0, 0]
+    search, prune, route, tabled = (
+        _CDemand._search, _Search._prune_ok, _Search._route, _Search._tabled
+    )
 
     def counting_search(cd, *args):
         work[0] += 1
@@ -1856,13 +1992,22 @@ def test_solver_work_counts_are_pinned(monkeypatch):
         work[2] += not di
         return route(s, di, *args)
 
+    def counted(entries):
+        for m in entries:
+            work[3] += 1
+            yield m
+
+    def counting_tabled(s, di, used, gused, entries):
+        return tabled(s, di, used, gused, counted(entries))
+
     monkeypatch.setattr(routing, "_compiled", fresh_compiled)
     monkeypatch.setattr(_CDemand, "_search", counting_search)
     monkeypatch.setattr(_Search, "_prune_ok", counting_prune)
     monkeypatch.setattr(_Search, "_route", counting_route)
+    monkeypatch.setattr(_Search, "_tabled", counting_tabled)
     got = {}
     for lemma_id in _PINNED_WORK:
-        work[:] = 0, 0, 0
+        work[:] = 0, 0, 0, 0
         iterate, runner, _, _ = verifier._CAMPAIGNS[lemma_id]
         for inst in islice(iterate(), 0, None, 10):
             rec = runner(inst)

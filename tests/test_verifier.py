@@ -153,6 +153,15 @@ def test_worker_and_sample_counts_must_be_ints():
             Campaign("pairability", samples=samples, seed=1)
 
 
+def test_a_seed_must_be_an_int():
+    # Random("1") draws other placements than Random(1), and a report of
+    # either would print "seed: 1"
+    for seed in ("1", True, 1.0):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            Campaign("pairability", samples=3, seed=seed)
+    assert Campaign("pairability", samples=3, seed=1).seed == 1
+
+
 def test_worker_counts_outside_the_cpu_range_are_rejected():
     # only the rejection path: no process pool is ever started here
     for workers in (0, -1, (os.cpu_count() or 1) + 1):
